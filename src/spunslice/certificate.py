@@ -292,10 +292,9 @@ def _check_definite_cobordism(su, cfg: CertifyConfig):
     return status, evidence, None
 
 
-def _check_cobordism_collapse(su, base_pd, cfg: CertifyConfig):
+def _check_cobordism_collapse(su, base, battery, cfg: CertifyConfig):
     cob = cobordism_presentation(su)
-    target = wirtinger(base_pd)
-    report = collapse_check(cob, target, cfg.battery_groups(), node_budget=cfg.node_budget)
+    report = collapse_check(cob, base, battery, node_budget=cfg.node_budget)
     evidence = {
         "verdict": report.verdict,
         "hom-counts": [
@@ -311,8 +310,8 @@ def _check_cobordism_collapse(su, base_pd, cfg: CertifyConfig):
     return status, evidence, None
 
 
-def _check_base_cover(base_pd, cfg: CertifyConfig):
-    pres = branched_cover_presentation(wirtinger(base_pd))
+def _check_base_cover(base, cfg: CertifyConfig):
+    pres = branched_cover_presentation(base)
     h1 = abelianization(pres)
     enum = todd_coxeter(pres, (), max_cosets=cfg.max_cosets)
     evidence: dict[str, object] = {
@@ -462,11 +461,11 @@ def certify(plat: PlatWord, tv: TwistVector, config: CertifyConfig | None = None
             raise CertifyError("plat closure must be a knot, not a link")
         tv.require_even()
         su = build_symmetric_union(plat, tv)
-        cfg.battery_groups()
+        battery = cfg.battery_groups()
     except (PlatError, GroupError) as exc:
         raise CertifyError(str(exc)) from exc
 
-    base_pd = plat_to_pd(plat)
+    base_group = wirtinger(plat_to_pd(plat))
     timing: dict[str, float] = {}
     results: dict[str, PremiseRecord] = {}
     payloads: dict[str, object] = {}
@@ -490,8 +489,8 @@ def certify(plat: PlatWord, tv: TwistVector, config: CertifyConfig | None = None
     run("slice-criterion", lambda: _check_slice_criterion(plat, tv, cfg))
     run("homology-sphere", lambda: _check_homology_sphere(su, cfg))
     run("definite-cobordism", lambda: _check_definite_cobordism(su, cfg))
-    run("cobordism-collapse", lambda: _check_cobordism_collapse(su, base_pd, cfg))
-    run("base-cover-binary-icosahedral", lambda: _check_base_cover(base_pd, cfg))
+    run("cobordism-collapse", lambda: _check_cobordism_collapse(su, base_group, battery, cfg))
+    run("base-cover-binary-icosahedral", lambda: _check_base_cover(base_group, cfg))
     run(
         "quotient-structure",
         lambda: _check_quotient_structure(payloads["base-cover-binary-icosahedral"], cfg),

@@ -32,7 +32,13 @@ from .covers import (
     is_definite,
     surgery_description,
 )
-from .decker import criterion_report, spin_plat, symmetric_union_curve, trace_double_curve
+from .decker import (
+    DEFAULT_RESOLUTION,
+    criterion_report,
+    spin_plat,
+    symmetric_union_curve,
+    trace_double_curve,
+)
 from .diagrams import (
     PlatError,
     PlatWord,
@@ -58,6 +64,7 @@ from .groups import (
     su2_obstruction,
     wirtinger,
 )
+from .groups.toddcoxeter import DEFAULT_MAX_COSETS
 from .render import render_chord_diagram, render_decker, render_pd, render_plat
 
 
@@ -290,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--twists", help="comma-separated half-twist counts, one per bridge")
     common.add_argument("--battery", help="comma-separated finite-group battery (default S3,A4,S4,A5)")
-    common.add_argument("--max-cosets", type=int, default=2_000_000, help="coset enumeration budget")
-    common.add_argument("--resolution", type=int, default=24, help="longitudes per latitude circle")
+    common.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS, help="coset enumeration budget")
+    common.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION, help="longitudes per latitude circle")
     common.add_argument("--out", help="write primary output to this file")
 
     parser = _Parser(prog="spunslice", description=__doc__)
@@ -357,13 +364,7 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (PlatError, CertifyError, CorpusError, GroupError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (CliInputError, PlatError, CertifyError, CorpusError, GroupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

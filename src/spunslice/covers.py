@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagrams import PDCode, PlatError, SymmetricUnion, build_embedding
+from .diagrams import PDCode, PlatError, SymmetricUnion, band_arcs, wirtinger_relations
 
 # ---------------------------------------------------------------------------
 # faces of a PD diagram
@@ -189,34 +189,6 @@ def goeritz_determinant(pd: PDCode) -> int:
 # Fox calculus route
 
 
-def wirtinger_relations(pd: PDCode):
-    """Arc count and crossing relations x_c = x_o^s x_a x_o^-s (0-based arcs)."""
-    n_edges = pd.n_edges
-    parent = list(range(n_edges + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _a, b, _c, d, _s in pd.crossings:
-        rb, rd = find(b), find(d)
-        if rb != rd:
-            parent[rb] = rd
-    reps: dict[int, int] = {}
-    arc: dict[int, int] = {}
-    for e in range(1, n_edges + 1):
-        r = find(e)
-        if r not in reps:
-            reps[r] = len(reps)
-        arc[e] = reps[r]
-    relations = []
-    for a, b, c, d, s in pd.crossings:
-        relations.append((arc[b], s, arc[a], arc[c]))
-    return len(reps), arc, relations
-
-
 def _fox_int_matrix(relations, ngen: int, t: int):
     """Integer Fox Jacobian at the given t, with s = -1 rows scaled by t.
 
@@ -307,13 +279,6 @@ def _lagrange_int(points: list[int], values: list[int]) -> list[int]:
     return out
 
 
-def evaluate_poly(coeffs, t: int) -> int:
-    acc = 0
-    for c in reversed(tuple(coeffs)):
-        acc = acc * t + c
-    return acc
-
-
 def alexander_det(pd: PDCode) -> int:
     """Knot determinant |Delta(-1)| via Fox calculus.
 
@@ -327,11 +292,6 @@ def alexander_det(pd: PDCode) -> int:
     rows = _fox_int_matrix(relations, ngen, -1)
     minor = [r[:-1] for r in rows[:-1]]
     return abs(_int_det(minor))
-
-
-def alexander_abs(pd: PDCode, t: int) -> int:
-    """|Delta(t)| at an integer t, with the t = 1 normalization Delta(1) = 1."""
-    return abs(evaluate_poly(alexander_polynomial(pd), t))
 
 
 # ---------------------------------------------------------------------------
@@ -388,19 +348,15 @@ def surgery_description(su: SymmetricUnion) -> SurgeryDescription:
     pair it encircles: the Wirtinger arc of the base-copy strand and of its
     mirror partner at the twist site, read off the untwisted diagram.
     """
-    emb = build_embedding(su.untwisted)
-    bands = []
-    for site in sorted(su.sites, key=lambda s: s.bridge):
-        if site.half_twists == 0:
-            continue
-        ca, cb = site.columns
-        arcs = (emb.arc_at(site.index0, ca), emb.arc_at(site.index0, cb))
-        bands.append(
+    _pd, bands = band_arcs(su)
+    return SurgeryDescription(
+        tuple(
             SurgeryBand(
                 bridge=site.bridge,
                 framing=-1 if site.half_twists > 0 else 1,
                 half_twists=site.half_twists,
                 arcs=arcs,
             )
+            for site, arcs in bands
         )
-    return SurgeryDescription(tuple(bands))
+    )

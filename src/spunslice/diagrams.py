@@ -92,27 +92,50 @@ class PDCode:
         if any(v != 2 for v in counts.values()):
             bad = [e for e, v in counts.items() if v != 2]
             raise PlatError(f"edge labels {bad} do not occur exactly twice")
-        # connectivity of the 4-valent graph via shared edges
-        parent = list(range(len(self.crossings)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        # connectivity: each edge joins the two crossings that name it
         owner: dict[int, int] = {}
-        for i, (a, b, c, d, _s) in enumerate(self.crossings):
-            for e in (a, b, c, d):
-                if e in owner:
-                    ra, rb = find(owner[e]), find(i)
-                    if ra != rb:
-                        parent[ra] = rb
-                else:
-                    owner[e] = i
-        roots = {find(i) for i in range(len(self.crossings))}
-        if len(roots) != 1:
+        pairs = [
+            (owner.setdefault(e, i), i)
+            for i, tup in enumerate(self.crossings)
+            for e in tup[:4]
+        ]
+        if max(_classes(len(self.crossings), pairs)) > 0:
             raise PlatError("diagram graph is disconnected")
+
+
+# ---------------------------------------------------------------------------
+# edge classes: crossing connectivity and Wirtinger arcs
+
+
+def _classes(n: int, pairs) -> list[int]:
+    """Class index of each element 0..n-1 under the equivalence generated by
+    pairs; classes are numbered 0, 1, ... in the order of their lowest element."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    number: dict[int, int] = {}
+    return [number.setdefault(find(x), len(number)) for x in range(n)]
+
+
+def wirtinger_relations(pd: PDCode):
+    """Arc count, edge -> arc map and crossing relations x_c = x_o^s x_a x_o^-s.
+
+    Arcs are the classes of edges joined through the over-strand (b ~ d) of
+    every crossing, numbered from 0 in the order of their lowest edge label.
+    """
+    classes = _classes(pd.n_edges, ((b - 1, d - 1) for _a, b, _c, d, _s in pd.crossings))
+    arc = {e: classes[e - 1] for e in range(1, pd.n_edges + 1)}
+    relations = [(arc[b], s, arc[a], arc[c]) for a, b, c, _d, s in pd.crossings]
+    return len(set(classes)), arc, relations
 
 
 @dataclass(frozen=True)
@@ -250,7 +273,6 @@ class Embedding:
     edge_label: dict = field(default_factory=dict)  # wire index -> 1-based label
     passages: list = field(default_factory=list)  # (crossing, enter_port, exit_port)
     pd: PDCode | None = None
-    edge_arc: dict = field(default_factory=dict)  # edge label -> arc id (1-based)
 
     def cap_edge_label(self, which: str, j: int) -> int:
         for wi, w in enumerate(self.wires):
@@ -270,10 +292,6 @@ class Embedding:
             if ("top", j) in w.vias:
                 return wi
         raise PlatError("dangling column resolves to no wire")
-
-    def arc_at(self, letter_index: int, column: int) -> int:
-        wi = self.wire_at(letter_index, column)
-        return self.edge_arc[self.edge_label[wi]]
 
 
 def _sweep(plat: PlatWord) -> Embedding:
@@ -417,30 +435,9 @@ def _build_pd(emb: Embedding):
         crossings.append((a, b, c, d, sign))
     emb.pd = PDCode(tuple(crossings))
 
-    # Wirtinger arcs: merge the two over-edges at every crossing
-    n_edges = emb.pd.n_edges
-    parent = list(range(n_edges + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b, c, d, _s in emb.pd.crossings:
-        ra, rb = find(b), find(d)
-        if ra != rb:
-            parent[ra] = rb
-    reps: dict[int, int] = {}
-    for e in range(1, n_edges + 1):
-        r = find(e)
-        if r not in reps:
-            reps[r] = len(reps) + 1
-        emb.edge_arc[e] = reps[r]
-
 
 def build_embedding(plat: PlatWord) -> Embedding:
-    """Full planar bookkeeping for a validated plat: wires, PD, arcs."""
+    """Full planar bookkeeping for a validated plat: wires, traversal, PD."""
     validate_plat(plat)
     if not plat.word:
         emb = Embedding(plat)
@@ -638,6 +635,28 @@ def build_symmetric_union(plat: PlatWord, tv: TwistVector) -> SymmetricUnion:
         for j in sorted(sites_t)
     )
     return SymmetricUnion(plat, tv, knot, untwisted, band_sites)
+
+
+def band_arcs(su: SymmetricUnion):
+    """PD code of the untwisted union and the band arcs of its twisted sites.
+
+    Returns (pd, ((site, (arc_a, arc_b)), ...)) in bridge order, one entry per
+    site with t_j != 0.  arc_a and arc_b are the 1-based Wirtinger arcs of the
+    strands at the site's two columns (mirror copy, base copy), read off the
+    untwisted diagram just above the site.
+    """
+    emb = build_embedding(su.untwisted)
+    _n, arc, _relations = wirtinger_relations(emb.pd)
+
+    def strand_arc(site: BandSite, column: int) -> int:
+        return arc[emb.edge_label[emb.wire_at(site.index0, column)]] + 1
+
+    bands = tuple(
+        (site, tuple(strand_arc(site, column) for column in site.columns))
+        for site in sorted(su.sites, key=lambda s: s.bridge)
+        if site.half_twists != 0
+    )
+    return emb.pd, bands
 
 
 # ---------------------------------------------------------------------------

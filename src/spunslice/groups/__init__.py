@@ -33,7 +33,6 @@ from .finite import (  # noqa: F401
     group_closure,
     iso_check,
     sl2_f5,
-    sl2_f5_matrix_count,
     structure_report,
     su2_obstruction,
     symmetric_group,
@@ -49,5 +48,4 @@ from .homcount import (  # noqa: F401
     HomCount,
     collapse_check,
     hom_count,
-    hom_count_brute,
 )

@@ -341,18 +341,6 @@ def sl2_f5() -> FiniteGroup:
     return group_closure([s, t], name="SL2F5")
 
 
-def sl2_f5_matrix_count() -> int:
-    """Independent count of all determinant-1 matrices, for cross-checking."""
-    return sum(
-        1
-        for a in range(5)
-        for b in range(5)
-        for c in range(5)
-        for d in range(5)
-        if (a * d - b * c) % 5 == 1
-    )
-
-
 # ---------------------------------------------------------------------------
 # structure report
 

@@ -109,7 +109,6 @@ def _compile_schedule(n: int, rels: list[tuple[int, ...]]):
 def hom_count(
     pres: GroupPresentation,
     G: FiniteGroup,
-    prune_conjugacy: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> HomCount:
     """Exact number of homomorphisms pres -> G, or a typed inconclusive."""
@@ -155,7 +154,7 @@ def hom_count(
             run(i + 1, factor)
             return
         g = step[1]
-        if prune_conjugacy and i == first_assign:
+        if i == first_assign:
             for cls in G.conjugacy_classes:
                 state["nodes"] += 1
                 if state["nodes"] > node_budget:
@@ -163,7 +162,7 @@ def hom_count(
                 val[g] = cls[0]
                 run(i + 1, factor * len(cls))
         else:
-            if prune_conjugacy and all_meridian:
+            if all_meridian:
                 domain = G.conjugacy_classes[G.class_index[val[steps[first_assign][1]]]]
             else:
                 domain = range(G.order)
@@ -179,36 +178,6 @@ def hom_count(
     except _Budget:
         return HomCount("inconclusive", None, state["nodes"])
     return HomCount("exact", state["total"], state["nodes"])
-
-
-def hom_count_brute(pres: GroupPresentation, G: FiniteGroup) -> int:
-    """Oracle: enumerate all |G|^n assignments.  Tiny inputs only."""
-    n = pres.n_generators
-    mult = G.mult
-    inv = G.inverse
-    ident = G.identity
-    count = 0
-    val = [0] * (n + 1)
-
-    def evaluate(word) -> int:
-        acc = ident
-        for x in word:
-            img = val[x] if x > 0 else inv[val[-x]]
-            acc = mult[acc][img]
-        return acc
-
-    def rec(g: int):
-        nonlocal count
-        if g > n:
-            if all(evaluate(r) == ident for r in pres.relators):
-                count += 1
-            return
-        for cand in range(G.order):
-            val[g] = cand
-            rec(g + 1)
-
-    rec(1)
-    return count
 
 
 # ---------------------------------------------------------------------------

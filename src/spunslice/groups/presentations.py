@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..diagrams import PDCode, PlatError, SymmetricUnion, build_embedding
-from ..covers import wirtinger_relations
+from ..diagrams import PDCode, PlatError, SymmetricUnion, band_arcs, wirtinger_relations
 from .snf import AbelianInvariants, abelian_invariants
 
 Word = tuple[int, ...]
@@ -109,19 +108,10 @@ def cobordism_presentation(su: SymmetricUnion) -> GroupPresentation:
     meridians of the two strands that meet at the region's first twist
     crossing -- one from the base copy and one from the mirror copy.
     """
-    emb = build_embedding(su.untwisted)
-    pres = wirtinger(emb.pd)
-    extra = []
-    for site in sorted(su.sites, key=lambda s: s.bridge):
-        if site.half_twists == 0:
-            continue
-        ca, cb = site.columns
-        arc_a = emb.arc_at(site.index0, ca)
-        arc_b = emb.arc_at(site.index0, cb)
-        extra.append((arc_a, -arc_b))
-    return GroupPresentation(
-        pres.n_generators, pres.relators + tuple(extra), pres.meridians
-    )
+    pd, bands = band_arcs(su)
+    pres = wirtinger(pd)
+    extra = tuple((arc_a, -arc_b) for _site, (arc_a, arc_b) in bands)
+    return GroupPresentation(pres.n_generators, pres.relators + extra, pres.meridians)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ The plat words below are fixed once and for all; their invariants
 independent sources -- closed-form torus-knot polynomials, checkerboard
 forms computed by hand on small diagrams, and brute-force enumeration --
 and the tests pin those numbers exactly.
+
+The brute-force oracles at the end are the references that the runtime's
+searches are checked against; they live here, outside the package.
 """
 
 from spunslice.diagrams import PlatWord
@@ -47,3 +50,46 @@ ALEX_AT_3 = {
     "k5-2": (K5_2, 11),
     "t35": (T35, 4561),
 }
+
+
+def sl2_f5_matrix_count() -> int:
+    """Independent count of all determinant-1 matrices over F_5."""
+    return sum(
+        1
+        for a in range(5)
+        for b in range(5)
+        for c in range(5)
+        for d in range(5)
+        if (a * d - b * c) % 5 == 1
+    )
+
+
+def hom_count_brute(pres, G) -> int:
+    """Number of homomorphisms pres -> G by enumerating all |G|^n
+    assignments.  Tiny inputs only."""
+    n = pres.n_generators
+    mult = G.mult
+    inv = G.inverse
+    ident = G.identity
+    count = 0
+    val = [0] * (n + 1)
+
+    def evaluate(word) -> int:
+        acc = ident
+        for x in word:
+            img = val[x] if x > 0 else inv[val[-x]]
+            acc = mult[acc][img]
+        return acc
+
+    def rec(g: int):
+        nonlocal count
+        if g > n:
+            if all(evaluate(r) == ident for r in pres.relators):
+                count += 1
+            return
+        for cand in range(G.order):
+            val[g] = cand
+            rec(g + 1)
+
+    rec(1)
+    return count

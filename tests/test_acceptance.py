@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import FIG8, T35, TREFOIL, UNKNOT
+from conftest import FIG8, T35, TREFOIL, UNKNOT, sl2_f5_matrix_count
 from spunslice.certificate import AXIOMS, certificate_json, certify
 from spunslice.covers import (
     alexander_det,
@@ -51,7 +51,6 @@ from spunslice.groups import (
     iso_check,
     regular_representation,
     sl2_f5,
-    sl2_f5_matrix_count,
     structure_report,
     su2_obstruction,
     symmetric_group,

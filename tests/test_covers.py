@@ -123,6 +123,7 @@ def test_trefoil_surgery_bands_are_frozen():
     assert [b.bridge for b in sd.bands] == [1, 2]
     assert [b.framing for b in sd.bands] == [-1, -1]
     assert [b.half_twists for b in sd.bands] == [2, 2]
+    assert [b.arcs for b in sd.bands] == [(1, 4), (5, 3)]
     assert sd.linking_matrix() == [[1, 0], [0, 1]]
     assert is_definite(sd.linking_matrix()) == "positive"
 
@@ -156,6 +157,7 @@ def test_torus_union_surgery_is_frozen():
     sd = surgery_description(su)
     assert [b.bridge for b in sd.bands] == [1, 2, 3]
     assert [b.framing for b in sd.bands] == [-1, -1, -1]
+    assert [b.arcs for b in sd.bands] == [(1, 33), (46, 16), (75, 3)]
     assert sd.linking_matrix() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert cobordism_linking_matrix(sd) == sd.linking_matrix()
 

@@ -116,6 +116,12 @@ def test_pd_validate_rejects_bad_sign():
         PDCode(bad).validate()
 
 
+def test_pd_validate_rejects_disconnected_diagram():
+    # two one-crossing kinks with disjoint edge labels
+    with pytest.raises(PlatError, match="diagram graph is disconnected"):
+        PDCode(((1, 1, 2, 2, 1), (3, 3, 4, 4, 1))).validate()
+
+
 # ---------------------------------------------------------------------------
 # chord diagrams
 # ---------------------------------------------------------------------------

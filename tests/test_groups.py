@@ -8,7 +8,15 @@ diagrammatic routes from test_covers.py.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DETERMINANTS, FIG8, T35, TREFOIL, UNKNOT
+from conftest import (
+    DETERMINANTS,
+    FIG8,
+    T35,
+    TREFOIL,
+    UNKNOT,
+    hom_count_brute,
+    sl2_f5_matrix_count,
+)
 from spunslice.diagrams import (
     PlatError,
     PlatWord,
@@ -28,7 +36,6 @@ from spunslice.groups import (
     elementary_divisors,
     format_presentation,
     hom_count,
-    hom_count_brute,
     icosian_group,
     icosian_involution_lemma,
     iso_check,
@@ -36,7 +43,6 @@ from spunslice.groups import (
     regular_representation,
     reidemeister_schreier_index2,
     sl2_f5,
-    sl2_f5_matrix_count,
     smith_normal_form,
     structure_report,
     su2_obstruction,
@@ -296,10 +302,8 @@ def test_iso_check_rejects_nonisomorphic_groups():
 def test_trefoil_hom_counts_match_brute_force(trefoil_group):
     g = symmetric_group(3)
     pruned = hom_count(trefoil_group, g)
-    unpruned = hom_count(trefoil_group, g, prune_conjugacy=False)
     brute = hom_count_brute(trefoil_group, g)
     assert pruned.exact and pruned.count == 12
-    assert unpruned.count == 12
     assert brute == 12
 
 
@@ -343,9 +347,19 @@ def test_twisted_cobordism_adds_one_relator_per_band(trefoil_group):
     su = build_symmetric_union(TREFOIL, TwistVector((2, 2)))
     cob = cobordism_presentation(su)
     base = wirtinger(plat_to_pd(su.untwisted))
-    assert len(cob.relators) - len(base.relators) == 2
+    assert cob.relators[: len(base.relators)] == base.relators
+    # x_a x_b^-1 for the band arcs that surgery_description reports
+    assert cob.relators[len(base.relators) :] == ((1, -4), (5, -3))
     ab = abelianization(cob)
     assert ab.free_rank == 1 and ab.torsion == ()
+
+
+def test_torus_cobordism_relators_identify_the_band_arcs():
+    su = build_symmetric_union(T35, TwistVector((2, 2, 2)))
+    cob = cobordism_presentation(su)
+    base = wirtinger(plat_to_pd(su.untwisted))
+    assert cob.relators[: len(base.relators)] == base.relators
+    assert cob.relators[len(base.relators) :] == ((1, -33), (46, -16), (75, -3))
 
 
 def test_untwisted_trefoil_union_is_distinguished(trefoil_group, battery):
