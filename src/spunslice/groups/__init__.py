@@ -39,7 +39,6 @@ from .finite import (  # noqa: F401
 )
 from .quaternions import (  # noqa: F401
     Icosian,
-    Q5,
     icosian_group,
     icosian_involution_lemma,
 )

@@ -9,7 +9,7 @@ enumeration's regular representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from ..diagrams import PlatError
 
@@ -25,7 +25,11 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     Construction verifies that the table has a two-sided identity and
-    total inverses, and checks associativity exhaustively for order <= 200.
+    total inverses, and proves associativity at every order by Light's test
+    over a generating set (Clifford & Preston, The Algebraic Theory of
+    Semigroups I, 1961, 1.2): the elements g with (x*g)*y == x*(g*y) for all
+    x, y are closed under multiplication, so checking the generators covers
+    the whole table at a cost of (number of generators) * order^2.
     """
 
     def __init__(self, mult, labels=None, name=""):
@@ -55,13 +59,30 @@ class FiniteGroup:
             if inv[a] < 0:
                 raise GroupError(f"element {a} has no inverse")
         self.inverse = tuple(inv)
-        if n <= 200:
-            for a in range(n):
-                for b in range(n):
-                    ab = self.mult[a][b]
-                    for c in range(n):
-                        if self.mult[ab][c] != self.mult[a][self.mult[b][c]]:
-                            raise GroupError("table is not associative")
+        for g in self._light_generators():
+            g_row = self.mult[g]
+            for x in range(n):
+                row = self.mult[x]
+                if self.mult[row[g]] != tuple(map(row.__getitem__, g_row)):
+                    raise GroupError("table is not associative")
+
+    def _light_generators(self) -> list[int]:
+        """Greedy generators whose closure under right multiplication, starting
+        from the identity, is the whole table (no associativity assumed)."""
+        gens: list[int] = []
+        reached = {self.identity}
+        for a in range(self.order):
+            if a in reached:
+                continue
+            gens.append(a)
+            todo = list(reached)
+            while todo:
+                row = self.mult[todo.pop()]
+                for g in gens:
+                    if row[g] not in reached:
+                        reached.add(row[g])
+                        todo.append(row[g])
+        return gens
 
     def op(self, a: int, b: int) -> int:
         return self.mult[a][b]
@@ -136,8 +157,12 @@ class FiniteGroup:
 
     @cached_property
     def normal_subgroups(self) -> tuple[frozenset[int], ...]:
-        """All normal subgroups, as joins of single-element normal closures."""
-        atoms = {self.normal_closure([a]) for a in range(self.order)}
+        """All normal subgroups, as joins of single-element normal closures.
+
+        A normal closure depends only on the conjugacy class, so one
+        representative per class gives every atom.
+        """
+        atoms = {self.normal_closure(cls[:1]) for cls in self.conjugacy_classes}
         found = {frozenset({self.identity})}
         frontier = set(found)
         while frontier:
@@ -150,6 +175,15 @@ class FiniteGroup:
                         nxt.add(j)
             frontier = nxt
         return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+
+    @cached_property
+    def proper_quotients(self) -> tuple[tuple["FiniteGroup", tuple[int, ...]], ...]:
+        """Quotients by the proper nontrivial normal subgroups, with projections."""
+        return tuple(
+            self.quotient(n, name=f"{self.name}/N{len(n)}")
+            for n in self.normal_subgroups
+            if 1 < len(n) < self.order
+        )
 
     @cached_property
     def is_simple(self) -> bool:
@@ -281,11 +315,13 @@ class F5Mat:
         return f"[{a} {b}; {c} {d}]"
 
 
-def group_closure(generators, bound: int = CLOSURE_BOUND, name: str = "") -> FiniteGroup:
-    """BFS closure of generator objects into a FiniteGroup.
+def closure_elements(generators, bound: int = CLOSURE_BOUND) -> list:
+    """Every product of the generator objects, sorted by key().
 
-    Elements need *, ==, hash and a key() for canonical ordering.  Raises
-    if the closure exceeds the bound.
+    BFS under right multiplication by the generators; for a finite set of
+    invertible elements that already yields the generated group.  Elements
+    need *, ==, hash and a key() for canonical ordering.  Raises if the
+    closure exceeds the bound.
     """
     gens = list(generators)
     if not gens:
@@ -296,14 +332,24 @@ def group_closure(generators, bound: int = CLOSURE_BOUND, name: str = "") -> Fin
         nxt = []
         for a in frontier:
             for g in gens:
-                for c in (a * g, g * a):
-                    if c not in have:
-                        if len(have) >= bound:
-                            raise GroupError(f"closure exceeded bound {bound}")
-                        have.add(c)
-                        nxt.append(c)
+                c = a * g
+                if c not in have:
+                    if len(have) >= bound:
+                        raise GroupError(f"closure exceeded bound {bound}")
+                    have.add(c)
+                    nxt.append(c)
         frontier = nxt
-    elems = sorted(have, key=lambda x: x.key())
+    return sorted(have, key=lambda x: x.key())
+
+
+def group_closure(generators, bound: int = CLOSURE_BOUND, name: str = "") -> FiniteGroup:
+    """BFS closure of generator objects into a FiniteGroup."""
+    return table_group(closure_elements(generators, bound), name=name)
+
+
+def table_group(elems, name: str = "") -> FiniteGroup:
+    """The group of a multiplicatively closed list of element objects, in
+    list order; every table entry is one directly computed product."""
     # identity = the unique idempotent
     ident = [x for x in elems if x * x == x]
     if len(ident) != 1:
@@ -318,7 +364,9 @@ def symmetric_group(n: int) -> FiniteGroup:
     return group_closure(gens, name=f"S{n}")
 
 
+@cache
 def alternating_group(n: int) -> FiniteGroup:
+    """A_n, built once per process for each n."""
     if n < 3:
         raise GroupError("need n >= 3")
     gens = [Perm.from_cycles(n, (0, 1, 2))]
@@ -334,8 +382,10 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(table, [str(i) for i in range(n)], name=f"C{n}")
 
 
+@cache
 def sl2_f5() -> FiniteGroup:
-    """SL2 over the 5-element field, by closure of the standard generators."""
+    """SL2 over the 5-element field, by closure of the standard generators;
+    built once per process."""
     s = F5Mat((0, -1, 1, 0))
     t = F5Mat((1, 1, 0, 1))
     return group_closure([s, t], name="SL2F5")
@@ -370,13 +420,14 @@ class StructureReport:
 
 
 def structure_report(G: FiniteGroup) -> StructureReport:
+    """Class, center, involution and normal-subgroup data of G.
+
+    Everything it reads is cached on G, so a second report on the same
+    group rebuilds nothing.
+    """
     if G.order > STRUCTURE_BOUND:
         raise GroupError(f"structure report limited to order {STRUCTURE_BOUND}")
     normals = G.normal_subgroups
-    quotients = []
-    for n in normals:
-        if 1 < len(n) < G.order:
-            quotients.append(G.quotient(n, name=f"{G.name}/N{len(n)}"))
     return StructureReport(
         order=G.order,
         class_sizes=tuple(sorted(len(c) for c in G.conjugacy_classes)),
@@ -385,7 +436,7 @@ def structure_report(G: FiniteGroup) -> StructureReport:
         normal_subgroup_orders=tuple(sorted(len(n) for n in normals)),
         simple=G.is_simple,
         perfect=G.is_perfect,
-        quotients=tuple(quotients),
+        quotients=G.proper_quotients,
     )
 
 

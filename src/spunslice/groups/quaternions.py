@@ -1,7 +1,8 @@
 """The binary icosahedral group as exact unit quaternions.
 
-Components live in the field of rationals extended by sqrt(5), with exact
-Fraction coordinates -- no floating point.  The 120 units are the 24
+Every coordinate of a unit icosian lies in (1/4) Z[sqrt5], so a coordinate
+is stored as an integer pair (X, Y) meaning (X + Y sqrt5)/4 -- plain
+integers, no floating point and no fractions.  The 120 units are the 24
 Hurwitz-style elements plus the 96 even coordinate permutations of
 (0, +-1, +-1/phi, +-phi)/2, phi the golden ratio.
 """
@@ -9,77 +10,59 @@ Hurwitz-style elements plus the 96 even coordinate permutations of
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import permutations, product
 
-from .finite import FiniteGroup, GroupError, Perm, group_closure
+from .finite import FiniteGroup, GroupError, Perm, closure_elements, table_group
 
-
-class Q5:
-    """x + y*sqrt(5) with exact rational x, y."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y=0):
-        self.x = Fraction(x)
-        self.y = Fraction(y)
-
-    def __add__(self, o):
-        return Q5(self.x + o.x, self.y + o.y)
-
-    def __sub__(self, o):
-        return Q5(self.x - o.x, self.y - o.y)
-
-    def __mul__(self, o):
-        return Q5(self.x * o.x + 5 * self.y * o.y, self.x * o.y + self.y * o.x)
-
-    def __neg__(self):
-        return Q5(-self.x, -self.y)
-
-    def __eq__(self, o):
-        return isinstance(o, Q5) and self.x == o.x and self.y == o.y
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
-    def key(self):
-        return (self.x, self.y)
-
-    def __repr__(self):
-        if self.y == 0:
-            return str(self.x)
-        if self.x == 0:
-            return f"{self.y}r5"
-        return f"{self.x}+{self.y}r5"
+# coordinate k of x*y is the sum of sign * x[i] * y[j] over (sign, i, j) in row k
+_HAMILTON = (
+    ((1, 0, 0), (-1, 1, 1), (-1, 2, 2), (-1, 3, 3)),
+    ((1, 0, 1), (1, 1, 0), (1, 2, 3), (-1, 3, 2)),
+    ((1, 0, 2), (-1, 1, 3), (1, 2, 0), (1, 3, 1)),
+    ((1, 0, 3), (1, 1, 2), (-1, 2, 1), (1, 3, 0)),
+)
 
 
-Q0 = Q5(0)
-Q1 = Q5(1)
-HALF = Q5(Fraction(1, 2))
-# phi/2 and 1/(2 phi) = (phi - 1)/2
-PHI_HALF = Q5(Fraction(1, 4), Fraction(1, 4))
-IPHI_HALF = Q5(Fraction(-1, 4), Fraction(1, 4))
+def _format(x: int, y: int) -> str:
+    """(x + y sqrt5)/4 written as '<rational>+<rational>r5'."""
+    a, b = Fraction(x, 4), Fraction(y, 4)
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return f"{b}r5"
+    return f"{a}+{b}r5"
 
 
 class Icosian:
-    """A quaternion w + x i + y j + z k with Q5 components."""
+    """A quaternion w + x i + y j + z k with coordinates in (1/4) Z[sqrt5].
+
+    Each of the four coordinates is an integer pair (X, Y) standing for
+    (X + Y sqrt5)/4.  Products are computed on integers and divided by 4
+    exactly; a remainder raises GroupError, so the denominator is checked
+    rather than assumed.
+    """
 
     __slots__ = ("q",)
 
     def __init__(self, w, x, y, z):
-        self.q = (w, x, y, z)
+        self.q = (tuple(w), tuple(x), tuple(y), tuple(z))
 
     def __mul__(self, o):
-        a, b, c, d = self.q
-        e, f, g, h = o.q
-        return Icosian(
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        )
+        out = []
+        for row in _HAMILTON:
+            x = y = 0
+            for sign, i, j in row:
+                (p, p5), (r, r5) = self.q[i], o.q[j]
+                x += sign * (p * r + 5 * p5 * r5)
+                y += sign * (p * r5 + p5 * r)
+            if x % 4 or y % 4:  # the sum has denominator 16
+                raise GroupError(f"product {self!r} * {o!r} leaves (1/4) Z[sqrt5]")
+            out.append((x // 4, y // 4))
+        return Icosian(*out)
 
     def __neg__(self):
-        return Icosian(*(-c for c in self.q))
+        return Icosian(*((-x, -y) for x, y in self.q))
 
     def __eq__(self, o):
         return isinstance(o, Icosian) and self.q == o.q
@@ -88,76 +71,75 @@ class Icosian:
         return hash(self.q)
 
     def key(self):
-        return tuple(c.key() for c in self.q)
+        return self.q
 
-    def norm(self) -> Q5:
+    def norm(self) -> tuple[int, int]:
+        """w^2 + x^2 + y^2 + z^2 as the pair (X, Y) meaning (X + Y sqrt5)/16."""
         return (
-            self.q[0] * self.q[0]
-            + self.q[1] * self.q[1]
-            + self.q[2] * self.q[2]
-            + self.q[3] * self.q[3]
+            sum(x * x + 5 * y * y for x, y in self.q),
+            sum(2 * x * y for x, y in self.q),
         )
 
     def __repr__(self):
-        return "<" + ",".join(repr(c) for c in self.q) + ">"
+        return "<" + ",".join(_format(x, y) for x, y in self.q) + ">"
 
 
-ICOSIAN_ONE = Icosian(Q1, Q0, Q0, Q0)
+ZERO, ONE, HALF = (0, 0), (4, 0), (2, 0)
+ICOSIAN_ONE = Icosian(ONE, ZERO, ZERO, ZERO)
+UNIT_NORM = (16, 0)
+
+# (1 + i + j + k)/2 of order 6 and (phi + i/phi + j)/2 of order 10
+GENERATORS = (
+    Icosian(HALF, HALF, HALF, HALF),
+    Icosian((1, 1), (-1, 1), HALF, ZERO),
+)
 
 
 def _unit_icosians() -> list[Icosian]:
+    """The 120 unit icosians, each checked to have norm 1."""
     out = []
     for i in range(4):
         for s in (1, -1):
-            comps = [Q0] * 4
-            comps[i] = Q5(s)
+            comps = [ZERO] * 4
+            comps[i] = (4 * s, 0)
             out.append(Icosian(*comps))
     for signs in product((1, -1), repeat=4):
-        out.append(
-            Icosian(*(Q5(Fraction(s, 2)) for s in signs))
-        )
-    base = [Q0, Q1, IPHI_HALF * Q5(2), PHI_HALF * Q5(2)]  # 0, 1, 1/phi, phi
-    half = Q5(Fraction(1, 2))
-    even_perms = [p for p in _all_perms(4) if Perm(p).is_even]
-    seen = set()
-    for p in even_perms:
-        for signs in product((1, -1), repeat=4):
-            comps = []
-            for pos in range(4):
-                v = base[p[pos]] * half
-                comps.append(v * Q5(signs[pos]) if v != Q0 else Q0)
-            ic = Icosian(*comps)
-            if ic not in seen:
-                seen.add(ic)
-                out.append(ic)
-    return out
-
-
-def _all_perms(n):
-    if n == 1:
-        return [(0,)]
-    out = []
-    for rest in _all_perms(n - 1):
-        for i in range(n):
-            out.append(rest[:i] + (n - 1,) + rest[i:])
-    return out
-
-
-def icosian_group() -> FiniteGroup:
-    """The 120 unit icosians, verified multiplicatively closed."""
-    units = _unit_icosians()
-    if len(units) != 120:
-        raise GroupError(f"expected 120 units, built {len(units)}")
-    for u in units:
-        if u.norm() != Q1:
+        out.append(Icosian(*((2 * s, 0) for s in signs)))
+    base = (ZERO, HALF, (-1, 1), (1, 1))  # 0, 1/2, 1/(2 phi), phi/2
+    for p in permutations(range(4)):
+        if not Perm(p).is_even:
+            continue
+        nonzero = [pos for pos in range(4) if p[pos]]
+        for signs in product((1, -1), repeat=3):  # one sign per nonzero entry
+            comps = [base[k] for k in p]
+            for pos, s in zip(nonzero, signs):
+                comps[pos] = (s * comps[pos][0], s * comps[pos][1])
+            out.append(Icosian(*comps))
+    if len(out) != 120 or len(set(out)) != 120:
+        raise GroupError(f"expected 120 distinct units, built {len(set(out))}")
+    for u in out:
+        if u.norm() != UNIT_NORM:
             raise GroupError(f"non-unit quaternion {u!r}")
-    return group_closure(units, bound=121, name="2I")
+    return out
+
+
+@cache
+def icosian_group() -> FiniteGroup:
+    """The 120 unit icosians as a group, built once per process.
+
+    The closure of two generators must be exactly the enumerated units;
+    every table entry is then a directly computed quaternion product.
+    """
+    units = _unit_icosians()
+    elems = closure_elements(GENERATORS, bound=121)
+    if set(elems) != set(units):
+        raise GroupError("the generators do not close to the 120 unit icosians")
+    return table_group(elems, name="2I")
 
 
 def icosian_involution_lemma() -> bool:
     """x^2 = 1 and x != 1 forces x = -1 among the unit icosians."""
-    units = _unit_icosians()
-    sols = [u for u in units if u * u == ICOSIAN_ONE]
+    sols = [u for u in _unit_icosians() if u * u == ICOSIAN_ONE]
     return sorted(u.key() for u in sols) == sorted(
         u.key() for u in (ICOSIAN_ONE, -ICOSIAN_ONE)
     )

@@ -10,6 +10,9 @@ The brute-force oracles at the end are the references that the runtime's
 searches are checked against; they live here, outside the package.
 """
 
+from fractions import Fraction
+from itertools import permutations, product
+
 from spunslice.diagrams import PlatWord
 
 UNKNOT = PlatWord(2, ())
@@ -93,3 +96,61 @@ def hom_count_brute(pres, G) -> int:
 
     rec(1)
     return count
+
+
+# Fraction oracle for the unit icosians.  A coordinate is a pair (x, y) of
+# Fractions meaning x + y*sqrt5; nothing is scaled or divided, so the
+# product below is exact by construction.
+
+def _q5_mul(u, v):
+    return (u[0] * v[0] + 5 * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _q5_sum(*terms):
+    return (sum(t[0] for t in terms), sum(t[1] for t in terms))
+
+
+def _q5_neg(u):
+    return (-u[0], -u[1])
+
+
+def quaternion_product_q5(p, q):
+    """Hamilton product of quaternions with Q(sqrt5) coordinates."""
+    a, b, c, d = p
+    e, f, g, h = q
+    m, n = _q5_mul, _q5_neg
+    return (
+        _q5_sum(m(a, e), n(m(b, f)), n(m(c, g)), n(m(d, h))),
+        _q5_sum(m(a, f), m(b, e), m(c, h), n(m(d, g))),
+        _q5_sum(m(a, g), n(m(b, h)), m(c, e), m(d, f)),
+        _q5_sum(m(a, h), m(b, g), n(m(c, f)), m(d, e)),
+    )
+
+
+def unit_icosians_q5() -> set:
+    """The 120 unit icosians with Fraction coordinates: +-1, +-i, +-j, +-k,
+    (+-1 +-i +-j +-k)/2 and the even permutations of (0, +-1, +-1/phi,
+    +-phi)/2."""
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    half = (Fraction(1, 2), Fraction(0))
+    iphi_half = (Fraction(-1, 4), Fraction(1, 4))  # (sqrt5 - 1)/4
+    phi_half = (Fraction(1, 4), Fraction(1, 4))  # (sqrt5 + 1)/4
+    out = set()
+    for i in range(4):
+        for s in (one, _q5_neg(one)):
+            out.add(tuple(s if k == i else zero for k in range(4)))
+    for signs in product((1, -1), repeat=4):
+        out.add(tuple(half if s > 0 else _q5_neg(half) for s in signs))
+    base = (zero, half, iphi_half, phi_half)
+    for p in permutations(range(4)):
+        inversions = sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+        if inversions % 2:
+            continue
+        for signs in product((1, -1), repeat=4):
+            out.add(tuple(base[k] if s > 0 else _q5_neg(base[k]) for k, s in zip(p, signs)))
+    return out
+
+
+def icosian_as_q5(u) -> tuple:
+    """An integer-coordinate Icosian in the oracle's Fraction form."""
+    return tuple((Fraction(x, 4), Fraction(y, 4)) for x, y in u.q)

@@ -224,7 +224,7 @@ def test_criterion_5_group_facts():
 
     assert icosian_involution_lemma()
     assert iso_check(icosian_group(), sl) is not None
-    _report(5, "group facts", t0, 60)
+    _report(5, "group facts", t0, 10)
 
 
 def test_criterion_6_branched_cover_of_the_torus_knot():

@@ -15,7 +15,10 @@ from conftest import (
     TREFOIL,
     UNKNOT,
     hom_count_brute,
+    icosian_as_q5,
+    quaternion_product_q5,
     sl2_f5_matrix_count,
+    unit_icosians_q5,
 )
 from spunslice.diagrams import (
     PlatError,
@@ -26,7 +29,9 @@ from spunslice.diagrams import (
 )
 from spunslice.groups import (
     FiniteGroup,
+    GroupError,
     GroupPresentation,
+    Icosian,
     abelianization,
     alternating_group,
     branched_cover_presentation,
@@ -50,6 +55,8 @@ from spunslice.groups import (
     todd_coxeter,
     wirtinger,
 )
+from spunslice.groups.finite import closure_elements
+from spunslice.groups.quaternions import GENERATORS, _unit_icosians
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +285,51 @@ def test_unit_quaternion_model():
     assert len(icosian.involutions) == 1
     assert iso_check(icosian, sl2_f5()) is not None
     assert structure_report(icosian).class_sizes == structure_report(sl2_f5()).class_sizes
+
+
+def test_integer_icosians_match_the_fraction_oracle():
+    units = _unit_icosians()
+    oracle = unit_icosians_q5()
+    assert len(oracle) == 120
+    assert {icosian_as_q5(u) for u in units} == oracle
+    for g in GENERATORS:
+        for u in units:
+            assert icosian_as_q5(g * u) == quaternion_product_q5(icosian_as_q5(g), icosian_as_q5(u))
+            assert icosian_as_q5(u * g) == quaternion_product_q5(icosian_as_q5(u), icosian_as_q5(g))
+    # integer keys sort the elements exactly as their Fraction coordinates do
+    ordered = closure_elements(GENERATORS, bound=121)
+    assert [icosian_as_q5(u) for u in ordered] == sorted(oracle)
+    assert icosian_group().labels == tuple(repr(u) for u in ordered)
+    assert repr(GENERATORS[1]) == "<1/4+1/4r5,-1/4+1/4r5,1/2,0>"
+
+
+def test_icosian_product_checks_its_denominator():
+    quarter = Icosian((1, 0), (0, 0), (0, 0), (0, 0))  # 1/4, whose square is 1/16
+    with pytest.raises(GroupError, match="leaves"):
+        quarter * quarter
+
+
+# a Latin square with identity 0 whose product is not associative
+NONASSOCIATIVE_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+@pytest.mark.parametrize("cyclic_factor", [1, 50])
+def test_nonassociative_tables_are_rejected(cyclic_factor):
+    # the loop times the cyclic group C_m: (a, i)(b, j) = (ab, i + j)
+    m, loop = cyclic_factor, NONASSOCIATIVE_LOOP
+    table = [
+        [loop[a][b] * m + (i + j) % m for b in range(5) for j in range(m)]
+        for a in range(5)
+        for i in range(m)
+    ]
+    with pytest.raises(GroupError, match="table is not associative"):
+        FiniteGroup(table)
 
 
 def test_iso_check_positive_result_is_an_isomorphism():

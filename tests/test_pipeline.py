@@ -362,3 +362,12 @@ def test_cli_groups(capsys):
     assert main(["groups", "a5"]) == 0
     out = capsys.readouterr().out
     assert "order 60" in out and "15 involutions" in out
+    assert main(["groups", "icosian"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "group icosian: order 120; 9 conjugacy classes [1, 1, 12, 12, 12, 12, 20, 20, 30]; "
+        "center 2; 1 involutions; normal subgroup orders [1, 2, 120]; not simple; perfect; "
+        "proper nontrivial quotients: order 60",
+        "  su2 embeds-possible",
+        "  unique-involution True",
+        "  iso-to-sl2f5 True",
+    ]
