@@ -6,13 +6,14 @@ certificate (certify), figure output (render), and the batch determinant
 regression (corpus).
 
 Exit codes: 0 success / verified, 1 failed check or premise, 2 inconclusive
-search, 3 invalid input.
+search, 3 invalid input, 4 internal error (an unexpected exception).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -367,6 +368,10 @@ def main(argv=None) -> int:
     except (CliInputError, PlatError, CertifyError, CorpusError, GroupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a bug, not a verdict: never exit 1 for it
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import PDCode, PlatError, SymmetricUnion, band_arcs, wirtinger_relations
+from .groups.snf import eliminate_unit_pivots
 
 # ---------------------------------------------------------------------------
 # faces of a PD diagram
@@ -109,8 +110,8 @@ def checkerboard(pd: PDCode):
     return faces, color, face_of
 
 
-def _int_det(matrix) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix."""
+def _bareiss(matrix) -> int:
+    """Fraction-free Bareiss determinant of a dense square integer matrix."""
     n = len(matrix)
     if n == 0:
         return 1
@@ -130,6 +131,31 @@ def _int_det(matrix) -> int:
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
+
+
+def _perm_sign(order: list[int]) -> int:
+    """Sign of the permutation listed by order (a rearrangement of 0..n-1)."""
+    sign = 1
+    seen = [False] * len(order)
+    for start in range(len(order)):
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = order[k]
+            if k != start:
+                sign = -sign
+    return sign
+
+
+def _int_det(matrix) -> int:
+    """Signed determinant of a square integer matrix: unit pivots first
+    (groups.snf.eliminate_unit_pivots), then Bareiss on the small core."""
+    red = eliminate_unit_pivots(matrix)
+    sign = _perm_sign([r for r, _c, _p in red.pivots] + red.core_rows)
+    sign *= _perm_sign([c for _r, c, _p in red.pivots] + red.core_cols)
+    for _r, _c, p in red.pivots:
+        sign *= p
+    return sign * _bareiss(red.core)
 
 
 @dataclass(frozen=True)

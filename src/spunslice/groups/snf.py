@@ -1,8 +1,11 @@
-"""Exact Smith normal form and abelian invariants over the integers."""
+"""Exact integer elimination: unit-pivot reduction, Smith normal form and
+abelian invariants over the integers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -32,13 +35,105 @@ class AbelianInvariants:
         return " + ".join(parts) if parts else "0"
 
 
+class UnitReduction(NamedTuple):
+    """Result of eliminate_unit_pivots: the (row, col, +-1) pivots in order,
+    and the dense core on the remaining rows and columns (original order)."""
+
+    pivots: tuple[tuple[int, int, int], ...]
+    core_rows: list[int]
+    core_cols: list[int]
+    core: list[list[int]]
+
+
+def eliminate_unit_pivots(matrix: list[list[int]]) -> UnitReduction:
+    """Eliminate +-1 pivots of an integer matrix, cheapest first.
+
+    Rows are held sparse as {col: value}.  Each step takes the +-1 entry of
+    least Markowitz cost (row nnz - 1) * (col nnz - 1), clears its column
+    from every other row by exact integer row operations (so determinants
+    are unchanged), and retires its row and column.  Column operations would
+    clear the rest of the pivot row without touching any remaining row, so
+    the matrix is equivalent to diag(pivots) + core, and a square matrix has
+    determinant sign(row order) * sign(col order) * prod(pivots) * det(core)
+    with rows ordered (pivot rows..., core rows) and columns likewise.
+    Wirtinger-, Fox- and Goeritz-derived rows are sparse and rich in +-1
+    entries, so the core is small (Havas-Holt-Rees, Linear Algebra Appl.
+    192, 1993).
+    """
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    if any(len(row) != n for row in matrix):
+        raise ValueError("ragged matrix")
+    rows = [{j: int(v) for j, v in enumerate(row) if v} for row in matrix]
+    cols: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    live = [True] * m
+    heap: list[tuple[int, int, int]] = []
+
+    def push(i, j):  # (Markowitz cost, row, col) of a +-1 entry
+        v = rows[i][j]
+        if v == 1 or v == -1:
+            heappush(heap, ((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j))
+
+    for i, row in enumerate(rows):
+        for j in row:
+            push(i, j)
+    pivots = []
+    while heap:
+        cost, r, c = heappop(heap)
+        prow = rows[r]
+        p = prow.get(c) if live[r] else None
+        if p != 1 and p != -1:
+            continue  # stale: row retired or entry changed
+        now = (len(prow) - 1) * (len(cols[c]) - 1)
+        if now != cost:
+            heappush(heap, (now, r, c))
+            continue
+        live[r] = False
+        pivots.append((r, c, p))
+        for j in prow:
+            cols[j].discard(r)
+        hit = cols[c]
+        cols[c] = set()
+        for i in hit:
+            row = rows[i]
+            f = row.pop(c) * p
+            for j, v in prow.items():
+                if j == c:
+                    continue
+                w = row.get(j, 0) - f * v
+                if w:
+                    row[j] = w
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        # costs changed only in the rows hit and the pivot row's columns
+        for i in hit:
+            for j in rows[i]:
+                push(i, j)
+        for j in prow:
+            for i in cols[j]:
+                push(i, j)
+    done = {c for _r, c, _p in pivots}
+    core_rows = [i for i in range(m) if live[i]]
+    core_cols = [j for j in range(n) if j not in done]
+    core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
+    return UnitReduction(tuple(pivots), core_rows, core_cols, core)
+
+
 def smith_normal_form(
     matrix: list[list[int]], want_transforms: bool = False
 ):
     """Diagonalize an integer matrix M as U @ M @ V = D with d_i | d_{i+1}.
 
     Returns (D, U, V) when want_transforms is set, else just D.  All
-    arithmetic is exact; entries may be arbitrarily large Python ints.
+    arithmetic is exact.  The pivot is always an entry of least absolute
+    value; any nonzero remainder left by clearing its row and column is
+    smaller, so the search starts again and the pivot shrinks until it
+    divides its whole row and column.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
@@ -72,68 +167,66 @@ def smith_normal_form(
             for row in V:
                 row[i], row[j] = row[j], row[i]
 
+    def clear(t) -> bool:
+        """Clear row and column t against the pivot; False at a remainder."""
+        p = A[t][t]
+        for i in range(t + 1, m):
+            if A[i][t]:
+                row_op(i, t, A[i][t] // p)
+                if A[i][t]:
+                    return False
+        for j in range(t + 1, n):
+            if A[t][j]:
+                col_op(j, t, A[t][j] // p)
+                if A[t][j]:
+                    return False
+        return True
+
     t = 0
     while t < min(m, n):
-        # find a pivot
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] and (best is None or abs(A[i][j]) < best):
-                    best = abs(A[i][j])
-                    piv = (i, j)
+        piv = min(
+            ((abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]),
+            default=None,
+        )
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    row_op(i, t, q)
-                    if A[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_op(j, t, q)
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # divisibility fix-up: pivot must divide every remaining entry
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t]:
-                    row_op(t, i, -1)  # add row i to row t, then restart clearing
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            if A[t][t] < 0:
-                A[t] = [-x for x in A[t]]
-                if U is not None:
-                    U[t] = [-x for x in U[t]]
-            t += 1
+        _, pi, pj = piv
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        if not clear(t):
+            continue  # a remainder is now the least entry: search again
+        p = A[t][t]
+        # divisibility: the pivot must divide every remaining entry
+        bad = next(
+            (i for i in range(t + 1, m) for j in range(t + 1, n) if A[i][j] % p), None
+        )
+        if bad is not None:
+            row_op(t, bad, -1)  # row t += row bad leaves a remainder in row t
+            continue
+        if p < 0:
+            A[t] = [-x for x in A[t]]
+            if U is not None:
+                U[t] = [-x for x in U[t]]
+        t += 1
     if want_transforms:
         return A, U, V
     return A
+
+
+def _divisors(matrix: list[list[int]]) -> tuple[int, ...]:
+    """Nonzero invariant factors: one 1 per unit pivot, then the core's."""
+    red = eliminate_unit_pivots(matrix)
+    D = smith_normal_form([row for row in red.core if any(row)])
+    return (1,) * len(red.pivots) + tuple(
+        D[i][i] for i in range(min(len(D), len(red.core_cols))) if D[i][i]
+    )
 
 
 def elementary_divisors(matrix: list[list[int]]) -> tuple[tuple[int, ...], int]:
     """(divisor chain d1 | d2 | ..., rank) of an integer matrix."""
     if not matrix or not matrix[0]:
         return (), 0
-    D = smith_normal_form(matrix)
-    divisors = tuple(
-        abs(D[i][i]) for i in range(min(len(D), len(D[0]))) if D[i][i]
-    )
+    divisors = _divisors(matrix)
     return divisors, len(divisors)
 
 
@@ -141,13 +234,5 @@ def abelian_invariants(matrix: list[list[int]], n_generators: int) -> AbelianInv
     """Invariants of Z^g / (row space of `matrix`), g = n_generators."""
     if not matrix:
         return AbelianInvariants((), n_generators)
-    D = smith_normal_form(matrix)
-    divisors = []
-    rank_hit = 0
-    for i in range(min(len(D), len(D[0]))):
-        d = D[i][i]
-        if d:
-            divisors.append(abs(d))
-            rank_hit += 1
-    free = n_generators - rank_hit
-    return AbelianInvariants(tuple(divisors), free)
+    divisors = _divisors(matrix)
+    return AbelianInvariants(divisors, n_generators - len(divisors))

@@ -1,0 +1,137 @@
+"""The shared integer eliminator (groups.snf.eliminate_unit_pivots) against
+dense oracles: Bareiss on the full matrix and sympy (tests only).
+
+Both determinant routes and the cover's first homology run through the same
+unit-pivot elimination, so each is checked here against a computation that
+does not use it.
+"""
+
+import random
+import time
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from spunslice.covers import _bareiss, _fox_int_matrix, _int_det, alexander_det, goeritz
+from spunslice.diagrams import (
+    PlatWord,
+    TwistVector,
+    build_symmetric_union,
+    closure_components,
+    plat_to_pd,
+    wirtinger_relations,
+)
+from spunslice.groups import (
+    abelian_invariants,
+    abelianization,
+    branched_cover_presentation,
+    elementary_divisors,
+    wirtinger,
+)
+from spunslice.groups.snf import eliminate_unit_pivots
+
+sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
+
+
+@st.composite
+def knot_plats(draw):
+    strands = draw(st.sampled_from([4, 6, 8]))
+    word = draw(
+        st.lists(
+            st.tuples(st.integers(1, strands - 1), st.sampled_from([1, -1])),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    plat = PlatWord(strands, tuple(word))
+    assume(closure_components(plat) == 1)
+    return plat
+
+
+def _goeritz_minor(pd):
+    return [list(row[:-1]) for row in goeritz(pd).matrix[:-1]]
+
+
+def _fox_minor(pd, t):
+    ngen, _arc, relations = wirtinger_relations(pd)
+    return [row[:-1] for row in _fox_int_matrix(relations, ngen, t)[:-1]]
+
+
+def _assert_dets_agree(matrix):
+    det = _int_det(matrix)
+    assert det == _bareiss(matrix)
+    assert det == (sympy.Matrix(matrix).det() if matrix else 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(knot_plats())
+def test_signed_determinants_match_dense_bareiss_and_sympy(plat):
+    pd = plat_to_pd(plat)
+    _assert_dets_agree(_goeritz_minor(pd))
+    for t in (-1, 3):
+        _assert_dets_agree(_fox_minor(pd, t))
+
+
+@st.composite
+def unit_rich_matrices(draw):
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(1, 7))
+    entry = st.one_of(st.sampled_from([0, 0, 1, -1, 1, -1]), st.integers(-12, 12))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_rich_matrices())
+def test_abelian_invariants_match_sympy_smith_form(matrix):
+    D = sympy_snf(sympy.Matrix(matrix), domain=sympy.ZZ)
+    want = sorted(abs(D[i, i]) for i in range(min(D.shape)) if D[i, i])
+    inv = abelian_invariants(matrix, len(matrix[0]))
+    assert list(inv.divisors) == want
+    assert inv.free_rank == len(matrix[0]) - len(want)
+    assert elementary_divisors(matrix) == (tuple(want), len(want))
+
+
+def test_unit_pivots_leave_an_equivalent_core():
+    # [[1, 2], [3, 4]]: one unit pivot, core [4 - 3*2] = [-2]
+    red = eliminate_unit_pivots([[1, 2], [3, 4]])
+    assert red.pivots == ((0, 0, 1),)
+    assert (red.core_rows, red.core_cols, red.core) == ([1], [1], [[-2]])
+    assert _int_det([[1, 2], [3, 4]]) == -2
+    assert _int_det([[0, 1], [1, 0]]) == -1
+
+
+# The 8-strand, 60-letter plat `8x60-2` of the benchmark's ladder (drawn with
+# random.Random(0)).  Its 14 x 6 Smith core once grew without bound: clearing
+# against a pivot that had stopped being the least entry, the old Smith normal
+# form did not finish in 100 s.
+LADDER_8X60_2 = PlatWord(8, (
+    (4, -1), (5, -1), (7, 1), (5, 1), (4, -1), (2, 1), (5, 1), (5, 1), (1, -1), (2, 1),
+    (2, 1), (7, 1), (6, 1), (6, 1), (4, 1), (5, -1), (6, 1), (5, 1), (3, -1), (7, -1),
+    (1, 1), (4, 1), (3, -1), (6, 1), (4, 1), (5, -1), (2, -1), (3, -1), (7, -1), (4, 1),
+    (3, -1), (5, -1), (1, -1), (6, 1), (4, -1), (6, 1), (4, -1), (4, 1), (1, -1), (6, 1),
+    (3, -1), (6, 1), (7, -1), (4, -1), (2, 1), (5, -1), (7, 1), (5, -1), (2, 1), (3, 1),
+    (5, 1), (5, 1), (3, -1), (3, -1), (3, -1), (7, -1), (5, -1), (2, 1), (7, 1), (5, 1),
+))
+
+
+def _seeded_knot_plat(seed, strands, letters):
+    rng = random.Random(seed)
+    while True:
+        word = tuple((rng.randint(1, strands - 1), rng.choice((1, -1))) for _ in range(letters))
+        plat = PlatWord(strands, word)
+        if closure_components(plat) == 1:
+            return plat
+
+
+def test_large_plats_agree_on_every_route_within_budget():
+    t0 = time.monotonic()
+    for plat in (LADDER_8X60_2, _seeded_knot_plat(0, 12, 300)):
+        pd = plat_to_pd(plat)
+        det = goeritz(pd).determinant
+        assert alexander_det(pd) == det
+        cover = abelianization(branched_cover_presentation(wirtinger(pd)))
+        assert cover.free_rank == 0 and cover.order == det
+        union = plat_to_pd(build_symmetric_union(plat, TwistVector((2,) * (plat.strands // 2))).knot)
+        assert goeritz(union).determinant == alexander_det(union) == det * det
+    assert time.monotonic() - t0 < 10.0

@@ -371,3 +371,14 @@ def test_cli_groups(capsys):
         "  unique-involution True",
         "  iso-to-sl2f5 True",
     ]
+
+
+def test_cli_internal_errors_exit_four(monkeypatch, capsys):
+    import spunslice.cli as cli
+
+    def broken(args):
+        raise RuntimeError("coset table corrupted")
+
+    monkeypatch.setattr(cli, "_cmd_det", broken)
+    assert main(["det", TREFOIL_PLAT]) == 4
+    assert "internal error: RuntimeError: coset table corrupted" in capsys.readouterr().err
