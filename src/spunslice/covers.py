@@ -15,9 +15,9 @@ computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagrams import PDCode, PlatError, SymmetricUnion, band_arcs, wirtinger_relations
+from .groups.finite import Perm
 from .groups.snf import eliminate_unit_pivots
 
 # ---------------------------------------------------------------------------
@@ -133,26 +133,13 @@ def _bareiss(matrix) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def _perm_sign(order: list[int]) -> int:
-    """Sign of the permutation listed by order (a rearrangement of 0..n-1)."""
-    sign = 1
-    seen = [False] * len(order)
-    for start in range(len(order)):
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = order[k]
-            if k != start:
-                sign = -sign
-    return sign
-
-
 def _int_det(matrix) -> int:
     """Signed determinant of a square integer matrix: unit pivots first
     (groups.snf.eliminate_unit_pivots), then Bareiss on the small core."""
     red = eliminate_unit_pivots(matrix)
-    sign = _perm_sign([r for r, _c, _p in red.pivots] + red.core_rows)
-    sign *= _perm_sign([c for _r, c, _p in red.pivots] + red.core_cols)
+    rows = Perm([r for r, _c, _p in red.pivots] + red.core_rows)
+    cols = Perm([c for _r, c, _p in red.pivots] + red.core_cols)
+    sign = 1 if rows.is_even == cols.is_even else -1
     for _r, _c, p in red.pivots:
         sign *= p
     return sign * _bareiss(red.core)
@@ -241,7 +228,7 @@ def alexander_polynomial(pd: PDCode) -> tuple[int, ...]:
 
     Computed as the determinant of the Fox Jacobian of a Wirtinger
     presentation with one row and one column deleted, recovered exactly by
-    integer evaluation and Lagrange interpolation, then normalized by
+    integer evaluation and Newton interpolation, then normalized by
     stripping powers of t and fixing the sign so that the value at t = 1
     is +1 (it is always +-1 for a knot, which doubles as a sanity check).
     """
@@ -261,7 +248,7 @@ def alexander_polynomial(pd: PDCode) -> tuple[int, ...]:
     # degree <= nc - 1 and nc sample points pin it down
     points = list(range(2, nc + 2))
     values = [eval_at(t) for t in points]
-    coeffs = _lagrange_int(points, values)
+    coeffs = _newton_int(points, values)
     # strip unit powers of t
     low = next((i for i, c in enumerate(coeffs) if c), None)
     if low is None:
@@ -277,32 +264,28 @@ def alexander_polynomial(pd: PDCode) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _lagrange_int(points: list[int], values: list[int]) -> list[int]:
-    """Exact interpolation through integer data; asserts integer coefficients."""
+def _newton_int(points: list[int], values: list[int]) -> list[int]:
+    """Coefficients, lowest degree first, of the polynomial of degree
+    < len(points) through integer data, by Newton divided differences on
+    integers.  Those are integers exactly when the polynomial has integer
+    coefficients, so a division with a remainder raises."""
     n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        # numerator polynomial prod_{j != i} (x - x_j), built incrementally
-        basis = [Fraction(1)]
-        denom = 1
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, ck in enumerate(basis):
-                new[k] -= ck * xj
-                new[k + 1] += ck
-            basis = new
-        w = Fraction(yi, denom)
-        for k, ck in enumerate(basis):
-            coeffs[k] += ck * w
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise PlatError("interpolated Alexander coefficients not integral")
-        out.append(int(c))
-    return out
+    dd = list(values)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            q, r = divmod(dd[i] - dd[i - 1], points[i] - points[i - k])
+            if r:
+                raise PlatError("interpolated Alexander coefficients not integral")
+            dd[i] = q
+    # expand dd[0] + (x - x_0)(dd[1] + (x - x_1)(dd[2] + ...)) from inside out
+    coeffs = [dd[-1]]
+    for k in range(n - 2, -1, -1):
+        shifted = [0] + coeffs
+        for j, c in enumerate(coeffs):
+            shifted[j] -= points[k] * c
+        shifted[0] += dd[k]
+        coeffs = shifted
+    return coeffs
 
 
 def alexander_det(pd: PDCode) -> int:

@@ -1,10 +1,14 @@
 """Counting homomorphisms from a finite presentation to a finite group.
 
-The search precompiles a schedule: relators in which exactly one unassigned
-generator occurs exactly once become *definers* (they determine that
-generator from the already-chosen images), everything else is checked as
-soon as its support is fully assigned.  On Wirtinger-style presentations
-this collapses the search tree to a handful of genuinely free choices.
+The search precompiles a schedule with one cascade, `_cascade`: a relator
+in which exactly one unassigned generator occurs exactly once *derives*
+that generator from the images already chosen; every other relator is
+checked as soon as its support is fully assigned.  When the cascade stalls,
+the free generator whose choice would derive the most others is chosen
+next.  The schedule is one block `(generator, steps)` per free choice,
+after an opening block with generator 0; the search walks the blocks with
+an explicit stack.  On Wirtinger-style presentations this collapses the
+search tree to a handful of genuinely free choices.
 
 Conjugacy pruning: for any presentation the count of homomorphisms with a
 fixed image for the first-assigned generator is constant on conjugacy
@@ -40,8 +44,38 @@ class _Budget(Exception):
     pass
 
 
+def _cascade(rels, assigned: set[int], consumed: list[bool], derived=None) -> int:
+    """Assign every generator that some relator determines, in repeated
+    passes in relator order until nothing new falls out; return how many.
+
+    A relator determines its single unassigned generator if that generator
+    occurs in it once.  `derived(r, p)` is told of each such relator r and
+    the position p of the generator it determined.
+    """
+    gained = 0
+    progress = True
+    while progress:
+        progress = False
+        for ri, r in enumerate(rels):
+            if consumed[ri]:
+                continue
+            unknown = [p for p, x in enumerate(r) if abs(x) not in assigned]
+            if len(unknown) != 1:
+                continue
+            consumed[ri] = True
+            assigned.add(abs(r[unknown[0]]))
+            gained += 1
+            progress = True
+            if derived is not None:
+                derived(r, unknown[0])
+    return gained
+
+
 def _compile_schedule(n: int, rels: list[tuple[int, ...]]):
-    steps: list[tuple] = []
+    """Blocks `(generator, steps)`: the opening block (generator 0), then
+    one per free choice.  A step is `("derive", g, prefix, suffix, eps)`
+    or `("check", relator)`."""
+    blocks: list[tuple[int, list[tuple]]] = [(0, [])]
     assigned: set[int] = set()
     consumed = [False] * len(rels)
 
@@ -49,61 +83,23 @@ def _compile_schedule(n: int, rels: list[tuple[int, ...]]):
         for ri, r in enumerate(rels):
             if not consumed[ri] and all(abs(x) in assigned for x in r):
                 consumed[ri] = True
-                steps.append(("check", r))
+                blocks[-1][1].append(("check", r))
 
-    def derive_cascade():
-        # a relator whose single unassigned generator occurs once determines
-        # that generator; keep resolving until nothing new falls out
-        progress = True
-        while progress:
-            progress = False
-            for ri, r in enumerate(rels):
-                if consumed[ri]:
-                    continue
-                unknown = [p for p, x in enumerate(r) if abs(x) not in assigned]
-                if len(unknown) != 1:
-                    continue
-                p = unknown[0]
-                g = abs(r[p])
-                consumed[ri] = True
-                steps.append(
-                    ("derive", g, r[:p], r[p + 1 :], 1 if r[p] > 0 else -1)
-                )
-                assigned.add(g)
-                emit_checks()
-                progress = True
-
-    def cascade_gain(g: int) -> int:
-        # how many generators a free choice of g would pin down
-        sim_assigned = set(assigned)
-        sim_assigned.add(g)
-        sim_consumed = list(consumed)
-        gained = 0
-        progress = True
-        while progress:
-            progress = False
-            for ri, r in enumerate(rels):
-                if sim_consumed[ri]:
-                    continue
-                unknown = [p for p, x in enumerate(r) if abs(x) not in sim_assigned]
-                if len(unknown) != 1:
-                    continue
-                sim_consumed[ri] = True
-                sim_assigned.add(abs(r[unknown[0]]))
-                gained += 1
-                progress = True
-        return gained
-
-    emit_checks()
-    derive_cascade()
-    while len(assigned) < n:
-        free = [g for g in range(1, n + 1) if g not in assigned]
-        g = max(free, key=lambda cand: (cascade_gain(cand), -cand))
-        steps.append(("assign", g))
-        assigned.add(g)
+    def derived(r, p):
+        eps = 1 if r[p] > 0 else -1
+        blocks[-1][1].append(("derive", abs(r[p]), r[:p], r[p + 1 :], eps))
         emit_checks()
-        derive_cascade()
-    return steps
+
+    while True:
+        emit_checks()
+        _cascade(rels, assigned, consumed, derived)
+        free = [g for g in range(1, n + 1) if g not in assigned]
+        if not free:
+            return blocks
+        # the free generator whose choice would derive the most others
+        g = max(free, key=lambda c: (_cascade(rels, assigned | {c}, list(consumed)), -c))
+        blocks.append((g, []))
+        assigned.add(g)
 
 
 def hom_count(
@@ -116,16 +112,14 @@ def hom_count(
     n = pres.n_generators
     if n == 0:
         return HomCount("exact", 1, 0)
-    rels = list(pres.relators)
-    steps = _compile_schedule(n, rels)
+    blocks = _compile_schedule(n, list(pres.relators))
     all_meridian = pres.meridians == frozenset(range(1, n + 1))
 
     mult = G.mult
     inv = G.inverse
     ident = G.identity
     val = [0] * (n + 1)
-    state = {"nodes": 0, "total": 0}
-    first_assign = next((i for i, s in enumerate(steps) if s[0] == "assign"), None)
+    nodes = 0
 
     def evaluate(word) -> int:
         acc = ident
@@ -134,50 +128,53 @@ def hom_count(
             acc = mult[acc][img]
         return acc
 
-    def run(i: int, factor: int):
-        if i == len(steps):
-            state["total"] += factor
-            return
-        step = steps[i]
-        kind = step[0]
-        if kind == "check":
-            if evaluate(step[1]) == ident:
-                run(i + 1, factor)
-            return
-        if kind == "derive":
+    def run(steps) -> bool:
+        # derive and check one block's steps; False once a check fails
+        nonlocal nodes
+        for step in steps:
+            if step[0] == "check":
+                if evaluate(step[1]) != ident:
+                    return False
+                continue
             _, g, prefix, suffix, eps = step
-            state["nodes"] += 1
-            if state["nodes"] > node_budget:
+            nodes += 1
+            if nodes > node_budget:
                 raise _Budget
             rhs = mult[inv[evaluate(prefix)]][inv[evaluate(suffix)]]
             val[g] = rhs if eps > 0 else inv[rhs]
-            run(i + 1, factor)
-            return
-        g = step[1]
-        if i == first_assign:
-            for cls in G.conjugacy_classes:
-                state["nodes"] += 1
-                if state["nodes"] > node_budget:
-                    raise _Budget
-                val[g] = cls[0]
-                run(i + 1, factor * len(cls))
-        else:
-            if all_meridian:
-                domain = G.conjugacy_classes[G.class_index[val[steps[first_assign][1]]]]
-            else:
-                domain = range(G.order)
-            for cand in domain:
-                state["nodes"] += 1
-                if state["nodes"] > node_budget:
-                    raise _Budget
-                val[g] = cand
-                run(i + 1, factor)
+        return True
 
     try:
-        run(0, 1)
+        if not run(blocks[0][1]):
+            return HomCount("exact", 0, nodes)
+        if len(blocks) == 1:
+            return HomCount("exact", 1, nodes)
+        # stack[d - 1] iterates the candidates of block d; block 1 takes
+        # one representative per conjugacy class, weighted by its size
+        total = 0
+        stack = [iter(G.conjugacy_classes)]
+        while stack:
+            cand = next(stack[-1], None)
+            if cand is None:
+                stack.pop()
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise _Budget
+            g, steps = blocks[len(stack)]
+            if len(stack) == 1:
+                cls, cand = cand, cand[0]
+                domain = cls if all_meridian else range(G.order)
+            val[g] = cand
+            if not run(steps):
+                continue
+            if len(stack) + 1 < len(blocks):
+                stack.append(iter(domain))
+            else:
+                total += len(cls)
     except _Budget:
-        return HomCount("inconclusive", None, state["nodes"])
-    return HomCount("exact", state["total"], state["nodes"])
+        return HomCount("inconclusive", None, nodes)
+    return HomCount("exact", total, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +185,6 @@ def hom_count(
 class CollapseReport:
     verdict: str  # "consistent-collapse" | "distinguished" | "inconclusive"
     rows: tuple[tuple[str, int | None, int | None], ...]
-
-    def describe(self) -> str:
-        lines = [self.verdict]
-        for name, a, b in self.rows:
-            lines.append(f"  {name}: cobordism {a} vs target {b}")
-        return "\n".join(lines)
 
 
 def collapse_check(

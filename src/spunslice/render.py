@@ -118,7 +118,7 @@ def render_decker(ds: DeckerSet, curve: SliceCurve | None = None) -> str:
         dash = None if over else "6,4"
         y = circle_y(c)
         body.append(_line(x0, y, x0 + grid_w, y, color, 2, dash))
-        tag = f"{c} {'over' if over else 'under'} pair {ds.pair_of(c) + 1}"
+        tag = f"{c} {'over' if over else 'under'} pair {ds.pair_of(c)}"
         body.append(_text(x0 - 6, y + 3, tag, 9, anchor="end"))
     body.append(_dot(*north, 4, CURVE_COLOR))
     body.append(_dot(*south, 4, CURVE_COLOR))

@@ -98,6 +98,31 @@ def hom_count_brute(pres, G) -> int:
     return count
 
 
+def lagrange_fraction(points, values) -> list:
+    """Coefficients, lowest degree first, of the polynomial of degree
+    < len(points) through the data, by Lagrange interpolation over
+    Fractions."""
+    n = len(points)
+    coeffs = [Fraction(0)] * n
+    for i, (xi, yi) in enumerate(zip(points, values)):
+        # numerator polynomial prod_{j != i} (x - x_j), built incrementally
+        basis = [Fraction(1)]
+        denom = 1
+        for j, xj in enumerate(points):
+            if j == i:
+                continue
+            denom *= xi - xj
+            new = [Fraction(0)] * (len(basis) + 1)
+            for k, ck in enumerate(basis):
+                new[k] -= ck * xj
+                new[k + 1] += ck
+            basis = new
+        w = Fraction(yi, denom)
+        for k, ck in enumerate(basis):
+            coeffs[k] += ck * w
+    return coeffs
+
+
 # Fraction oracle for the unit icosians.  A coordinate is a pair (x, y) of
 # Fractions meaning x + y*sqrt5; nothing is scaled or divided, so the
 # product below is exact by construction.

@@ -1,9 +1,9 @@
 """The shared integer eliminator (groups.snf.eliminate_unit_pivots) against
 dense oracles: Bareiss on the full matrix and sympy (tests only).
 
-Both determinant routes and the cover's first homology run through the same
-unit-pivot elimination, so each is checked here against a computation that
-does not use it.
+Both determinant routes, the Alexander interpolation and the cover's first
+homology run through the same unit-pivot elimination, so each is checked
+here against a computation that does not use it.
 """
 
 import random
@@ -12,8 +12,18 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spunslice.covers import _bareiss, _fox_int_matrix, _int_det, alexander_det, goeritz
+from conftest import lagrange_fraction
+from spunslice.covers import (
+    _bareiss,
+    _fox_int_matrix,
+    _int_det,
+    _newton_int,
+    alexander_det,
+    alexander_polynomial,
+    goeritz,
+)
 from spunslice.diagrams import (
+    PlatError,
     PlatWord,
     TwistVector,
     build_symmetric_union,
@@ -30,8 +40,12 @@ from spunslice.groups import (
 )
 from spunslice.groups.snf import eliminate_unit_pivots
 
-sympy = pytest.importorskip("sympy")
-from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
+try:
+    import sympy
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+except ImportError:
+    sympy = None
+needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 
 
 @st.composite
@@ -58,12 +72,28 @@ def _fox_minor(pd, t):
     return [row[:-1] for row in _fox_int_matrix(relations, ngen, t)[:-1]]
 
 
+@settings(max_examples=30, deadline=None)
+@given(knot_plats())
+def test_newton_interpolation_matches_the_fraction_oracle(plat):
+    pd = plat_to_pd(plat)
+    points = list(range(2, pd.n_crossings + 2))
+    values = [_int_det(_fox_minor(pd, t)) for t in points]
+    assert _newton_int(points, values) == lagrange_fraction(points, values)
+
+
+def test_newton_interpolation_rejects_non_integral_data():
+    assert _newton_int([0, 1, 2], [0, 1, 0]) == [0, 2, -1]
+    with pytest.raises(PlatError):
+        _newton_int([0, 2], [0, 1])  # x / 2
+
+
 def _assert_dets_agree(matrix):
     det = _int_det(matrix)
     assert det == _bareiss(matrix)
     assert det == (sympy.Matrix(matrix).det() if matrix else 1)
 
 
+@needs_sympy
 @settings(max_examples=40, deadline=None)
 @given(knot_plats())
 def test_signed_determinants_match_dense_bareiss_and_sympy(plat):
@@ -81,6 +111,7 @@ def unit_rich_matrices(draw):
     return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
 
 
+@needs_sympy
 @settings(max_examples=150, deadline=None)
 @given(unit_rich_matrices())
 def test_abelian_invariants_match_sympy_smith_form(matrix):
@@ -134,4 +165,12 @@ def test_large_plats_agree_on_every_route_within_budget():
         assert cover.free_rank == 0 and cover.order == det
         union = plat_to_pd(build_symmetric_union(plat, TwistVector((2,) * (plat.strands // 2))).knot)
         assert goeritz(union).determinant == alexander_det(union) == det * det
+    assert time.monotonic() - t0 < 10.0
+
+
+def test_alexander_polynomial_of_a_150_crossing_knot_within_budget():
+    t0 = time.monotonic()
+    pd = plat_to_pd(_seeded_knot_plat(0, 10, 150))
+    coeffs = alexander_polynomial(pd)
+    assert abs(sum(c * (-1) ** k for k, c in enumerate(coeffs))) == alexander_det(pd)
     assert time.monotonic() - t0 < 10.0

@@ -360,8 +360,26 @@ def test_trefoil_hom_counts_match_brute_force(trefoil_group):
 
 
 def test_trefoil_hom_counts_into_the_battery(trefoil_group, battery):
-    counts = [hom_count(trefoil_group, g).count for g in battery]
-    assert counts == [12, 36, 96, 360]
+    # one node per derive step and one per candidate tried
+    counts = [(hc.count, hc.nodes) for hc in (hom_count(trefoil_group, g) for g in battery)]
+    assert counts == [(12, 15), (36, 28), (96, 53), (360, 125)]
+
+
+def test_torus_hom_counts_into_the_battery(battery):
+    pres = wirtinger(plat_to_pd(T35))
+    counts = [(hc.count, hc.nodes) for hc in (hom_count(pres, g) for g in battery)]
+    assert counts == [(6, 245), (12, 654), (24, 2095), (540, 12559)]
+
+
+def test_hom_count_search_depth_does_not_grow_with_the_relators():
+    # 1,599 relators x^2a y^2b, every one a check once x and y are chosen
+    rels = tuple(
+        (1,) * (2 * a) + (2,) * (2 * b) for a in range(40) for b in range(40) if a or b
+    )
+    pres = GroupPresentation(2, rels)
+    hc = hom_count(pres, cyclic_group(2))
+    assert (hc.status, hc.count) == ("exact", 4)
+    assert hom_count_brute(pres, cyclic_group(2)) == 4
 
 
 def test_hom_count_respects_its_node_budget(trefoil_group):

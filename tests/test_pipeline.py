@@ -1,6 +1,7 @@
 """Certificates, SVG rendering, the shipped corpus, and the CLI."""
 
 import json
+import re
 import xml.dom.minidom
 
 import pytest
@@ -26,7 +27,7 @@ from spunslice.corpus import (
 )
 from spunslice.cli import main
 from spunslice.diagrams import PlatWord, TwistVector, chord_diagram_of_tangle
-from spunslice.decker import spin_plat, trace_double_curve
+from spunslice.decker import format_decker, spin_plat, trace_double_curve
 from spunslice.render import (
     render_chord_diagram,
     render_decker,
@@ -221,6 +222,15 @@ def test_render_decker_with_and_without_curve():
     _assert_well_formed_svg(withcurve)
     assert bare != withcurve
     assert len(withcurve) > len(bare)
+
+
+@pytest.mark.parametrize("plat", [TREFOIL, T35], ids=["trefoil", "t35"])
+def test_render_decker_pair_labels_match_format_decker(plat):
+    ds = spin_plat(plat)
+    drawn = re.findall(r">(\d+) (over|under) pair (\d+)<", render_decker(ds))
+    listed = re.findall(r"^circle (\d+) pair (\d+) (over|under)$", format_decker(ds), re.M)
+    assert len(listed) == ds.l
+    assert sorted((c, p, role) for c, role, p in drawn) == sorted(listed)
 
 
 def test_render_plat_and_pd():
