@@ -157,12 +157,6 @@ class ChordDiagram:
         if len(self.signs) != self.n:
             raise PlatError("need one sign per chord")
 
-    def interleaves(self, i: int, j: int) -> bool:
-        """True when chords i and j cross (endpoints strictly interleave)."""
-        a, b = sorted(self.chords[i])
-        c, d = sorted(self.chords[j])
-        return (a < c < b) != (a < d < b)
-
 
 @dataclass(frozen=True)
 class TwistVector:

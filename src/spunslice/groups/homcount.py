@@ -1,30 +1,52 @@
 """Counting homomorphisms from a finite presentation to a finite group.
 
-The search precompiles a schedule with one cascade, `_cascade`: a relator
-in which exactly one unassigned generator occurs exactly once *derives*
-that generator from the images already chosen; every other relator is
-checked as soon as its support is fully assigned.  When the cascade stalls,
-the free generator whose choice would derive the most others is chosen
-next.  The schedule is one block `(generator, steps)` per free choice,
-after an opening block with generator 0; the search walks the blocks with
-an explicit stack.  On Wirtinger-style presentations this collapses the
-search tree to a handful of genuinely free choices.
+The schedule.  A relator in which exactly one position is unknown
+*derives* that generator from the images already chosen; a relator with
+no unknown position is *checked*.  `_compile_schedule` runs this cascade
+once per presentation and records it as blocks `(generator, steps)`: an
+opening block with generator 0, then one block per free choice.  When the
+cascade stalls, the free generator whose choice would derive the most
+others (the smallest on ties) is chosen next.  On Wirtinger-style
+presentations this collapses the search tree to a handful of genuinely
+free choices.
 
-Conjugacy pruning: for any presentation the count of homomorphisms with a
-fixed image for the first-assigned generator is constant on conjugacy
-classes (conjugating a homomorphism is a bijection of the hom set), so that
-generator only ranges over class representatives, weighted by class size.
-When every generator is meridian-marked the remaining generators are
-conjugate to the first in the presented group, so their images are confined
-to the chosen class.
+The relator index.  For each generator the compile keeps the relators it
+occurs in and how often, and for each relator the number of its positions
+still unknown, so assigning a generator touches only its own relators.
+Derives come in the order of repeated passes in relator order: the
+smallest ready relator (one unknown position) at or after the current
+position, and when none is left, a new pass from the smallest ready
+relator.  The checks one assignment unlocks follow it in relator order.
+A free candidate is scored by a worklist closure over the relators it
+touches; the closure of "derive when exactly one position is unknown" is
+monotone, so its size does not depend on the order of the worklist.
+
+The search.  Each derive step is compiled into one word whose value is the
+derived image, and the images live in one signed table (`img[-g]` is the
+inverse of `img[g]`), so evaluating a word has no branch.  The search
+walks the blocks with an explicit stack.  One node is one derive step run
+or one candidate tried.
+
+Pruning.  Conjugating a homomorphism by c in G is a bijection of the hom
+set, so the number of homomorphisms with a fixed image g of the block-1
+generator is constant on conjugacy classes: block 1 takes one
+representative g per class, weighted by the class size.  With g fixed,
+conjugating by c in the centralizer C_G(g) is a bijection between the
+homomorphisms extending (g, h) and those extending (g, chc^-1), so block 2
+takes one representative per orbit of C_G(g) on its domain, weighted by
+the orbit size.  When every generator is meridian-marked the other
+generators are conjugate to the first in the presented group, so the
+domain of blocks 2 and on is g's class; otherwise it is all of G.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .finite import FiniteGroup
-from .presentations import GroupPresentation
+from .presentations import GroupPresentation, invert
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -44,62 +66,95 @@ class _Budget(Exception):
     pass
 
 
-def _cascade(rels, assigned: set[int], consumed: list[bool], derived=None) -> int:
-    """Assign every generator that some relator determines, in repeated
-    passes in relator order until nothing new falls out; return how many.
-
-    A relator determines its single unassigned generator if that generator
-    occurs in it once.  `derived(r, p)` is told of each such relator r and
-    the position p of the generator it determined.
-    """
-    gained = 0
-    progress = True
-    while progress:
-        progress = False
-        for ri, r in enumerate(rels):
-            if consumed[ri]:
-                continue
-            unknown = [p for p, x in enumerate(r) if abs(x) not in assigned]
-            if len(unknown) != 1:
-                continue
-            consumed[ri] = True
-            assigned.add(abs(r[unknown[0]]))
-            gained += 1
-            progress = True
-            if derived is not None:
-                derived(r, unknown[0])
-    return gained
-
-
 def _compile_schedule(n: int, rels: list[tuple[int, ...]]):
     """Blocks `(generator, steps)`: the opening block (generator 0), then
     one per free choice.  A step is `("derive", g, prefix, suffix, eps)`
     or `("check", relator)`."""
-    blocks: list[tuple[int, list[tuple]]] = [(0, [])]
-    assigned: set[int] = set()
-    consumed = [False] * len(rels)
+    occurs: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for ri, r in enumerate(rels):
+        for g, m in Counter(map(abs, r)).items():
+            occurs[g].append((ri, m))
+    unknown = [len(r) for r in rels]
+    done = [not r for r in rels]
+    known = [False] * (n + 1)
+    blocks: list[tuple[int, list[tuple]]] = [(0, [("check", r) for r in rels if not r])]
+    # ready relators at or after the current position, and before it
+    ahead = [ri for ri, u in enumerate(unknown) if u == 1]
+    behind: list[int] = []
 
-    def emit_checks():
-        for ri, r in enumerate(rels):
-            if not consumed[ri] and all(abs(x) in assigned for x in r):
-                consumed[ri] = True
-                blocks[-1][1].append(("check", r))
+    def assign(g: int, pos: int):
+        known[g] = True
+        for ri, m in occurs[g]:
+            if done[ri]:
+                continue
+            unknown[ri] -= m
+            if unknown[ri] == 0:
+                done[ri] = True
+                blocks[-1][1].append(("check", rels[ri]))
+            elif unknown[ri] == 1:
+                heappush(ahead if ri >= pos else behind, ri)
 
-    def derived(r, p):
-        eps = 1 if r[p] > 0 else -1
-        blocks[-1][1].append(("derive", abs(r[p]), r[:p], r[p + 1 :], eps))
-        emit_checks()
+    def gain(c: int) -> int:
+        # how many generators choosing c would determine, c included
+        left: dict[int, int] = {}
+        new = {c}
+        work = [c]
+        while work:
+            for ri, m in occurs[work.pop()]:
+                if done[ri]:
+                    continue
+                left[ri] = u = left.get(ri, unknown[ri]) - m
+                if u == 1:
+                    h = next((abs(x) for x in rels[ri] if not known[abs(x)] and abs(x) not in new), 0)
+                    if h:
+                        new.add(h)
+                        work.append(h)
+        return len(new)
 
     while True:
-        emit_checks()
-        _cascade(rels, assigned, consumed, derived)
-        free = [g for g in range(1, n + 1) if g not in assigned]
+        while ahead or behind:
+            if not ahead:
+                ahead, behind = behind, []
+            ri = heappop(ahead)
+            if done[ri]:
+                continue
+            done[ri] = True
+            r = rels[ri]
+            p = next(p for p, x in enumerate(r) if not known[abs(x)])
+            g = abs(r[p])
+            blocks[-1][1].append(("derive", g, r[:p], r[p + 1 :], 1 if r[p] > 0 else -1))
+            assign(g, ri + 1)
+        free = [g for g in range(1, n + 1) if not known[g]]
         if not free:
             return blocks
-        # the free generator whose choice would derive the most others
-        g = max(free, key=lambda c: (_cascade(rels, assigned | {c}, list(consumed)), -c))
+        g = max(free, key=lambda c: (gain(c), -c))
         blocks.append((g, []))
-        assigned.add(g)
+        assign(g, 0)
+
+
+def _step_word(step) -> tuple[int, tuple[int, ...]]:
+    """`(g, word)`: the image of g is the value of word, or for g = 0 the
+    word must evaluate to the identity."""
+    if step[0] == "check":
+        return 0, step[1]
+    # prefix g^eps suffix = 1
+    _, g, prefix, suffix, eps = step
+    return g, invert(prefix) + invert(suffix) if eps > 0 else suffix + prefix
+
+
+def _centralizer_orbits(G: FiniteGroup, g: int, domain) -> list[tuple[int, int]]:
+    """`(representative, orbit size)` for each orbit of C_G(g) acting on
+    domain by conjugation, representatives first in domain order."""
+    mult, inv = G.mult, G.inverse
+    cent = [c for c in range(G.order) if mult[c][g] == mult[g][c]]
+    seen: set[int] = set()
+    out = []
+    for h in domain:
+        if h not in seen:
+            orbit = {mult[mult[c][h]][inv[c]] for c in cent}
+            seen |= orbit
+            out.append((h, len(orbit)))
+    return out
 
 
 def hom_count(
@@ -112,36 +167,34 @@ def hom_count(
     n = pres.n_generators
     if n == 0:
         return HomCount("exact", 1, 0)
-    blocks = _compile_schedule(n, list(pres.relators))
+    blocks = [
+        (g, [_step_word(s) for s in steps])
+        for g, steps in _compile_schedule(n, list(pres.relators))
+    ]
     all_meridian = pres.meridians == frozenset(range(1, n + 1))
 
     mult = G.mult
     inv = G.inverse
     ident = G.identity
-    val = [0] * (n + 1)
+    img = [ident] * (2 * n + 1)
     nodes = 0
-
-    def evaluate(word) -> int:
-        acc = ident
-        for x in word:
-            img = val[x] if x > 0 else inv[val[-x]]
-            acc = mult[acc][img]
-        return acc
 
     def run(steps) -> bool:
         # derive and check one block's steps; False once a check fails
         nonlocal nodes
-        for step in steps:
-            if step[0] == "check":
-                if evaluate(step[1]) != ident:
+        for g, word in steps:
+            acc = ident
+            for x in word:
+                acc = mult[acc][img[x]]
+            if not g:
+                if acc != ident:
                     return False
                 continue
-            _, g, prefix, suffix, eps = step
             nodes += 1
             if nodes > node_budget:
                 raise _Budget
-            rhs = mult[inv[evaluate(prefix)]][inv[evaluate(suffix)]]
-            val[g] = rhs if eps > 0 else inv[rhs]
+            img[g] = acc
+            img[-g] = inv[acc]
         return True
 
     try:
@@ -149,29 +202,38 @@ def hom_count(
             return HomCount("exact", 0, nodes)
         if len(blocks) == 1:
             return HomCount("exact", 1, nodes)
-        # stack[d - 1] iterates the candidates of block d; block 1 takes
-        # one representative per conjugacy class, weighted by its size
+        # stack[d - 1] iterates the (candidate, weight) pairs of block d,
+        # weights[d - 1] is the weight of the choices above it
         total = 0
-        stack = [iter(G.conjugacy_classes)]
+        stack = [iter([(cls[0], len(cls)) for cls in G.conjugacy_classes])]
+        weights = [1]
         while stack:
-            cand = next(stack[-1], None)
-            if cand is None:
+            item = next(stack[-1], None)
+            if item is None:
                 stack.pop()
+                weights.pop()
                 continue
             nodes += 1
             if nodes > node_budget:
                 raise _Budget
-            g, steps = blocks[len(stack)]
-            if len(stack) == 1:
-                cls, cand = cand, cand[0]
-                domain = cls if all_meridian else range(G.order)
-            val[g] = cand
+            depth = len(stack)
+            g, steps = blocks[depth]
+            cand, w = item
+            img[g] = cand
+            img[-g] = inv[cand]
             if not run(steps):
                 continue
-            if len(stack) + 1 < len(blocks):
-                stack.append(iter(domain))
+            w *= weights[-1]
+            if depth + 1 == len(blocks):
+                total += w
+                continue
+            if depth == 1:
+                domain = G.conjugacy_classes[G.class_index[cand]] if all_meridian else range(G.order)
+                unweighted = [(h, 1) for h in domain]
+                stack.append(iter(_centralizer_orbits(G, cand, domain)))
             else:
-                total += len(cls)
+                stack.append(iter(unweighted))
+            weights.append(w)
     except _Budget:
         return HomCount("inconclusive", None, nodes)
     return HomCount("exact", total, nodes)

@@ -25,11 +25,16 @@ T25 = PlatWord(4, ((2, -1),) * 5)
 K5_2 = PlatWord(4, ((2, 1), (1, -1), (1, -1), (2, 1), (2, 1)))
 TWO_COMPONENT = PlatWord(4, ())
 
-# torus knot T(3,5) as a plat on 6 strands: the braid-closure layout of
-# (s1^-1 s2^-1)^5 with the first and last cap-slide letters absorbed
-T35 = PlatWord(
-    6, tuple(([(3, -1), (2, -1), (3, 1), (5, -1), (4, -1), (5, 1)] * 5)[1:-1])
-)
+
+def t3_plat(q: int) -> PlatWord:
+    """Torus knot T(3,q) as a plat on 6 strands: the braid-closure layout
+    of (s1^-1 s2^-1)^q with the first and last cap-slide letters absorbed."""
+    return PlatWord(
+        6, tuple(([(3, -1), (2, -1), (3, 1), (5, -1), (4, -1), (5, 1)] * q)[1:-1])
+    )
+
+
+T35 = t3_plat(5)
 
 # determinant / Alexander oracles: values from the torus-knot formula
 # Delta_{T(2,n)} and Delta_{T(3,5)}, and standard twist-knot polynomials
@@ -68,14 +73,20 @@ def sl2_f5_matrix_count() -> int:
 
 
 def hom_count_brute(pres, G) -> int:
-    """Number of homomorphisms pres -> G by enumerating all |G|^n
-    assignments.  Tiny inputs only."""
+    """Number of homomorphisms pres -> G by enumerating the images of
+    generators 1, 2, ..., n in turn over all of G, and dropping a partial
+    assignment as soon as a relator in the generators assigned so far
+    fails.  Small inputs only."""
     n = pres.n_generators
     mult = G.mult
     inv = G.inverse
     ident = G.identity
     count = 0
     val = [0] * (n + 1)
+    # closes[g]: the relators whose largest generator is g
+    closes = [[] for _ in range(n + 1)]
+    for r in pres.relators:
+        closes[max((abs(x) for x in r), default=0)].append(r)
 
     def evaluate(word) -> int:
         acc = ident
@@ -85,17 +96,72 @@ def hom_count_brute(pres, G) -> int:
         return acc
 
     def rec(g: int):
+        # generators 1..g are assigned
         nonlocal count
-        if g > n:
-            if all(evaluate(r) == ident for r in pres.relators):
-                count += 1
+        if any(evaluate(r) != ident for r in closes[g]):
+            return
+        if g == n:
+            count += 1
             return
         for cand in range(G.order):
-            val[g] = cand
+            val[g + 1] = cand
             rec(g + 1)
 
-    rec(1)
+    rec(0)
     return count
+
+
+def compile_schedule_rescan(n: int, rels: list) -> list:
+    """The hom-count schedule by rescanning every relator: repeated passes
+    in relator order derive each generator that a relator determines (its
+    single unknown position), every fully known relator is checked after
+    each derive, and a free generator is scored by rerunning the cascade
+    on copies of the state.  Same block format as the package's indexed
+    compile, which must return identical blocks."""
+
+    def cascade(assigned, consumed, derived=None) -> int:
+        gained = 0
+        progress = True
+        while progress:
+            progress = False
+            for ri, r in enumerate(rels):
+                if consumed[ri]:
+                    continue
+                unknown = [p for p, x in enumerate(r) if abs(x) not in assigned]
+                if len(unknown) != 1:
+                    continue
+                consumed[ri] = True
+                assigned.add(abs(r[unknown[0]]))
+                gained += 1
+                progress = True
+                if derived is not None:
+                    derived(r, unknown[0])
+        return gained
+
+    blocks = [(0, [])]
+    assigned = set()
+    consumed = [False] * len(rels)
+
+    def emit_checks():
+        for ri, r in enumerate(rels):
+            if not consumed[ri] and all(abs(x) in assigned for x in r):
+                consumed[ri] = True
+                blocks[-1][1].append(("check", r))
+
+    def derived(r, p):
+        eps = 1 if r[p] > 0 else -1
+        blocks[-1][1].append(("derive", abs(r[p]), r[:p], r[p + 1 :], eps))
+        emit_checks()
+
+    while True:
+        emit_checks()
+        cascade(assigned, consumed, derived)
+        free = [g for g in range(1, n + 1) if g not in assigned]
+        if not free:
+            return blocks
+        g = max(free, key=lambda c: (cascade(assigned | {c}, list(consumed)), -c))
+        blocks.append((g, []))
+        assigned.add(g)
 
 
 def lagrange_fraction(points, values) -> list:

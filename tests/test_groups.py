@@ -5,8 +5,11 @@ via subgroup rewriting plus Smith normal form must agree with the two
 diagrammatic routes from test_covers.py.
 """
 
+import itertools
+import time
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     DETERMINANTS,
@@ -14,17 +17,21 @@ from conftest import (
     T35,
     TREFOIL,
     UNKNOT,
+    compile_schedule_rescan,
     hom_count_brute,
     icosian_as_q5,
     quaternion_product_q5,
     sl2_f5_matrix_count,
+    t3_plat,
     unit_icosians_q5,
 )
+from spunslice.certificate import CertifyConfig
 from spunslice.diagrams import (
     PlatError,
     PlatWord,
     TwistVector,
     build_symmetric_union,
+    closure_components,
     plat_to_pd,
 )
 from spunslice.groups import (
@@ -56,6 +63,7 @@ from spunslice.groups import (
     wirtinger,
 )
 from spunslice.groups.finite import closure_elements
+from spunslice.groups.homcount import DEFAULT_NODE_BUDGET, _compile_schedule
 from spunslice.groups.quaternions import GENERATORS, _unit_icosians
 
 
@@ -362,13 +370,13 @@ def test_trefoil_hom_counts_match_brute_force(trefoil_group):
 def test_trefoil_hom_counts_into_the_battery(trefoil_group, battery):
     # one node per derive step and one per candidate tried
     counts = [(hc.count, hc.nodes) for hc in (hom_count(trefoil_group, g) for g in battery)]
-    assert counts == [(12, 15), (36, 28), (96, 53), (360, 125)]
+    assert counts == [(12, 13), (36, 20), (96, 31), (360, 51)]
 
 
 def test_torus_hom_counts_into_the_battery(battery):
     pres = wirtinger(plat_to_pd(T35))
     counts = [(hc.count, hc.nodes) for hc in (hom_count(pres, g) for g in battery)]
-    assert counts == [(6, 245), (12, 654), (24, 2095), (540, 12559)]
+    assert counts == [(6, 200), (12, 422), (24, 1100), (540, 4758)]
 
 
 def test_hom_count_search_depth_does_not_grow_with_the_relators():
@@ -400,6 +408,92 @@ def test_pruned_and_brute_hom_counts_agree(relators):
     pres = GroupPresentation(2, tuple(tuple(r) for r in relators))
     g = symmetric_group(3)
     assert hom_count(pres, g).count == hom_count_brute(pres, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(
+                    st.integers(-n, n).filter(lambda x: x != 0), min_size=1, max_size=5
+                ),
+                max_size=4,
+            ),
+        )
+    ),
+    st.sampled_from([symmetric_group(3), alternating_group(4)]),
+)
+def test_pruned_and_brute_hom_counts_agree_on_up_to_four_generators(case, g):
+    # block 2 is pruned by centralizer orbits, and its weight is carried
+    # into blocks 3 and 4
+    n, relators = case
+    pres = GroupPresentation(n, tuple(tuple(r) for r in relators))
+    assert hom_count(pres, g).count == hom_count_brute(pres, g)
+
+
+@st.composite
+def small_knot_plats(draw):
+    word = draw(
+        st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, -1])), min_size=1, max_size=3)
+    )
+    plat = PlatWord(4, tuple(word))
+    assume(closure_components(plat) == 1)
+    return plat
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_knot_plats(), st.tuples(st.sampled_from([-2, 0, 2]), st.sampled_from([-2, 0, 2])))
+def test_knot_plat_hom_counts_match_brute_force(plat, tv):
+    # meridian-marked presentations: blocks 2 and on range over one class
+    g = symmetric_group(3)
+    base = wirtinger(plat_to_pd(plat))
+    cob = cobordism_presentation(build_symmetric_union(plat, TwistVector(tv)))
+    for pres in (base, cob):
+        assert pres.meridians == frozenset(range(1, pres.n_generators + 1))
+        assert hom_count(pres, g).count == hom_count_brute(pres, g)
+
+
+def test_untwisted_torus_cobordism_into_a5_within_node_budget():
+    su = build_symmetric_union(T35, TwistVector((0, 0, 0)))
+    hc = hom_count(cobordism_presentation(su), alternating_group(5))
+    assert (hc.status, hc.count) == ("exact", 5100)
+    assert hc.nodes < 0.4 * DEFAULT_NODE_BUDGET
+
+
+def _knot_presentations():
+    for plat, k in ((TREFOIL, 2), (FIG8, 2), (T35, 3)):
+        yield wirtinger(plat_to_pd(plat))
+        for tv in itertools.product((-2, 0, 2), repeat=k):
+            yield cobordism_presentation(build_symmetric_union(plat, TwistVector(tv)))
+
+
+def test_indexed_schedule_matches_the_rescanning_oracle_on_knots():
+    # the step order fixes the node counts
+    for pres in _knot_presentations():
+        rels = list(pres.relators)
+        assert _compile_schedule(pres.n_generators, rels) == compile_schedule_rescan(
+            pres.n_generators, rels
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(st.integers(-n, n).filter(lambda x: x != 0), max_size=7),
+                max_size=9,
+            ),
+        )
+    )
+)
+def test_indexed_schedule_matches_the_rescanning_oracle(case):
+    n, relators = case
+    rels = [tuple(r) for r in relators]
+    assert _compile_schedule(n, rels) == compile_schedule_rescan(n, rels)
 
 
 # ---------------------------------------------------------------------------
@@ -457,3 +551,19 @@ def test_collapse_check_reports_budget_exhaustion(trefoil_group, battery):
     )
     assert rep.verdict == "inconclusive"
     assert rep.rows == (("S3", None, None),)
+
+
+def test_t3_85_cobordism_collapse_within_budget():
+    t0 = time.monotonic()
+    plat = t3_plat(85)
+    su = build_symmetric_union(plat, TwistVector((2, 2, 2)))
+    rep = collapse_check(
+        cobordism_presentation(su),
+        wirtinger(plat_to_pd(plat)),
+        CertifyConfig().battery_groups(),
+    )
+    assert rep.verdict == "consistent-collapse"
+    assert rep.rows == (
+        ("S3", 6, 6), ("A4", 12, 12), ("S4", 24, 24), ("A5", 540, 540),
+    )
+    assert time.monotonic() - t0 < 10.0
