@@ -19,7 +19,9 @@ steps within a region (V), circle crossings (X), and pole edges (P).  The
 row coordinate is purely radial bookkeeping: it lets several strands share
 a region and lets a strand wind full longitudes without touching itself.
 Crossing data -- which circle is crossed at which longitude -- is the only
-geometrically meaningful part and is what every check below consumes.
+geometrically meaningful part and is what every check below consumes.  A
+curve classifies its edges once (`SliceCurve.edge_kinds`); validation,
+crossings, twisting and serialization all read that classification.
 
 The side test: a vertex-simple cycle separates the sphere into exactly two
 faces.  A curve bounds a slice disc on one side of the identified surface
@@ -27,12 +29,21 @@ when, for every pair, the side-1 sweep of the over circle maps into the
 side-1 sweep of the under circle (forward), or the same with over and
 under swapped (reverse).  We 2-colour the complement combinatorially and
 evaluate both inclusions at every midpoint between longitude samples.
+
+The colouring runs on one cylinder grid.  Stacking the rows of all regions
+gives global rows 0..G-1 (G = sum of rows); region r starts at global row
+start[r].  A face is (f, k) with f in 0..G, spanning longitudes k..k+1
+between global rows f-1 and f, and has the integer id f*M + k.  Face f = 0
+is the north cap, f = G the south cap, and f = start[c] straddles circle c.
+Face (f, k) meets (f, k+1) across the edge at longitude k+1 (a row step, a
+circle crossing, or at the caps a pole edge) and meets (f+1, k) across the
+horizontal edge on global row f.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .diagrams import (
     ChordDiagram,
@@ -119,15 +130,23 @@ class DeckerSet:
     def regions(self) -> int:
         return self.l + 1
 
+    @cached_property
+    def _roles(self) -> dict[int, tuple[int, bool]]:
+        # circle -> (1-based pair index, is the over circle)
+        return {
+            c: (i, c == over)
+            for i, (over, under, _s) in enumerate(self.pairs, start=1)
+            for c in (over, under)
+        }
+
     def pair_of(self, circle: int) -> int:
         """1-based pair index the circle belongs to."""
-        for i, (over, under, _s) in enumerate(self.pairs, start=1):
-            if circle in (over, under):
-                return i
-        raise PlatError(f"no such circle {circle}")
+        if circle not in self._roles:
+            raise PlatError(f"no such circle {circle}")
+        return self._roles[circle][0]
 
     def is_over(self, circle: int) -> bool:
-        return any(over == circle for over, _u, _s in self.pairs)
+        return self._roles.get(circle, (0, False))[1]
 
 
 def spin_chord_diagram(cd: ChordDiagram, m: int = DEFAULT_RESOLUTION) -> DeckerSet:
@@ -178,14 +197,62 @@ class SliceCurve:
 
     def edges(self):
         verts = self.vertices
-        for i, u in enumerate(verts):
-            yield u, verts[(i + 1) % len(verts)]
+        return zip(verts, verts[1:] + verts[:1])
+
+    @cached_property
+    def edge_kinds(self) -> tuple[tuple, ...]:
+        """Kind of each edge of edges(), in order, classified on first use:
+        ("H", +-1) east or west, ("V", +-1) down or up a row, ("X", circle,
+        longitude) or ("P", "N" | "S").  Raises PlatError at the first edge
+        that is not a grid edge, on every access."""
+        lng, m, rows = self.l, self.m, self.rows
+        kinds = []
+        for u, v in self.edges():
+            if len(u) != 3 or len(v) != 3:
+                kinds.append(self._pole_kind(u, v))
+                continue
+            lu, ru, ku = u
+            lv, rv, kv = v
+            if not (0 <= lu <= lng and 0 <= ru < rows[lu]):
+                raise PlatError(f"vertex {u} outside the grid")
+            if not (0 <= lv <= lng and 0 <= rv < rows[lv]):
+                raise PlatError(f"vertex {v} outside the grid")
+            if not (0 <= ku < m and 0 <= kv < m):
+                raise PlatError("longitude out of range")
+            if lu == lv and ru == rv:
+                if (ku + 1) % m == kv:
+                    kinds.append(("H", 1))
+                elif (kv + 1) % m == ku:
+                    kinds.append(("H", -1))
+                else:
+                    raise PlatError(f"non-adjacent horizontal step {u} -> {v}")
+            elif lu == lv and ku == kv and abs(ru - rv) == 1:
+                kinds.append(("V", rv - ru))
+            elif ku == kv and lv == lu + 1 and ru == rows[lu] - 1 and rv == 0:
+                kinds.append(("X", lv, ku))  # crossing circle lv southward
+            elif ku == kv and lu == lv + 1 and rv == rows[lv] - 1 and ru == 0:
+                kinds.append(("X", lu, ku))  # crossing circle lu northward
+            else:
+                raise PlatError(f"not a grid edge: {u} -> {v}")
+        return tuple(kinds)
+
+    def _pole_kind(self, u: tuple, v: tuple) -> tuple:
+        if u == NORTH or u == SOUTH:
+            u, v = v, u
+        if v == NORTH:
+            if len(u) == 3 and u[0] == 0 and u[1] == 0:
+                return ("P", "N")
+            raise PlatError(f"pole edge must land on region 0 row 0, not {u}")
+        if v == SOUTH:
+            if len(u) == 3 and u[0] == self.l and u[1] == self.rows[self.l] - 1:
+                return ("P", "S")
+            raise PlatError(f"pole edge must land on the last row of region {self.l}")
+        raise PlatError(f"malformed vertices {u} -> {v}")
 
     def crossings(self) -> dict[int, tuple[int, ...]]:
         """Sorted crossing longitudes per circle."""
         out: dict[int, list[int]] = {}
-        for u, v in self.edges():
-            kind = _edge_kind(self, u, v)
+        for kind in self.edge_kinds:
             if kind[0] == "X":
                 out.setdefault(kind[1], []).append(kind[2])
         return {c: tuple(sorted(ks)) for c, ks in sorted(out.items())}
@@ -196,44 +263,6 @@ class SliceCurve:
         )
 
 
-def _edge_kind(curve: SliceCurve, u: tuple, v: tuple):
-    """Classify the edge u-v, or raise if it is not a grid edge."""
-    if u == NORTH or u == SOUTH:
-        u, v = v, u
-    if v == NORTH:
-        if len(u) == 3 and u[0] == 0 and u[1] == 0:
-            return ("P", "N")
-        raise PlatError(f"pole edge must land on region 0 row 0, not {u}")
-    if v == SOUTH:
-        lng = curve.l
-        if len(u) == 3 and u[0] == lng and u[1] == curve.rows[lng] - 1:
-            return ("P", "S")
-        raise PlatError(f"pole edge must land on the last row of region {lng}")
-    if len(u) != 3 or len(v) != 3:
-        raise PlatError(f"malformed vertices {u} -> {v}")
-    lu, ru, ku = u
-    lv, rv, kv = v
-    if not (0 <= lu <= curve.l and 0 <= ru < curve.rows[lu]):
-        raise PlatError(f"vertex {u} outside the grid")
-    if not (0 <= lv <= curve.l and 0 <= rv < curve.rows[lv]):
-        raise PlatError(f"vertex {v} outside the grid")
-    if not (0 <= ku < curve.m and 0 <= kv < curve.m):
-        raise PlatError("longitude out of range")
-    if lu == lv and ru == rv:
-        if (ku + 1) % curve.m == kv:
-            return ("H", 1)
-        if (kv + 1) % curve.m == ku:
-            return ("H", -1)
-        raise PlatError(f"non-adjacent horizontal step {u} -> {v}")
-    if lu == lv and ku == kv and abs(ru - rv) == 1:
-        return ("V", rv - ru)
-    if ku == kv and lv == lu + 1 and ru == curve.rows[lu] - 1 and rv == 0:
-        return ("X", lv, ku)  # crossing circle lv southward
-    if ku == kv and lu == lv + 1 and rv == curve.rows[lv] - 1 and ru == 0:
-        return ("X", lu, ku)  # crossing circle lu northward
-    raise PlatError(f"not a grid edge: {u} -> {v}")
-
-
 def validate_curve(ds: DeckerSet, curve: SliceCurve) -> None:
     """Raise PlatError unless the curve is a valid simple cycle on ds."""
     if curve.l != ds.l or curve.m != ds.m:
@@ -242,12 +271,8 @@ def validate_curve(ds: DeckerSet, curve: SliceCurve) -> None:
         raise PlatError("a cycle needs at least three vertices")
     if len(set(curve.vertices)) != len(curve.vertices):
         raise PlatError("curve revisits a vertex")
-    pole_visits = sum(1 for v in curve.vertices if v in (NORTH, SOUTH))
-    if pole_visits != len([v for v in (NORTH, SOUTH) if v in curve.vertices]):
-        raise PlatError("a pole vertex is visited more than once")
     counts: dict[int, int] = {}
-    for u, v in curve.edges():
-        kind = _edge_kind(curve, u, v)
+    for kind in curve.edge_kinds:
         if kind[0] == "X":
             counts[kind[1]] = counts.get(kind[1], 0) + 1
     for circle, count in counts.items():
@@ -471,114 +496,73 @@ class CriterionReport:
 def side_map(ds: DeckerSet, curve: SliceCurve) -> dict[tuple[int, int], int]:
     """Side label (1 or 2) of each circle midpoint k+1/2.
 
+    Flood-fills the cylinder grid of the module docstring: the curve's
+    edges are blocked in two bytearrays, horizontal edges at id f*M + k of
+    the face below them (f < G) and the row-step, crossing and pole edges
+    at the id of the face just east of them; the label of midpoint (c, k)
+    is the colour of face start[c]*M + k.
+
     Side 1 is the complement component containing the north pole.  When the
-    curve passes through the pole, the anchor is the reference face just
+    curve passes through the pole, the anchor is the north-cap face just
     east of the curve's departure edge from the pole; tying the anchor to
     the curve rather than to an absolute longitude keeps the labels stable
     under global rotation.
     """
     validate_curve(ds, curve)
-    m, lng, rows = curve.m, curve.l, curve.rows
-    blocked = {frozenset((u, v)) for u, v in curve.edges()}
+    m, verts = curve.m, curve.vertices
+    start = [0]
+    for r in curve.rows:
+        start.append(start[-1] + r)
+    south = start[-1] * m  # id of the first south-cap face
+    hblock = bytearray(south)
+    vblock = bytearray(south + m)
+    for (u, v), kind in zip(curve.edges(), curve.edge_kinds):
+        if kind[0] == "H":
+            region, row, k = u if kind[1] > 0 else v
+            hblock[(start[region] + row) * m + k] = 1
+        elif kind[0] == "P":
+            k = (u if v in (NORTH, SOUTH) else v)[2]
+            vblock[(0 if kind[1] == "N" else south) + k] = 1
+        else:  # V or X: the face between the two rows the edge joins
+            f = max(start[u[0]] + u[1], start[v[0]] + v[1])
+            vblock[f * m + u[2]] = 1
+    color = bytearray(south + m)
 
-    def above(region: int, row: int, k: int):
-        # face north of the H edge (region, row, k..k+1)
-        if row >= 1:
-            return ("Q", region, row - 1, k)
-        if region == 0:
-            return ("NT", k)
-        return ("XF", region, k)
+    def flood(i: int, label: int) -> None:
+        color[i] = label
+        stack = [i]
+        push, pop = stack.append, stack.pop
+        while stack:
+            i = pop()
+            k = i % m
+            west = i - 1 if k else i + m - 1
+            east = i + 1 if k < m - 1 else i - k
+            if not (vblock[i] or color[west]):
+                color[west] = label
+                push(west)
+            if not (vblock[east] or color[east]):
+                color[east] = label
+                push(east)
+            if i >= m and not (hblock[i - m] or color[i - m]):
+                color[i - m] = label
+                push(i - m)
+            if i < south and not (hblock[i] or color[i + m]):
+                color[i + m] = label
+                push(i + m)
 
-    def below(region: int, row: int, k: int):
-        if row <= rows[region] - 2:
-            return ("Q", region, row, k)
-        if region == lng:
-            return ("ST", k)
-        return ("XF", region + 1, k)
-
-    def neighbors(face):
-        kind = face[0]
-        if kind == "NT":
-            k = face[1]
-            yield ("NT", (k + 1) % m), frozenset((NORTH, (0, 0, (k + 1) % m)))
-            yield ("NT", (k - 1) % m), frozenset((NORTH, (0, 0, k)))
-            yield below(0, 0, k), frozenset(((0, 0, k), (0, 0, (k + 1) % m)))
-        elif kind == "ST":
-            k = face[1]
-            last = rows[lng] - 1
-            yield ("ST", (k + 1) % m), frozenset(
-                (SOUTH, (lng, last, (k + 1) % m))
-            )
-            yield ("ST", (k - 1) % m), frozenset((SOUTH, (lng, last, k)))
-            yield above(lng, last, k), frozenset(
-                ((lng, last, k), (lng, last, (k + 1) % m))
-            )
-        elif kind == "Q":
-            _q, region, row, k = face
-            yield above(region, row, k), frozenset(
-                ((region, row, k), (region, row, (k + 1) % m))
-            )
-            yield below(region, row + 1, k), frozenset(
-                ((region, row + 1, k), (region, row + 1, (k + 1) % m))
-            )
-            for kk, other in ((k + 1) % m, (k + 1) % m), (k, (k - 1) % m):
-                yield ("Q", region, row, other), frozenset(
-                    ((region, row, kk), (region, row + 1, kk))
-                )
-        else:  # XF: face straddling circle `c` between longitudes k..k+1
-            _x, c, k = face
-            top_last = rows[c - 1] - 1
-            yield above(c - 1, top_last, k), frozenset(
-                ((c - 1, top_last, k), (c - 1, top_last, (k + 1) % m))
-            )
-            yield below(c, 0, k), frozenset(((c, 0, k), (c, 0, (k + 1) % m)))
-            for kk, other in ((k + 1) % m, (k + 1) % m), (k, (k - 1) % m):
-                yield ("XF", c, other), frozenset(
-                    ((c - 1, top_last, kk), (c, 0, kk))
-                )
-
-    color: dict[tuple, int] = {}
-
-    def flood(start, label):
-        queue = deque([start])
-        color[start] = label
-        while queue:
-            face = queue.popleft()
-            for nb, edge in neighbors(face):
-                if edge in blocked or nb in color:
-                    continue
-                color[nb] = label
-                queue.append(nb)
-
-    anchor = ("NT", 0)
-    if NORTH in curve.vertices:
-        i = curve.vertices.index(NORTH)
-        depart = curve.vertices[(i + 1) % len(curve.vertices)]
-        anchor = ("NT", depart[2])
+    anchor = 0
+    if NORTH in verts:
+        anchor = verts[(verts.index(NORTH) + 1) % len(verts)][2]
     flood(anchor, 1)
-
-    def all_faces():
-        for k in range(m):
-            yield ("NT", k)
-            yield ("ST", k)
-        for c in range(1, lng + 1):
-            for k in range(m):
-                yield ("XF", c, k)
-        for region in range(lng + 1):
-            for row in range(rows[region] - 1):
-                for k in range(m):
-                    yield ("Q", region, row, k)
-
-    second = next((f for f in all_faces() if f not in color), None)
-    if second is None:
+    second = color.find(0)
+    if second < 0:
         raise PlatError("curve does not separate the sphere")
     flood(second, 2)
-    leftover = next((f for f in all_faces() if f not in color), None)
-    if leftover is not None:
+    if color.find(0) >= 0:
         raise PlatError("curve complement has more than two components")
     return {
-        (c, k): color[("XF", c, k)]
-        for c in range(1, lng + 1)
+        (c, k): color[start[c] * m + k]
+        for c in range(1, curve.l + 1)
         for k in range(m)
     }
 
@@ -627,15 +611,12 @@ def _grow_resolution(ds: DeckerSet, curve: SliceCurve, min_m: int):
     m2 = ds.m * factor
     ds2 = DeckerSet(ds.n, ds.l, m2, ds.pairs, ds.bridge_annuli)
     verts: list[tuple] = []
-    old = list(curve.vertices)
-    for i, u in enumerate(old):
-        v = old[(i + 1) % len(old)]
+    for u, kind in zip(curve.vertices, curve.edge_kinds):
         if u in (NORTH, SOUTH):
             verts.append(u)
             continue
         lu, ru, ku = u
         verts.append((lu, ru, ku * factor))
-        kind = _edge_kind(curve, u, v)
         if kind[0] == "H":
             step = kind[1]
             for t in range(1, factor):
@@ -672,6 +653,7 @@ def dehn_twist_annulus(
         if start == total:
             raise PlatError("curve lies entirely inside the twist region")
     verts = verts[start:] + verts[:start]
+    kinds = curve.edge_kinds[start:] + curve.edge_kinds[:start]
     # carve out maximal runs inside the region
     runs: list[tuple[int, int]] = []  # [begin, end) index ranges
     i = 0
@@ -704,11 +686,7 @@ def dehn_twist_annulus(
                 "band twisting supports through-strands only; "
                 "this curve turns back inside the region"
             )
-        s = 0
-        for a, b in zip(verts[begin:end], verts[begin + 1 : end]):
-            kind = _edge_kind(curve, a, b)
-            if kind[0] == "H":
-                s += kind[1]
+        s = sum(kind[1] for kind in kinds[begin : end - 1] if kind[0] == "H")
         entry_k = verts[begin][2]
         exit_k = verts[end - 1][2]
         if down:
@@ -840,32 +818,24 @@ def format_curve(ds: DeckerSet, curve: SliceCurve) -> str:
         lines.append("start pole S")
     else:
         lines.append(f"start {first[0]} {first[1]} {first[2]}")
-    moves: list[str] = []
-    for u, v in curve.edges():
-        kind = _edge_kind(curve, u, v)
-        if kind[0] == "H":
-            if moves and moves[-1].startswith("move H "):
-                prev = int(moves[-1].split()[2])
-                if (prev > 0) == (kind[1] > 0):
-                    moves[-1] = f"move H {prev + kind[1]:+d}"
-                    continue
-            moves.append(f"move H {kind[1]:+d}")
-        elif kind[0] == "V":
-            if moves and moves[-1].startswith("move V "):
-                prev = int(moves[-1].split()[2])
-                if (prev > 0) == (kind[1] > 0):
-                    moves[-1] = f"move V {prev + kind[1]:+d}"
-                    continue
-            moves.append(f"move V {kind[1]:+d}")
-        elif kind[0] == "X":
-            direction = "down" if (u not in (NORTH, SOUTH) and u[0] < kind[1]) else "up"
-            moves.append(f"move X {direction}")
-        else:  # P
-            if v in (NORTH, SOUTH):
-                moves.append(f"move P {'N' if v == NORTH else 'S'}")
+    moves: list[list] = []  # [kind, run length] for H and V, else [kind, argument]
+    for (u, v), kind in zip(curve.edges(), curve.edge_kinds):
+        tag = kind[0]
+        if tag in ("H", "V"):
+            if moves and moves[-1][0] == tag and (moves[-1][1] > 0) == (kind[1] > 0):
+                moves[-1][1] += kind[1]
             else:
-                moves.append(f"move P {v[2]}")
-    lines.extend(moves)
+                moves.append([tag, kind[1]])
+        elif tag == "X":
+            moves.append([tag, "down" if u[0] < kind[1] else "up"])
+        elif v in (NORTH, SOUTH):
+            moves.append([tag, v[0]])
+        else:
+            moves.append([tag, v[2]])
+    lines.extend(
+        f"move {tag} {arg:+d}" if tag in ("H", "V") else f"move {tag} {arg}"
+        for tag, arg in moves
+    )
     lines.append("end")
     return "\n".join(lines) + "\n"
 

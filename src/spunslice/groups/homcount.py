@@ -8,7 +8,8 @@ opening block with generator 0, then one block per free choice.  When the
 cascade stalls, the free generator whose choice would derive the most
 others (the smallest on ties) is chosen next.  On Wirtinger-style
 presentations this collapses the search tree to a handful of genuinely
-free choices.
+free choices.  A presentation is compiled on its first count and the
+schedule is kept on the presentation object.
 
 The relator index.  For each generator the compile keeps the relators it
 occurs in and how often, and for each relator the number of its positions
@@ -157,21 +158,33 @@ def _centralizer_orbits(G: FiniteGroup, g: int, domain) -> list[tuple[int, int]]
     return out
 
 
+def _schedule(pres: GroupPresentation) -> tuple[int, list, bool]:
+    """`(n, blocks of step words, all meridian)` of the simplified
+    presentation.  Compiled on the first count and kept on the presentation
+    object, so counting one presentation into every battery group compiles
+    it once."""
+    got = pres.__dict__.get("_hom_schedule")
+    if got is None:
+        simple = pres.simplified()
+        n = simple.n_generators
+        blocks = [
+            (g, [_step_word(s) for s in steps])
+            for g, steps in (_compile_schedule(n, list(simple.relators)) if n else ())
+        ]
+        got = (n, blocks, simple.meridians == frozenset(range(1, n + 1)))
+        object.__setattr__(pres, "_hom_schedule", got)
+    return got
+
+
 def hom_count(
     pres: GroupPresentation,
     G: FiniteGroup,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> HomCount:
     """Exact number of homomorphisms pres -> G, or a typed inconclusive."""
-    pres = pres.simplified()
-    n = pres.n_generators
+    n, blocks, all_meridian = _schedule(pres)
     if n == 0:
         return HomCount("exact", 1, 0)
-    blocks = [
-        (g, [_step_word(s) for s in steps])
-        for g, steps in _compile_schedule(n, list(pres.relators))
-    ]
-    all_meridian = pres.meridians == frozenset(range(1, n + 1))
 
     mult = G.mult
     inv = G.inverse

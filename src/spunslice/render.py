@@ -10,7 +10,7 @@ identical bytes -- golden tests rely on that.
 
 from __future__ import annotations
 
-from .decker import NORTH, SOUTH, DeckerSet, SliceCurve, _edge_kind
+from .decker import NORTH, SOUTH, DeckerSet, SliceCurve
 from .diagrams import ChordDiagram, PDCode, PlatWord, validate_plat
 
 OVER_COLOR = "#1a6fb4"
@@ -137,11 +137,8 @@ def render_decker(ds: DeckerSet, curve: SliceCurve | None = None) -> str:
 
         segs: list[str] = []
         marks: list[str] = []
-        verts = curve.vertices
-        for i, u in enumerate(verts):
-            v = verts[(i + 1) % len(verts)]
+        for (u, v), kind in zip(curve.edges(), curve.edge_kinds):
             (ux, uy), (vx, vy) = pos(u), pos(v)
-            kind = _edge_kind(curve, u, v)
             if kind[0] == "H" and abs(ux - vx) > grid_w / 2:
                 # wrap-around: leave one side, re-enter the other
                 if ux < vx:

@@ -10,10 +10,13 @@ The brute-force oracles at the end are the references that the runtime's
 searches are checked against; they live here, outside the package.
 """
 
+import random
+from collections import deque
 from fractions import Fraction
 from itertools import permutations, product
 
-from spunslice.diagrams import PlatWord
+from spunslice.decker import NORTH, SOUTH, validate_curve
+from spunslice.diagrams import PlatError, PlatWord, closure_components
 
 UNKNOT = PlatWord(2, ())
 KINK = PlatWord(2, ((1, 1),))
@@ -35,6 +38,26 @@ def t3_plat(q: int) -> PlatWord:
 
 
 T35 = t3_plat(5)
+
+
+def ladder_plats() -> list[tuple[str, PlatWord]]:
+    """The benchmark ladder's random knot plats, named `strands x letters -
+    i`: 4 at 6/40, 6 at 8/60 and 2 at 10/150, drawn in that order from
+    random.Random(0), redrawing words whose closure is a link."""
+    rng = random.Random(0)
+    out = []
+    for strands, letters, count in ((6, 40, 4), (8, 60, 6), (10, 150, 2)):
+        for i in range(count):
+            while True:
+                word = tuple(
+                    (rng.randint(1, strands - 1), rng.choice((1, -1)))
+                    for _ in range(letters)
+                )
+                plat = PlatWord(strands, word)
+                if closure_components(plat) == 1:
+                    break
+            out.append((f"{strands}x{letters}-{i}", plat))
+    return out
 
 # determinant / Alexander oracles: values from the torus-knot formula
 # Delta_{T(2,n)} and Delta_{T(3,5)}, and standard twist-knot polynomials
@@ -245,3 +268,121 @@ def unit_icosians_q5() -> set:
 def icosian_as_q5(u) -> tuple:
     """An integer-coordinate Icosian in the oracle's Fraction form."""
     return tuple((Fraction(x, 4), Fraction(y, 4)) for x, y in u.q)
+
+
+# The side test's face-tuple flood fill, the reference for the cylinder-grid
+# `decker.side_map`: faces are ("NT", k), ("ST", k), ("XF", circle, k) and
+# ("Q", region, row, k), and blocked edges a frozenset of vertex pairs.
+def side_map_faces(ds, curve) -> dict[tuple[int, int], int]:
+    """Side label (1 or 2) of each circle midpoint k+1/2.
+
+    Side 1 is the complement component containing the north pole.  When the
+    curve passes through the pole, the anchor is the reference face just
+    east of the curve's departure edge from the pole; tying the anchor to
+    the curve rather than to an absolute longitude keeps the labels stable
+    under global rotation.
+    """
+    validate_curve(ds, curve)
+    m, lng, rows = curve.m, curve.l, curve.rows
+    blocked = {frozenset((u, v)) for u, v in curve.edges()}
+
+    def above(region: int, row: int, k: int):
+        # face north of the H edge (region, row, k..k+1)
+        if row >= 1:
+            return ("Q", region, row - 1, k)
+        if region == 0:
+            return ("NT", k)
+        return ("XF", region, k)
+
+    def below(region: int, row: int, k: int):
+        if row <= rows[region] - 2:
+            return ("Q", region, row, k)
+        if region == lng:
+            return ("ST", k)
+        return ("XF", region + 1, k)
+
+    def neighbors(face):
+        kind = face[0]
+        if kind == "NT":
+            k = face[1]
+            yield ("NT", (k + 1) % m), frozenset((NORTH, (0, 0, (k + 1) % m)))
+            yield ("NT", (k - 1) % m), frozenset((NORTH, (0, 0, k)))
+            yield below(0, 0, k), frozenset(((0, 0, k), (0, 0, (k + 1) % m)))
+        elif kind == "ST":
+            k = face[1]
+            last = rows[lng] - 1
+            yield ("ST", (k + 1) % m), frozenset(
+                (SOUTH, (lng, last, (k + 1) % m))
+            )
+            yield ("ST", (k - 1) % m), frozenset((SOUTH, (lng, last, k)))
+            yield above(lng, last, k), frozenset(
+                ((lng, last, k), (lng, last, (k + 1) % m))
+            )
+        elif kind == "Q":
+            _q, region, row, k = face
+            yield above(region, row, k), frozenset(
+                ((region, row, k), (region, row, (k + 1) % m))
+            )
+            yield below(region, row + 1, k), frozenset(
+                ((region, row + 1, k), (region, row + 1, (k + 1) % m))
+            )
+            for kk, other in ((k + 1) % m, (k + 1) % m), (k, (k - 1) % m):
+                yield ("Q", region, row, other), frozenset(
+                    ((region, row, kk), (region, row + 1, kk))
+                )
+        else:  # XF: face straddling circle `c` between longitudes k..k+1
+            _x, c, k = face
+            top_last = rows[c - 1] - 1
+            yield above(c - 1, top_last, k), frozenset(
+                ((c - 1, top_last, k), (c - 1, top_last, (k + 1) % m))
+            )
+            yield below(c, 0, k), frozenset(((c, 0, k), (c, 0, (k + 1) % m)))
+            for kk, other in ((k + 1) % m, (k + 1) % m), (k, (k - 1) % m):
+                yield ("XF", c, other), frozenset(
+                    ((c - 1, top_last, kk), (c, 0, kk))
+                )
+
+    color: dict[tuple, int] = {}
+
+    def flood(start, label):
+        queue = deque([start])
+        color[start] = label
+        while queue:
+            face = queue.popleft()
+            for nb, edge in neighbors(face):
+                if edge in blocked or nb in color:
+                    continue
+                color[nb] = label
+                queue.append(nb)
+
+    anchor = ("NT", 0)
+    if NORTH in curve.vertices:
+        i = curve.vertices.index(NORTH)
+        depart = curve.vertices[(i + 1) % len(curve.vertices)]
+        anchor = ("NT", depart[2])
+    flood(anchor, 1)
+
+    def all_faces():
+        for k in range(m):
+            yield ("NT", k)
+            yield ("ST", k)
+        for c in range(1, lng + 1):
+            for k in range(m):
+                yield ("XF", c, k)
+        for region in range(lng + 1):
+            for row in range(rows[region] - 1):
+                for k in range(m):
+                    yield ("Q", region, row, k)
+
+    second = next((f for f in all_faces() if f not in color), None)
+    if second is None:
+        raise PlatError("curve does not separate the sphere")
+    flood(second, 2)
+    leftover = next((f for f in all_faces() if f not in color), None)
+    if leftover is not None:
+        raise PlatError("curve complement has more than two components")
+    return {
+        (c, k): color[("XF", c, k)]
+        for c in range(1, lng + 1)
+        for k in range(m)
+    }

@@ -63,6 +63,7 @@ from spunslice.groups import (
     wirtinger,
 )
 from spunslice.groups.finite import closure_elements
+from spunslice.groups import homcount
 from spunslice.groups.homcount import DEFAULT_NODE_BUDGET, _compile_schedule
 from spunslice.groups.quaternions import GENERATORS, _unit_icosians
 
@@ -551,6 +552,34 @@ def test_collapse_check_reports_budget_exhaustion(trefoil_group, battery):
     )
     assert rep.verdict == "inconclusive"
     assert rep.rows == (("S3", None, None),)
+
+
+def test_collapse_check_compiles_each_presentation_once(monkeypatch, battery):
+    compiles, counts = [], []
+    compile_schedule, count = homcount._compile_schedule, homcount.hom_count
+
+    def counted_compile(n, rels):
+        compiles.append(n)
+        return compile_schedule(n, rels)
+
+    def counted_count(pres, G, **kwargs):
+        counts.append(G.name)
+        return count(pres, G, **kwargs)
+
+    monkeypatch.setattr(homcount, "_compile_schedule", counted_compile)
+    monkeypatch.setattr(homcount, "hom_count", counted_count)
+    su = build_symmetric_union(TREFOIL, TwistVector((2, 2)))
+    cob, base = cobordism_presentation(su), wirtinger(plat_to_pd(TREFOIL))
+    rep = collapse_check(cob, base, battery)
+    assert rep.verdict == "consistent-collapse"
+    assert len(compiles) == 2
+    assert counts == [G.name for G in battery for _ in (cob, base)]
+    # the kept schedule counts exactly as a fresh compile of an equal presentation
+    for G in battery:
+        for pres in (cob, base):
+            fresh = GroupPresentation(pres.n_generators, pres.relators, pres.meridians)
+            assert count(pres, G) == count(fresh, G)
+    assert len(compiles) == 2 + 2 * len(battery)
 
 
 def test_t3_85_cobordism_collapse_within_budget():

@@ -330,6 +330,14 @@ def test_cli_slice_check(capsys):
     assert "verdict pass-forward" in capsys.readouterr().out
 
 
+def test_cli_resolution_bounds(capsys):
+    argv = ["slice-check", TREFOIL_PLAT, "--twists", "2,2", "--resolution"]
+    assert main(argv + ["15"]) == 3
+    assert "too small for the doubled curve" in capsys.readouterr().err
+    assert main(argv + ["17"]) == 0
+    assert "resolution 17" in capsys.readouterr().out
+
+
 def test_cli_certify_failing_pair(capsys):
     # stdout carries the line-oriented certificate; --out gets the JSON
     assert main(["certify", TREFOIL_PLAT, "--twists", "2,2"]) == 1
