@@ -37,7 +37,13 @@ from .covers import (
     is_definite,
     surgery_description,
 )
-from .decker import DEFAULT_RESOLUTION, criterion_report, spin_plat, symmetric_union_curve
+from .decker import (
+    DEFAULT_RESOLUTION,
+    TRACE_MIN_RESOLUTION,
+    criterion_report,
+    spin_plat,
+    symmetric_union_curve,
+)
 from .diagrams import (
     PlatError,
     PlatWord,
@@ -451,8 +457,10 @@ def certify(plat: PlatWord, tv: TwistVector, config: CertifyConfig | None = None
     from . import __version__
 
     cfg = config or CertifyConfig()
-    if cfg.resolution < 4 or cfg.resolution % 2:
-        raise CertifyError("resolution must be an even integer >= 4")
+    if cfg.resolution < TRACE_MIN_RESOLUTION or cfg.resolution % 2:
+        raise CertifyError(f"resolution must be an even integer >= {TRACE_MIN_RESOLUTION}")
+    if cfg.max_cosets < 1:
+        raise CertifyError("max-cosets must be a positive integer")
     if not isinstance(tv, TwistVector):
         tv = TwistVector(tuple(tv))
     try:

@@ -1,5 +1,11 @@
 """HLT-style Todd-Coxeter coset enumeration with coincidence handling.
 
+The coset table is one flat `array('i')` with entry (coset, col) at
+coset * ncols + col.  Generator g owns columns 2g-2 (g) and 2g-1 (g^-1), so
+col ^ 1 is the inverse column; -1 marks an undefined entry.  A coset costs
+4 bytes x 2n columns: about 1.26 GB for the 79-generator T(3,7) cover at the
+default budget of 2,000,000 cosets.
+
 Termination is never guaranteed for infinite-index subgroups, so the
 enumerator carries an explicit coset budget and returns a typed
 inconclusive result instead of running forever.
@@ -7,6 +13,7 @@ inconclusive result instead of running forever.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .presentations import GroupPresentation, Word
@@ -27,13 +34,11 @@ class CosetResult:
         return self.status == "complete"
 
 
-def _col(x: int) -> int:
-    i = abs(x) - 1
-    return 2 * i if x > 0 else 2 * i + 1
-
-
-def _inv_col(col: int) -> int:
-    return col ^ 1
+def _columns(word: Word, n: int) -> list[int]:
+    for x in word:
+        if x == 0 or abs(x) > n:
+            raise ValueError(f"word letter {x} out of range")
+    return [2 * x - 2 if x > 0 else -2 * x - 1 for x in word]
 
 
 def todd_coxeter(
@@ -42,11 +47,13 @@ def todd_coxeter(
     max_cosets: int = DEFAULT_MAX_COSETS,
 ) -> CosetResult:
     """Enumerate cosets of <subgroup words> in the presented group."""
-    ncols = 2 * pres.n_generators
-    relators = [r for r in (pres.simplified().relators) if r]
-    table: list[list[int]] = [[-1] * ncols]
-    parent = [0]  # union-find over cosets
-    pending: list[tuple[int, int, int]] = []  # forced equalities queue
+    ngens = pres.n_generators
+    ncols = 2 * ngens
+    relators = [_columns(r, ngens) for r in pres.simplified().relators if r]
+    blank = array("i", [-1]) * ncols
+    table = array("i", blank)
+    parent = [0]  # union-find over cosets; its length is the coset count
+    pending: list[tuple[int, int]] = []  # forced equalities queue
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -54,141 +61,126 @@ def todd_coxeter(
             x = parent[x]
         return x
 
-    def new_coset() -> int:
-        table.append([-1] * ncols)
-        parent.append(len(table) - 1)
-        return len(table) - 1
-
     def set_entry(a: int, col: int, b: int):
         a, b = find(a), find(b)
-        cur = table[a][col]
+        cur = table[a * ncols + col]
         if cur == -1:
-            table[a][col] = b
-            back = table[b][_inv_col(col)]
+            table[a * ncols + col] = b
+            back = table[b * ncols + (col ^ 1)]
             if back == -1:
-                table[b][_inv_col(col)] = a
+                table[b * ncols + (col ^ 1)] = a
             elif find(back) != a:
-                pending.append((find(back), a, 0))
+                pending.append((find(back), a))
                 process_pending()
         elif find(cur) != b:
-            pending.append((find(cur), b, 0))
+            pending.append((find(cur), b))
             process_pending()
 
     def process_pending():
         while pending:
-            x, y, _ = pending.pop()
+            x, y = pending.pop()
             x, y = find(x), find(y)
             if x == y:
                 continue
             if x > y:
                 x, y = y, x
             parent[y] = x  # y dies, x survives
-            for col in range(ncols):
-                e = table[y][col]
+            # no write below touches row y: find never returns y again
+            base = x * ncols
+            for col, e in enumerate(table[y * ncols : y * ncols + ncols]):
                 if e == -1:
                     continue
                 e = find(e)
-                cur = table[x][col]
+                cur = table[base + col]
                 if cur == -1:
-                    table[x][col] = e
-                    back = table[e][_inv_col(col)]
+                    table[base + col] = e
+                    back = table[e * ncols + (col ^ 1)]
                     if back == -1:
-                        table[e][_inv_col(col)] = x
+                        table[e * ncols + (col ^ 1)] = x
                     elif find(back) != x:
-                        pending.append((find(back), x, 0))
+                        pending.append((find(back), x))
                 elif find(cur) != e:
-                    pending.append((find(cur), e, 0))
+                    pending.append((find(cur), e))
 
-    def scan(coset: int, word: Word) -> bool:
+    def scan(coset: int, word: list[int]) -> bool:
         """Scan word at coset, filling gaps; False if the budget is hit."""
+        coset = find(coset)
         # forward as far as possible
-        f = find(coset)
+        f = coset
         i = 0
         n = len(word)
         while i < n:
-            nxt = table[f][_col(word[i])]
+            nxt = table[f * ncols + word[i]]
             if nxt == -1:
                 break
-            f = find(nxt)
+            f = nxt if parent[nxt] == nxt else find(nxt)
             i += 1
-        if i == n:
-            if f != find(coset):
-                pending.append((f, find(coset), 0))
-                process_pending()
-            return True
         # backward from the end
-        b = find(coset)
+        b = coset
         j = n
         while j > i:
-            prev = table[b][_inv_col(_col(word[j - 1]))]
+            prev = table[b * ncols + (word[j - 1] ^ 1)]
             if prev == -1:
                 break
-            b = find(prev)
+            b = prev if parent[prev] == prev else find(prev)
             j -= 1
         if j == i:
-            # gap closed from both sides: force f = b
+            # the two scans meet: force f = b
             if f != b:
-                pending.append((f, b, 0))
+                pending.append((f, b))
                 process_pending()
-            return True
-        if j == i + 1:
-            set_entry(f, _col(word[i]), b)
             return True
         # genuine gap: define new cosets for all but the last position
         while j > i + 1:
-            if len(table) >= max_cosets:
+            if len(parent) >= max_cosets:
                 return False
-            c = new_coset()
-            set_entry(f, _col(word[i]), c)
+            c = len(parent)
+            parent.append(c)
+            table.extend(blank)
+            set_entry(f, word[i], c)
             f = find(c)
             i += 1
-        set_entry(f, _col(word[i]), find(b))
+        set_entry(f, word[i], find(b))
         return True
 
+    def inconclusive() -> CosetResult:
+        return CosetResult("inconclusive", None, None, len(parent), max_cosets)
+
     for w in subgroup:
-        if not scan(0, w):
-            return CosetResult("inconclusive", None, None, len(table), max_cosets)
+        if not scan(0, _columns(w, ngens)):
+            return inconclusive()
 
     idx = 0
-    while idx < len(table):
-        if find(idx) != idx:
-            idx += 1
-            continue
-        for r in relators:
-            if not scan(idx, r):
-                return CosetResult(
-                    "inconclusive", None, None, len(table), max_cosets
-                )
-            if find(idx) != idx:
-                break
-        if find(idx) != idx:
-            idx += 1
-            continue
-        for col in range(ncols):
-            if find(idx) != idx:
-                break
-            if table[idx][col] == -1:
-                if len(table) >= max_cosets:
-                    return CosetResult(
-                        "inconclusive", None, None, len(table), max_cosets
-                    )
-                c = new_coset()
-                set_entry(idx, col, c)
+    while idx < len(parent):
+        if parent[idx] == idx:
+            for r in relators:
+                if not scan(idx, r):
+                    return inconclusive()
+                if parent[idx] != idx:
+                    break
+            else:
+                # idx stays live: a fresh coset closes a hole without coincidence
+                for col in range(ncols):
+                    if table[idx * ncols + col] == -1:
+                        if len(parent) >= max_cosets:
+                            return inconclusive()
+                        c = len(parent)
+                        parent.append(c)
+                        table.extend(blank)
+                        table[idx * ncols + col] = c
+                        table[c * ncols + (col ^ 1)] = idx
         idx += 1
 
     # compress to live cosets
-    live = [i for i in range(len(table)) if find(i) == i]
+    live = [c for c in range(len(parent)) if parent[c] == c]
     renum = {c: k for k, c in enumerate(live)}
     final = []
     for c in live:
-        row = []
-        for col in range(ncols):
-            e = table[c][col]
-            if e == -1:
-                raise RuntimeError("incomplete table reported as complete")
-            row.append(renum[find(e)])
-        final.append(tuple(row))
-    return CosetResult("complete", len(live), tuple(final), len(table), max_cosets)
+        row = table[c * ncols : c * ncols + ncols]
+        if -1 in row:
+            raise RuntimeError("incomplete table reported as complete")
+        final.append(tuple(renum[find(e)] for e in row))
+    return CosetResult("complete", len(live), tuple(final), len(parent), max_cosets)
 
 
 def regular_representation(result: CosetResult) -> list[list[int]]:

@@ -17,6 +17,8 @@ from itertools import permutations, product
 
 from spunslice.decker import NORTH, SOUTH, validate_curve
 from spunslice.diagrams import PlatError, PlatWord, closure_components
+from spunslice.groups.presentations import GroupPresentation, Word
+from spunslice.groups.toddcoxeter import DEFAULT_MAX_COSETS, CosetResult
 
 UNKNOT = PlatWord(2, ())
 KINK = PlatWord(2, ((1, 1),))
@@ -386,3 +388,170 @@ def side_map_faces(ds, curve) -> dict[tuple[int, int], int]:
         for c in range(1, lng + 1)
         for k in range(m)
     }
+
+
+# The list-of-lists Todd-Coxeter enumerator, the reference for the flat
+# `array('i')` table of `groups.toddcoxeter.todd_coxeter`: one Python list
+# of 2n entries per coset, the same HLT order and the same coset numbering.
+def _col(x: int) -> int:
+    i = abs(x) - 1
+    return 2 * i if x > 0 else 2 * i + 1
+
+
+def _inv_col(col: int) -> int:
+    return col ^ 1
+
+
+def todd_coxeter_lists(
+    pres: GroupPresentation,
+    subgroup: tuple[Word, ...] = (),
+    max_cosets: int = DEFAULT_MAX_COSETS,
+) -> CosetResult:
+    """Enumerate cosets of <subgroup words> in the presented group."""
+    ncols = 2 * pres.n_generators
+    relators = [r for r in (pres.simplified().relators) if r]
+    table: list[list[int]] = [[-1] * ncols]
+    parent = [0]  # union-find over cosets
+    pending: list[tuple[int, int, int]] = []  # forced equalities queue
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def new_coset() -> int:
+        table.append([-1] * ncols)
+        parent.append(len(table) - 1)
+        return len(table) - 1
+
+    def set_entry(a: int, col: int, b: int):
+        a, b = find(a), find(b)
+        cur = table[a][col]
+        if cur == -1:
+            table[a][col] = b
+            back = table[b][_inv_col(col)]
+            if back == -1:
+                table[b][_inv_col(col)] = a
+            elif find(back) != a:
+                pending.append((find(back), a, 0))
+                process_pending()
+        elif find(cur) != b:
+            pending.append((find(cur), b, 0))
+            process_pending()
+
+    def process_pending():
+        while pending:
+            x, y, _ = pending.pop()
+            x, y = find(x), find(y)
+            if x == y:
+                continue
+            if x > y:
+                x, y = y, x
+            parent[y] = x  # y dies, x survives
+            for col in range(ncols):
+                e = table[y][col]
+                if e == -1:
+                    continue
+                e = find(e)
+                cur = table[x][col]
+                if cur == -1:
+                    table[x][col] = e
+                    back = table[e][_inv_col(col)]
+                    if back == -1:
+                        table[e][_inv_col(col)] = x
+                    elif find(back) != x:
+                        pending.append((find(back), x, 0))
+                elif find(cur) != e:
+                    pending.append((find(cur), e, 0))
+
+    def scan(coset: int, word: Word) -> bool:
+        """Scan word at coset, filling gaps; False if the budget is hit."""
+        # forward as far as possible
+        f = find(coset)
+        i = 0
+        n = len(word)
+        while i < n:
+            nxt = table[f][_col(word[i])]
+            if nxt == -1:
+                break
+            f = find(nxt)
+            i += 1
+        if i == n:
+            if f != find(coset):
+                pending.append((f, find(coset), 0))
+                process_pending()
+            return True
+        # backward from the end
+        b = find(coset)
+        j = n
+        while j > i:
+            prev = table[b][_inv_col(_col(word[j - 1]))]
+            if prev == -1:
+                break
+            b = find(prev)
+            j -= 1
+        if j == i:
+            # gap closed from both sides: force f = b
+            if f != b:
+                pending.append((f, b, 0))
+                process_pending()
+            return True
+        if j == i + 1:
+            set_entry(f, _col(word[i]), b)
+            return True
+        # genuine gap: define new cosets for all but the last position
+        while j > i + 1:
+            if len(table) >= max_cosets:
+                return False
+            c = new_coset()
+            set_entry(f, _col(word[i]), c)
+            f = find(c)
+            i += 1
+        set_entry(f, _col(word[i]), find(b))
+        return True
+
+    for w in subgroup:
+        if not scan(0, w):
+            return CosetResult("inconclusive", None, None, len(table), max_cosets)
+
+    idx = 0
+    while idx < len(table):
+        if find(idx) != idx:
+            idx += 1
+            continue
+        for r in relators:
+            if not scan(idx, r):
+                return CosetResult(
+                    "inconclusive", None, None, len(table), max_cosets
+                )
+            if find(idx) != idx:
+                break
+        if find(idx) != idx:
+            idx += 1
+            continue
+        for col in range(ncols):
+            if find(idx) != idx:
+                break
+            if table[idx][col] == -1:
+                if len(table) >= max_cosets:
+                    return CosetResult(
+                        "inconclusive", None, None, len(table), max_cosets
+                    )
+                c = new_coset()
+                set_entry(idx, col, c)
+        idx += 1
+
+    # compress to live cosets
+    live = [i for i in range(len(table)) if find(i) == i]
+    renum = {c: k for k, c in enumerate(live)}
+    final = []
+    for c in live:
+        row = []
+        for col in range(ncols):
+            e = table[c][col]
+            if e == -1:
+                raise RuntimeError("incomplete table reported as complete")
+            row.append(renum[find(e)])
+        final.append(tuple(row))
+    return CosetResult("complete", len(live), tuple(final), len(table), max_cosets)

@@ -1,10 +1,14 @@
 """Certificates, SVG rendering, the shipped corpus, and the CLI."""
 
+import contextlib
+import io
 import json
 import re
+import time
 import xml.dom.minidom
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import T35, TREFOIL, TWO_COMPONENT
 from spunslice.certificate import (
@@ -309,6 +313,7 @@ def test_corpus_missing_plat_file(tmp_path):
 # ---------------------------------------------------------------------------
 
 TREFOIL_PLAT = str(shipped_manifest_path().parent / "plats" / "trefoil.plat")
+T35_PLAT = str(shipped_manifest_path().parent / "plats" / "t35.plat")
 
 
 def test_cli_validate(capsys):
@@ -374,6 +379,60 @@ def test_cli_usage_errors_exit_three(capsys):
     assert main(["render", "unknown-kind", TREFOIL_PLAT]) == 3
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--resolution", "4", "resolution must be an even integer >= 16"),
+        ("--resolution", "14", "resolution must be an even integer >= 16"),
+        ("--resolution", "15", "resolution must be an even integer >= 16"),
+        ("--max-cosets", "0", "max-cosets must be a positive integer"),
+        ("--max-cosets", "-5", "max-cosets must be a positive integer"),
+    ],
+)
+def test_cli_certify_rejects_bad_config_up_front(tmp_path, capsys, flag, value, message):
+    out_file = tmp_path / "cert.json"
+    argv = ["certify", TREFOIL_PLAT, "--twists", "2,2", f"{flag}={value}", "--out", str(out_file)]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out_file.exists()
+
+
+def test_cli_certify_with_a_one_coset_budget_is_inconclusive(capsys):
+    assert main(["certify", T35_PLAT, "--twists", "2,2,2", "--max-cosets", "1"]) == 2
+    out = capsys.readouterr().out
+    assert "max-cosets 1" in out
+    assert out.endswith("verdict inconclusive: base-cover-binary-icosahedral\n")
+
+
+_TWIST_TEXT = st.one_of(
+    st.text(alphabet="0123456789,-+ x", max_size=12),
+    st.lists(st.integers(min_value=-5, max_value=5), max_size=8).map(
+        lambda ts: ",".join(map(str, ts))
+    ),
+)
+_TREFOIL_ARGV = st.builds(
+    lambda twists, m: ["certify", TREFOIL_PLAT, f"--twists={twists}", f"--resolution={m}"],
+    _TWIST_TEXT,
+    st.integers(min_value=-2, max_value=30),
+)
+_T35_ARGV = st.builds(
+    lambda n: ["certify", T35_PLAT, "--twists=2,2,2", f"--max-cosets={n}"],
+    st.integers(min_value=-3, max_value=60),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(_TREFOIL_ARGV, _T35_ARGV))
+def test_cli_certify_fuzz_exits_with_a_verdict_or_an_input_error(argv):
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 20
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_groups(capsys):

@@ -1,0 +1,68 @@
+"""The flat-table Todd-Coxeter enumerator against the list-of-lists
+reference `todd_coxeter_lists` in conftest, and the bytes its table costs."""
+
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import T35, t3_plat, todd_coxeter_lists
+from spunslice.diagrams import plat_to_pd
+from spunslice.groups import (
+    GroupPresentation,
+    branched_cover_presentation,
+    todd_coxeter,
+    wirtinger,
+)
+
+
+@st.composite
+def presentations(draw):
+    """1-4 generators, up to 5 relators (empty ones and powers included)
+    and 0-2 subgroup words."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    letter = st.integers(min_value=1, max_value=n).flatmap(lambda g: st.sampled_from((g, -g)))
+    word = st.lists(letter, max_size=8).map(tuple)
+    power = st.builds(lambda x, k: (x,) * k, letter, st.integers(min_value=2, max_value=5))
+    relators = draw(st.lists(st.one_of(word, power), max_size=5))
+    subgroup = draw(st.lists(st.lists(letter, max_size=4).map(tuple), max_size=2))
+    return GroupPresentation(n, tuple(relators)), tuple(subgroup)
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations(), st.sampled_from((1, 5, 50, 2000)))
+def test_flat_table_matches_the_list_table(case, budget):
+    pres, subgroup = case
+    assert todd_coxeter(pres, subgroup, budget) == todd_coxeter_lists(pres, subgroup, budget)
+
+
+def test_t35_cover_enumeration_matches_the_list_table():
+    pres = branched_cover_presentation(wirtinger(plat_to_pd(T35)))
+    r = todd_coxeter(pres, max_cosets=500_000)
+    assert r == todd_coxeter_lists(pres, max_cosets=500_000)
+    assert r.complete and r.index == 120
+    assert r.cosets_defined == 13_257
+
+
+def test_coset_table_costs_at_most_five_bytes_per_cell():
+    # 4 bytes per cell in the flat table; one Python list per coset takes
+    # 8.8 bytes per cell here and fails
+    pres = branched_cover_presentation(wirtinger(plat_to_pd(t3_plat(7))))
+    cells = 20_000 * 2 * pres.n_generators
+    assert cells == 20_000 * 158
+    tracemalloc.start()
+    try:
+        r = todd_coxeter(pres, max_cosets=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.status == "inconclusive" and r.cosets_defined == 20_000
+    assert peak <= 5 * cells
+
+
+def test_subgroup_letters_out_of_range_are_rejected():
+    # a flat table would read another coset's row for such a letter
+    pres = GroupPresentation(2, ((1, 1), (2, 2)))
+    for bad in ((3,), (1, 0), (-3, 2)):
+        with pytest.raises(ValueError, match="out of range"):
+            todd_coxeter(pres, (bad,))
