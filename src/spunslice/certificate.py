@@ -39,7 +39,7 @@ from .covers import (
 )
 from .decker import (
     DEFAULT_RESOLUTION,
-    TRACE_MIN_RESOLUTION,
+    MIN_RESOLUTION,
     criterion_report,
     spin_plat,
     symmetric_union_curve,
@@ -457,16 +457,14 @@ def certify(plat: PlatWord, tv: TwistVector, config: CertifyConfig | None = None
     from . import __version__
 
     cfg = config or CertifyConfig()
-    if cfg.resolution < TRACE_MIN_RESOLUTION or cfg.resolution % 2:
-        raise CertifyError(f"resolution must be an even integer >= {TRACE_MIN_RESOLUTION}")
+    if cfg.resolution < MIN_RESOLUTION or cfg.resolution % 2:
+        raise CertifyError(f"resolution must be an even integer >= {MIN_RESOLUTION}")
     if cfg.max_cosets < 1:
         raise CertifyError("max-cosets must be a positive integer")
     if not isinstance(tv, TwistVector):
         tv = TwistVector(tuple(tv))
     try:
-        diagram = validate_plat(plat)
-        if diagram.components != 1:
-            raise CertifyError("plat closure must be a knot, not a link")
+        validate_plat(plat)
         tv.require_even()
         su = build_symmetric_union(plat, tv)
         battery = cfg.battery_groups()

@@ -75,8 +75,10 @@ __all__ = [
 ]
 
 DEFAULT_RESOLUTION = 24
-MIN_RESOLUTION = 8  # 4 x the two strands every region of a doubled curve sees
-TRACE_MIN_RESOLUTION = 16  # sector layout of the doubled curve needs headroom
+# Sector layout of the doubled curve: its ascending strand keeps to
+# longitudes OVER_OFFSET..UNDER_OFFSET east of the seam, its descending strand
+# to the mirror sector west of it, and 16 keeps the two sectors well apart.
+MIN_RESOLUTION = 16
 
 NORTH = ("N",)
 SOUTH = ("S",)
@@ -98,8 +100,9 @@ class DeckerSet:
     """Latitude-circle pairing data of a spun knotted arc.
 
     pairs[i] = (over_circle, under_circle, sign), circles numbered 1..L in
-    latitude order.  The identification of the two circles of a pair matches
-    equal longitude samples.  bridge_annuli, present when the set was built
+    latitude order, each sampled at m >= MIN_RESOLUTION longitudes.  The
+    identification of the two circles of a pair matches equal longitude
+    samples.  bridge_annuli, present when the set was built
     from a plat, maps each cap (1-based, entry j-1) to the annulus region
     swept by its arc; the first cap carries the cut and has no annulus.
     """
@@ -115,7 +118,8 @@ class DeckerSet:
             raise PlatError("decker set needs 2n circles in n pairs")
         if self.m < MIN_RESOLUTION:
             raise PlatError(
-                f"resolution {self.m} too small; need at least {MIN_RESOLUTION}"
+                f"resolution {self.m} too small for the doubled curve; "
+                f"need at least {MIN_RESOLUTION}"
             )
         seen = sorted(c for over, under, _s in self.pairs for c in (over, under))
         if seen != list(range(1, self.l + 1)):
@@ -125,10 +129,6 @@ class DeckerSet:
                 raise PlatError("a circle cannot pair with itself")
             if sign not in (-1, 1):
                 raise PlatError("pair sign must be +1 or -1")
-
-    @property
-    def regions(self) -> int:
-        return self.l + 1
 
     @cached_property
     def _roles(self) -> dict[int, tuple[int, bool]]:
@@ -149,25 +149,22 @@ class DeckerSet:
         return self._roles.get(circle, (0, False))[1]
 
 
+def _pairs(cd: ChordDiagram) -> tuple[tuple[int, int, int], ...]:
+    """(over, under, sign) per chord: the circle pairs of the spun tangle."""
+    return tuple((a, b, s) for (a, b), s in zip(cd.chords, cd.signs))
+
+
 def spin_chord_diagram(cd: ChordDiagram, m: int = DEFAULT_RESOLUTION) -> DeckerSet:
     """Decker set of the spin of the tangle with chord diagram `cd`."""
-    if m < MIN_RESOLUTION:
-        raise PlatError(
-            f"resolution {m} too small; need at least {MIN_RESOLUTION}"
-        )
-    pairs = tuple(
-        (a, b, cd.signs[i]) for i, (a, b) in enumerate(cd.chords)
-    )
-    return DeckerSet(cd.n, 2 * cd.n, m, pairs)
+    return DeckerSet(cd.n, 2 * cd.n, m, _pairs(cd))
 
 
 def spin_plat(plat: PlatWord, m: int = DEFAULT_RESOLUTION) -> DeckerSet:
     """Decker set of the spun plat, with cap-annulus data for band twisting."""
     cd = chord_diagram_of_tangle(plat)
-    ds = spin_chord_diagram(cd, m)
     regions = bridge_regions(plat)
     annuli = tuple(regions[j] for j in range(1, plat.bridges + 1))
-    return DeckerSet(ds.n, ds.l, ds.m, ds.pairs, annuli)
+    return DeckerSet(cd.n, 2 * cd.n, m, _pairs(cd), annuli)
 
 
 # ---------------------------------------------------------------------------
@@ -385,33 +382,15 @@ def _route_region(m: int, arcs: list[tuple[int, int, int]]):
 # the doubled curve
 
 
-def _trace_offsets(ds: DeckerSet) -> dict[int, int]:
-    """Crossing offset per circle: tight on over circles, wide on under."""
-    return {
-        c: (OVER_OFFSET if ds.is_over(c) else UNDER_OFFSET)
-        for c in range(1, ds.l + 1)
-    }
-
-
-def _build_trace(ds: DeckerSet, offsets: dict[int, int]) -> SliceCurve:
+def _build_trace(ds: DeckerSet) -> SliceCurve:
     m = ds.m
-    if m < TRACE_MIN_RESOLUTION:
-        raise PlatError(
-            f"resolution {m} too small for the doubled curve; "
-            f"need at least {TRACE_MIN_RESOLUTION}"
-        )
     if ds.l == 0:
-        verts = [
-            NORTH,
-            (0, 0, (m - 1) % m),
-            (0, 1, (m - 1) % m),
-            SOUTH,
-            (0, 1, 1),
-            (0, 0, 1),
-        ]
+        verts = [NORTH, (0, 0, m - 1), (0, 1, m - 1), SOUTH, (0, 1, 1), (0, 0, 1)]
         return SliceCurve(0, m, (2,), tuple(verts))
-    down = {c: (m - offsets[c]) % m for c in offsets}  # descending strand
-    up = {c: offsets[c] % m for c in offsets}  # ascending strand
+    # crossing longitude per circle: the ascending strand at +offset, tight
+    # on over circles and wide on under ones; the descending strand at M - offset
+    up = {c: OVER_OFFSET if ds.is_over(c) else UNDER_OFFSET for c in range(1, ds.l + 1)}
+    down = {c: m - k for c, k in up.items()}
     rows = [2] + [3] * (ds.l - 1) + [2]
     annulus_paths: dict[int, tuple[list, list]] = {}
     for region in range(1, ds.l):
@@ -429,16 +408,15 @@ def _build_trace(ds: DeckerSet, offsets: dict[int, int]) -> SliceCurve:
 
     desc: list[tuple] = [NORTH]
     # north disc: walk row 0 from the pole column to the first crossing
-    pole_desc = (m - 1) % m
-    walk = _walk_longitudes(pole_desc, down[1], m)
+    walk = _walk_longitudes(m - 1, down[1], m)
     desc.extend((0, 0, k) for k in walk)
     desc.append((0, 1, down[1]))
     for region in range(1, ds.l):
         desc.extend(region_vertices(region, annulus_paths[region][0]))
     # south disc: enter at the last circle's longitude, walk to the pole column
-    walk = _walk_longitudes(down[ds.l], (m - 1) % m, m)
+    walk = _walk_longitudes(down[ds.l], m - 1, m)
     desc.extend((ds.l, 0, k) for k in walk)
-    desc.append((ds.l, 1, (m - 1) % m))
+    desc.append((ds.l, 1, m - 1))
     desc.append(SOUTH)
     asc: list[tuple] = []
     walk = _walk_longitudes(1, up[ds.l], m)
@@ -473,11 +451,9 @@ def trace_double_curve(ds: DeckerSet, cd: ChordDiagram | None = None) -> SliceCu
     circles and a wide one on under circles, so that each over circle's
     side-1 sweep nests inside its partner's.
     """
-    if cd is not None:
-        expect = tuple((a, b, cd.signs[i]) for i, (a, b) in enumerate(cd.chords))
-        if expect != ds.pairs:
-            raise PlatError("decker set was not built from this chord diagram")
-    return _build_trace(ds, _trace_offsets(ds))
+    if cd is not None and _pairs(cd) != ds.pairs:
+        raise PlatError("decker set was not built from this chord diagram")
+    return _build_trace(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -605,43 +581,18 @@ def check_slice_criterion(ds: DeckerSet, curve: SliceCurve) -> str:
 # Dehn twists along region annuli
 
 
-def _grow_resolution(ds: DeckerSet, curve: SliceCurve, min_m: int):
-    """Rescale longitudes by an integer factor so M >= min_m."""
-    factor = -(-min_m // ds.m)
-    m2 = ds.m * factor
-    ds2 = DeckerSet(ds.n, ds.l, m2, ds.pairs, ds.bridge_annuli)
-    verts: list[tuple] = []
-    for u, kind in zip(curve.vertices, curve.edge_kinds):
-        if u in (NORTH, SOUTH):
-            verts.append(u)
-            continue
-        lu, ru, ku = u
-        verts.append((lu, ru, ku * factor))
-        if kind[0] == "H":
-            step = kind[1]
-            for t in range(1, factor):
-                verts.append((lu, ru, (ku * factor + step * t) % m2))
-    curve2 = SliceCurve(curve.l, m2, curve.rows, tuple(verts))
-    validate_curve(ds2, curve2)
-    return ds2, curve2
-
-
 def dehn_twist_annulus(
     ds: DeckerSet, curve: SliceCurve, region: int, n: int
 ) -> SliceCurve:
     """Wind every strand of the curve inside an annulus region n extra turns.
 
     Crossing data is untouched: the strands re-enter and leave the region
-    at their old longitudes.  If the grid is too coarse to reroute the
-    wound strands, the whole picture is rescaled to a finer resolution
-    first (which scales all longitudes by an integer factor).
+    at their old longitudes, and the curve keeps its resolution.
     """
     if not 1 <= region <= curve.l - 1:
         raise PlatError(f"region {region} is not an annulus")
     if n == 0:
         return curve
-    if ds.m < TRACE_MIN_RESOLUTION:
-        ds, curve = _grow_resolution(ds, curve, TRACE_MIN_RESOLUTION)
     validate_curve(ds, curve)
     m = curve.m
     verts = list(curve.vertices)
@@ -738,7 +689,7 @@ def symmetric_union_curve(ds: DeckerSet, tv: TwistVector) -> SliceCurve:
             f"twist vector has {len(tv)} entries for "
             f"{len(ds.bridge_annuli)} caps"
         )
-    curve = _build_trace(ds, _trace_offsets(ds))
+    curve = _build_trace(ds)
     for t, region in zip(tv, ds.bridge_annuli):
         if region is None or t == 0:
             continue

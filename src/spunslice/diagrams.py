@@ -22,6 +22,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 
 class PlatError(ValueError):
@@ -206,23 +207,11 @@ def strand_permutation(plat: PlatWord) -> tuple[int, ...]:
 
 
 def closure_components(plat: PlatWord) -> int:
-    perm = strand_permutation(plat)
+    # top columns are 0..n-1 and bottom columns n..2n-1; strands and caps join them
     n = plat.strands
-    seen = [False] * (n + 1)
-    comps = 0
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        comps += 1
-        c = start
-        while not seen[c]:
-            seen[c] = True
-            d = perm[c - 1]  # follow strand down
-            d = d + 1 if d % 2 else d - 1  # bottom cap
-            e = perm.index(d) + 1  # back up the strand ending there
-            seen[e] = True
-            c = e + 1 if e % 2 else e - 1  # top cap
-    return comps
+    strands = ((c, n + p - 1) for c, p in enumerate(strand_permutation(plat)))
+    caps = ((x, x + 1) for x in range(0, 2 * n, 2))
+    return max(_classes(2 * n, chain(strands, caps))) + 1
 
 
 def validate_plat(plat: PlatWord) -> PlatDiagram:
@@ -243,7 +232,7 @@ def mirror(plat: PlatWord) -> PlatWord:
 #
 # The sweep walks the word top to bottom maintaining, per column, the open
 # strand hanging there.  Wires record maximal diagram edges between crossing
-# ports (caps are interior to wires and remembered in `vias`).
+# ports (caps are interior to wires; the top caps are remembered in `vias`).
 
 _DIAG = {"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}
 _CCW = ("NE", "NW", "SW", "SE")  # counterclockwise port order at a crossing
@@ -252,7 +241,7 @@ _CCW = ("NE", "NW", "SW", "SE")  # counterclockwise port order at a crossing
 @dataclass
 class _Wire:
     ends: list  # [(port, column), (port, column)]
-    vias: list  # cap markers ('top', j) / ('bot', i) the wire runs through
+    vias: list  # indices j of the top caps the wire runs through
 
 
 @dataclass
@@ -268,46 +257,37 @@ class Embedding:
     passages: list = field(default_factory=list)  # (crossing, enter_port, exit_port)
     pd: PDCode | None = None
 
-    def cap_edge_label(self, which: str, j: int) -> int:
+    def cap_wire(self, j: int) -> int:
+        """Wire index of the wire through top cap j."""
         for wi, w in enumerate(self.wires):
-            if (which, j) in w.vias:
-                return self.edge_label[wi]
-        raise PlatError(f"no wire through cap ({which}, {j})")
+            if j in w.vias:
+                return wi
+        raise PlatError(f"no wire through top cap {j}")
 
     def wire_at(self, letter_index: int, column: int) -> int:
         """Wire index of the strand hanging at `column` just before letter_index."""
-        state = self.snapshots[letter_index]
-        kind, val = state[column - 1]
-        if kind == "term":
-            return self.port_wire[val[0]]
-        # untouched cap column: the wire through that top cap
-        j = val
-        for wi, w in enumerate(self.wires):
-            if ("top", j) in w.vias:
-                return wi
-        raise PlatError("dangling column resolves to no wire")
+        kind, val = self.snapshots[letter_index][column - 1]
+        # an untouched column hangs from its top cap
+        return self.port_wire[val[0]] if kind == "term" else self.cap_wire(val)
 
 
 def _sweep(plat: PlatWord) -> Embedding:
     emb = Embedding(plat)
     S = plat.strands
-    # dangling[c] = ('term', port) strand ends above at a crossing port, or
-    #               ('peer', (other_col, vias)) still open through a top cap.
+    # dangling[c] = ('term', (port, col, vias)) strand ends above at a
+    #               crossing port, or ('peer', (other_col, j)) still open
+    #               through top cap j, untouched like its partner other_col.
     dangling: list = [None] * (S + 1)
     for j in range(1, S // 2 + 1):
         left, right = 2 * j - 1, 2 * j
-        dangling[left] = ("peer", (right, [("top", j)]))
-        dangling[right] = ("peer", (left, [("top", j)]))
+        dangling[left] = ("peer", (right, j))
+        dangling[right] = ("peer", (left, j))
 
     def snapshot():
-        out = []
-        for c in range(1, S + 1):
-            kind, val = dangling[c]
-            if kind == "term":
-                out.append(("term", val))
-            else:
-                out.append(("cap", val[1][0][1]))  # top cap index
-        return tuple(out)
+        return tuple(
+            ("term", val) if kind == "term" else ("cap", val[1])
+            for kind, val in dangling[1:]
+        )
 
     def close(term_a, col_a, term_b, col_b, vias):
         wi = len(emb.wires)
@@ -323,8 +303,8 @@ def _sweep(plat: PlatWord) -> Embedding:
             prev_port, prev_col, vias = val
             close(prev_port, prev_col, port, col, vias)
         else:
-            other, vias = val
-            dangling[other] = ("term", (port, col, vias))
+            other, j = val
+            dangling[other] = ("term", (port, col, [j]))
 
     for idx, (k, _s) in enumerate(plat.word):
         emb.snapshots.append(snapshot())
@@ -334,47 +314,25 @@ def _sweep(plat: PlatWord) -> Embedding:
         dangling[k + 1] = ("term", ((idx, "SE"), k + 1, []))
     emb.snapshots.append(snapshot())
 
+    # Bottom caps.  A column still "peer" here was never touched, nor was its
+    # partner in top cap i, which bottom cap i joins too: the two caps close a
+    # split circle.  Otherwise both columns hang from crossing ports and the
+    # cap closes one wire.
     for i in range(1, S // 2 + 1):
-        left, right = 2 * i - 1, 2 * i
-        a, b = dangling[left], dangling[right]
+        a, b = dangling[2 * i - 1], dangling[2 * i]
         if a is None or b is None:
             raise PlatError("internal sweep error")
-        if a[0] == "peer" and b[0] == "peer":
-            ac, avias = a[1]
-            if ac == right:
-                raise PlatError("closed split circle in plat (link, not knot)")
-            bc, bvias = b[1]
-            merged = avias + [("bot", i)] + bvias
-            dangling[ac] = ("peer", (bc, merged))
-            dangling[bc] = ("peer", (ac, merged))
-        elif a[0] == "peer":
-            ac, avias = a[1]
-            bp, bcol, bvias = b[1]
-            dangling[ac] = ("term", (bp, bcol, bvias + [("bot", i)] + avias))
-        elif b[0] == "peer":
-            bc, bvias = b[1]
-            ap, acol, avias = a[1]
-            dangling[bc] = ("term", (ap, acol, avias + [("bot", i)] + bvias))
-        else:
-            ap, acol, avias = a[1]
-            bp, bcol, bvias = b[1]
-            close(ap, acol, bp, bcol, avias + [("bot", i)] + bvias)
-        dangling[left] = dangling[right] = None
+        if a[0] == "peer" or b[0] == "peer":
+            raise PlatError("closed split circle in plat (link, not knot)")
+        (ap, acol, avias), (bp, bcol, bvias) = a[1], b[1]
+        close(ap, acol, bp, bcol, avias + bvias)
     return emb
 
 
 def _traverse(emb: Embedding):
     """Orient the knot and label wires 1..2n in traversal order."""
     plat = emb.plat
-    if not plat.word:
-        return
-    start = None
-    for wi, w in enumerate(emb.wires):
-        if ("top", 1) in w.vias:
-            start = wi
-            break
-    if start is None:
-        raise PlatError("no wire through top cap 1")
+    start = emb.cap_wire(1)
     # leave the cut through the right half of cap 1: head for the end that
     # consumed the higher column among the wire's two cap-adjacent ends
     (pa, ca), (pb, cb) = emb.wires[start].ends
@@ -402,9 +360,6 @@ def _traverse(emb: Embedding):
 
 def _build_pd(emb: Embedding):
     plat = emb.plat
-    if not plat.word:
-        emb.pd = PDCode(())
-        return
     enter_at: dict[tuple[int, str], int] = {}  # port -> traversal time (1-based)
     for t, (_ci, pin, _pout) in enumerate(emb.passages, start=1):
         enter_at[pin] = t
@@ -459,8 +414,6 @@ def chord_diagram_of_tangle(plat: PlatWord) -> ChordDiagram:
     pairs the over and under passage of one crossing, over endpoint first.
     """
     emb = build_embedding(plat)
-    if not plat.word:
-        return ChordDiagram(0, (), ())
     over_time: dict[int, int] = {}
     under_time: dict[int, int] = {}
     for t, (ci, pin, _pout) in enumerate(emb.passages, start=1):
@@ -487,7 +440,7 @@ def bridge_regions(plat: PlatWord) -> dict[int, int | None]:
     emb = build_embedding(plat)
     out: dict[int, int | None] = {1: None}
     for j in range(2, plat.bridges + 1):
-        out[j] = emb.cap_edge_label("top", j) - 1
+        out[j] = emb.edge_label[emb.cap_wire(j)] - 1
     return out
 
 

@@ -16,7 +16,12 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from spunslice.decker import NORTH, SOUTH, validate_curve
-from spunslice.diagrams import PlatError, PlatWord, closure_components
+from spunslice.diagrams import (
+    PlatError,
+    PlatWord,
+    closure_components,
+    strand_permutation,
+)
 from spunslice.groups.presentations import GroupPresentation, Word
 from spunslice.groups.toddcoxeter import DEFAULT_MAX_COSETS, CosetResult
 
@@ -555,3 +560,26 @@ def todd_coxeter_lists(
             row.append(renum[find(e)])
         final.append(tuple(row))
     return CosetResult("complete", len(live), tuple(final), len(table), max_cosets)
+
+
+# The strand-and-cap walk, the reference for the union-find over `_classes`
+# in `diagrams.closure_components`: follow each strand down, across its
+# bottom cap, back up and across its top cap until the component closes.
+def closure_components_walk(plat: PlatWord) -> int:
+    perm = strand_permutation(plat)
+    n = plat.strands
+    seen = [False] * (n + 1)
+    comps = 0
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        comps += 1
+        c = start
+        while not seen[c]:
+            seen[c] = True
+            d = perm[c - 1]  # follow strand down
+            d = d + 1 if d % 2 else d - 1  # bottom cap
+            e = perm.index(d) + 1  # back up the strand ending there
+            seen[e] = True
+            c = e + 1 if e % 2 else e - 1  # top cap
+    return comps

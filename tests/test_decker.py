@@ -312,3 +312,13 @@ def test_higher_resolution_still_passes():
     ds = spin_plat(KINK, 32)
     assert ds.m == 32
     assert check_slice_criterion(ds, trace_double_curve(ds)) == "pass-forward"
+
+
+@pytest.mark.parametrize("m", [8, 15])
+def test_decker_sets_below_the_one_bound_are_rejected_where_built(m):
+    message = f"resolution {m} too small for the doubled curve; need at least 16"
+    with pytest.raises(PlatError, match=message):
+        spin_plat(TREFOIL, m)
+    text = format_decker(spin_plat(TREFOIL)).replace("resolution 24", f"resolution {m}")
+    with pytest.raises(PlatError, match=message):
+        parse_decker(text)

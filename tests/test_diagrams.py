@@ -12,6 +12,7 @@ from conftest import (
     TREFOIL_NEG,
     TWO_COMPONENT,
     UNKNOT,
+    closure_components_walk,
 )
 from spunslice.diagrams import (
     PDCode,
@@ -264,3 +265,21 @@ def test_random_knot_closures_have_consistent_chords(plat):
     assert cd.n == len(plat.word)
     points = [p for ch in cd.chords for p in ch]
     assert sorted(points) == list(range(1, 2 * cd.n + 1))
+
+
+@st.composite
+def wide_plat_words(draw):
+    strands = draw(st.sampled_from([2, 4, 6, 8, 10]))
+    n = draw(st.integers(min_value=0, max_value=3 * strands))
+    word = tuple(
+        (draw(st.integers(1, strands - 1)), draw(st.sampled_from([1, -1])))
+        for _ in range(n)
+    )
+    return PlatWord(strands, word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_plat_words())
+def test_closure_components_matches_the_strand_walk(plat):
+    # links included: the union-find must count every component the walk does
+    assert closure_components(plat) == closure_components_walk(plat)
