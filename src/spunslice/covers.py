@@ -295,8 +295,6 @@ def alexander_det(pd: PDCode) -> int:
     Jacobian equals Delta(t) up to a unit +-t^k, and at t = -1 every unit
     has absolute value 1, so no polynomial normalization is needed.
     """
-    if not pd.crossings:
-        return 1
     ngen, _arc, relations = wirtinger_relations(pd)
     rows = _fox_int_matrix(relations, ngen, -1)
     minor = [r[:-1] for r in rows[:-1]]

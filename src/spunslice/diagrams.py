@@ -17,6 +17,8 @@ Conventions used throughout:
 * Orientation and edge labels come from traversing the knot starting inside
   the leftmost top cap, leaving through its right half (down column 2).
 * The (1,1)-tangle of a plat is the knot cut open inside top cap 1.
+* The 0-crossing unknot (2 strands, empty word) is one port-less wire
+  through cap 1: edge 1, Wirtinger arc 1, and an empty PD code.
 """
 
 from __future__ import annotations
@@ -133,8 +135,9 @@ def wirtinger_relations(pd: PDCode):
     Arcs are the classes of edges joined through the over-strand (b ~ d) of
     every crossing, numbered from 0 in the order of their lowest edge label.
     """
-    classes = _classes(pd.n_edges, ((b - 1, d - 1) for _a, b, _c, d, _s in pd.crossings))
-    arc = {e: classes[e - 1] for e in range(1, pd.n_edges + 1)}
+    n_edges = pd.n_edges or 1  # the 0-crossing unknot is one edge
+    classes = _classes(n_edges, ((b - 1, d - 1) for _a, b, _c, d, _s in pd.crossings))
+    arc = {e: classes[e - 1] for e in range(1, n_edges + 1)}
     relations = [(arc[b], s, arc[a], arc[c]) for a, b, c, _d, s in pd.crossings]
     return len(set(classes)), arc, relations
 
@@ -248,13 +251,13 @@ class _Wire:
 class Embedding:
     """Planar data for a plat diagram: wires, ports, and a knot traversal."""
 
-    plat: PlatWord
     wires: list = field(default_factory=list)
     port_wire: dict = field(default_factory=dict)
     snapshots: list = field(default_factory=list)  # dangling state before each letter
     edge_order: list = field(default_factory=list)  # wire index per traversal label
     edge_label: dict = field(default_factory=dict)  # wire index -> 1-based label
     passages: list = field(default_factory=list)  # (crossing, enter_port, exit_port)
+    chords: tuple = ()  # (over entry time, under entry time) per crossing
     pd: PDCode | None = None
 
     def cap_wire(self, j: int) -> int:
@@ -272,7 +275,7 @@ class Embedding:
 
 
 def _sweep(plat: PlatWord) -> Embedding:
-    emb = Embedding(plat)
+    emb = Embedding()
     S = plat.strands
     # dangling[c] = ('term', (port, col, vias)) strand ends above at a
     #               crossing port, or ('peer', (other_col, j)) still open
@@ -298,7 +301,6 @@ def _sweep(plat: PlatWord) -> Embedding:
 
     def consume(col, port):
         kind, val = dangling[col]
-        dangling[col] = None
         if kind == "term":
             prev_port, prev_col, vias = val
             close(prev_port, prev_col, port, col, vias)
@@ -315,23 +317,21 @@ def _sweep(plat: PlatWord) -> Embedding:
     emb.snapshots.append(snapshot())
 
     # Bottom caps.  A column still "peer" here was never touched, nor was its
-    # partner in top cap i, which bottom cap i joins too: the two caps close a
-    # split circle.  Otherwise both columns hang from crossing ports and the
-    # cap closes one wire.
+    # partner in top cap i, which bottom cap i joins too: in a knot that is the
+    # 2-strand empty word, one port-less wire.  Otherwise both columns hang
+    # from crossing ports and the cap closes one wire.
     for i in range(1, S // 2 + 1):
         a, b = dangling[2 * i - 1], dangling[2 * i]
-        if a is None or b is None:
-            raise PlatError("internal sweep error")
-        if a[0] == "peer" or b[0] == "peer":
-            raise PlatError("closed split circle in plat (link, not knot)")
+        if a[0] == "peer":
+            close(None, 2 * i - 1, None, 2 * i, [i])
+            continue
         (ap, acol, avias), (bp, bcol, bvias) = a[1], b[1]
         close(ap, acol, bp, bcol, avias + bvias)
     return emb
 
 
-def _traverse(emb: Embedding):
+def _traverse(emb: Embedding, plat: PlatWord):
     """Orient the knot and label wires 1..2n in traversal order."""
-    plat = emb.plat
     start = emb.cap_wire(1)
     # leave the cut through the right half of cap 1: head for the end that
     # consumed the higher column among the wire's two cap-adjacent ends
@@ -358,8 +358,7 @@ def _traverse(emb: Embedding):
         raise PlatError("traversal did not close after visiting every crossing twice")
 
 
-def _build_pd(emb: Embedding):
-    plat = emb.plat
+def _build_pd(emb: Embedding, plat: PlatWord):
     enter_at: dict[tuple[int, str], int] = {}  # port -> traversal time (1-based)
     for t, (_ci, pin, _pout) in enumerate(emb.passages, start=1):
         enter_at[pin] = t
@@ -368,6 +367,7 @@ def _build_pd(emb: Embedding):
         return emb.edge_label[emb.port_wire[port]]
 
     crossings = []
+    chords = []
     for ci, (k, s) in enumerate(plat.word):
         over_pair = ("NW", "SE") if s == 1 else ("NE", "SW")
         under_pair = ("NE", "SW") if s == 1 else ("NW", "SE")
@@ -382,19 +382,25 @@ def _build_pd(emb: Embedding):
         over_in = next(cn for cn in over_pair if (ci, cn) in enter_at)
         sign = 1 if over_in == cyc[3] else -1
         crossings.append((a, b, c, d, sign))
+        chords.append((enter_at[(ci, over_in)], enter_at[(ci, under_in)]))
     emb.pd = PDCode(tuple(crossings))
+    emb.chords = tuple(chords)
 
 
 def build_embedding(plat: PlatWord) -> Embedding:
-    """Full planar bookkeeping for a validated plat: wires, traversal, PD."""
-    validate_plat(plat)
-    if not plat.word:
-        emb = Embedding(plat)
-        emb.pd = PDCode(())
-        return emb
-    emb = _sweep(plat)
-    _traverse(emb)
-    _build_pd(emb)
+    """Full planar bookkeeping for a validated plat: wires, traversal, PD.
+
+    Built on the first call and kept on the plat object, so every consumer
+    of one plat shares one sweep.  The result is read-only and holds no
+    reference to the plat, so it is freed with it.
+    """
+    emb = plat.__dict__.get("_embedding")
+    if emb is None:
+        validate_plat(plat)
+        emb = _sweep(plat)
+        _traverse(emb, plat)
+        _build_pd(emb, plat)
+        object.__setattr__(plat, "_embedding", emb)
     return emb
 
 
@@ -414,21 +420,8 @@ def chord_diagram_of_tangle(plat: PlatWord) -> ChordDiagram:
     pairs the over and under passage of one crossing, over endpoint first.
     """
     emb = build_embedding(plat)
-    over_time: dict[int, int] = {}
-    under_time: dict[int, int] = {}
-    for t, (ci, pin, _pout) in enumerate(emb.passages, start=1):
-        k, s = plat.word[ci]
-        over_pair = ("NW", "SE") if s == 1 else ("NE", "SW")
-        if pin[1] in over_pair:
-            over_time[ci] = t
-        else:
-            under_time[ci] = t
-    chords = []
-    signs = []
-    for ci in range(len(plat.word)):
-        chords.append((over_time[ci], under_time[ci]))
-        signs.append(emb.pd.crossings[ci][4])
-    return ChordDiagram(len(plat.word), tuple(chords), tuple(signs))
+    signs = tuple(crossing[4] for crossing in emb.pd.crossings)
+    return ChordDiagram(len(plat.word), emb.chords, signs)
 
 
 def bridge_regions(plat: PlatWord) -> dict[int, int | None]:

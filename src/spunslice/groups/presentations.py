@@ -89,8 +89,6 @@ def wirtinger(pd: PDCode) -> GroupPresentation:
     x_over^s x_in x_over^-s x_out^-1 with s the crossing sign.  The
     0-crossing unknot gives <x_1 | >.
     """
-    if not pd.crossings:
-        return GroupPresentation(1, (), frozenset({1}))
     ngen, _arc, relations = wirtinger_relations(pd)
     relators = []
     for over, s, ain, cout in relations:

@@ -2,9 +2,12 @@
 
 The coset table is one flat `array('i')` with entry (coset, col) at
 coset * ncols + col.  Generator g owns columns 2g-2 (g) and 2g-1 (g^-1), so
-col ^ 1 is the inverse column; -1 marks an undefined entry.  A coset costs
-4 bytes x 2n columns: about 1.26 GB for the 79-generator T(3,7) cover at the
-default budget of 2,000,000 cosets.
+col ^ 1 is the inverse column; -1 marks an undefined entry.  The union-find
+over cosets lives in the same table: when coset y merges into x, the first
+entry of y's row, which is never read as a table entry again, becomes
+-2 - x.  So the table is the only buffer that grows during an enumeration,
+and a coset costs 4 bytes x 2n columns: about 1.26 GB for the 79-generator
+T(3,7) cover at the default budget of 2,000,000 cosets.
 
 Termination is never guaranteed for infinite-index subgroups, so the
 enumerator carries an explicit coset budget and returns a typed
@@ -50,15 +53,20 @@ def todd_coxeter(
     ngens = pres.n_generators
     ncols = 2 * ngens
     relators = [_columns(r, ngens) for r in pres.simplified().relators if r]
+    words = [_columns(w, ngens) for w in subgroup]
+    if not ncols:  # the trivial group: one coset, and no row to hold the union-find
+        return CosetResult("complete", 1, ((),), 1, max_cosets)
     blank = array("i", [-1]) * ncols
-    table = array("i", blank)
-    parent = [0]  # union-find over cosets; its length is the coset count
+    table = array("i", blank)  # its length is ncols x the coset count
     pending: list[tuple[int, int]] = []  # forced equalities queue
 
     def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+        while (p := table[x * ncols]) < -1:
+            q = table[(-2 - p) * ncols]
+            if q >= -1:
+                return -2 - p
+            table[x * ncols] = q  # path halving
+            x = -2 - q
         return x
 
     def set_entry(a: int, col: int, b: int):
@@ -84,13 +92,15 @@ def todd_coxeter(
                 continue
             if x > y:
                 x, y = y, x
-            parent[y] = x  # y dies, x survives
+            row = table[y * ncols : y * ncols + ncols]
+            table[y * ncols] = -2 - x  # y dies, x survives
             # no write below touches row y: find never returns y again
             base = x * ncols
-            for col, e in enumerate(table[y * ncols : y * ncols + ncols]):
+            for col, e in enumerate(row):
                 if e == -1:
                     continue
-                e = find(e)
+                if table[e * ncols] < -1:
+                    e = find(e)
                 cur = table[base + col]
                 if cur == -1:
                     table[base + col] = e
@@ -113,7 +123,7 @@ def todd_coxeter(
             nxt = table[f * ncols + word[i]]
             if nxt == -1:
                 break
-            f = nxt if parent[nxt] == nxt else find(nxt)
+            f = nxt if table[nxt * ncols] >= -1 else find(nxt)
             i += 1
         # backward from the end
         b = coset
@@ -122,7 +132,7 @@ def todd_coxeter(
             prev = table[b * ncols + (word[j - 1] ^ 1)]
             if prev == -1:
                 break
-            b = prev if parent[prev] == prev else find(prev)
+            b = prev if table[prev * ncols] >= -1 else find(prev)
             j -= 1
         if j == i:
             # the two scans meet: force f = b
@@ -132,10 +142,9 @@ def todd_coxeter(
             return True
         # genuine gap: define new cosets for all but the last position
         while j > i + 1:
-            if len(parent) >= max_cosets:
+            c = len(table) // ncols
+            if c >= max_cosets:
                 return False
-            c = len(parent)
-            parent.append(c)
             table.extend(blank)
             set_entry(f, word[i], c)
             f = find(c)
@@ -144,35 +153,35 @@ def todd_coxeter(
         return True
 
     def inconclusive() -> CosetResult:
-        return CosetResult("inconclusive", None, None, len(parent), max_cosets)
+        return CosetResult("inconclusive", None, None, len(table) // ncols, max_cosets)
 
-    for w in subgroup:
-        if not scan(0, _columns(w, ngens)):
+    for w in words:
+        if not scan(0, w):
             return inconclusive()
 
     idx = 0
-    while idx < len(parent):
-        if parent[idx] == idx:
+    while idx < len(table) // ncols:
+        if table[idx * ncols] >= -1:
             for r in relators:
                 if not scan(idx, r):
                     return inconclusive()
-                if parent[idx] != idx:
+                if table[idx * ncols] < -1:
                     break
             else:
                 # idx stays live: a fresh coset closes a hole without coincidence
                 for col in range(ncols):
                     if table[idx * ncols + col] == -1:
-                        if len(parent) >= max_cosets:
+                        c = len(table) // ncols
+                        if c >= max_cosets:
                             return inconclusive()
-                        c = len(parent)
-                        parent.append(c)
                         table.extend(blank)
                         table[idx * ncols + col] = c
                         table[c * ncols + (col ^ 1)] = idx
         idx += 1
 
     # compress to live cosets
-    live = [c for c in range(len(parent)) if parent[c] == c]
+    defined = len(table) // ncols
+    live = [c for c in range(defined) if table[c * ncols] >= -1]
     renum = {c: k for k, c in enumerate(live)}
     final = []
     for c in live:
@@ -180,7 +189,7 @@ def todd_coxeter(
         if -1 in row:
             raise RuntimeError("incomplete table reported as complete")
         final.append(tuple(renum[find(e)] for e in row))
-    return CosetResult("complete", len(live), tuple(final), len(parent), max_cosets)
+    return CosetResult("complete", len(live), tuple(final), defined, max_cosets)
 
 
 def regular_representation(result: CosetResult) -> list[list[int]]:

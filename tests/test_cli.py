@@ -1,14 +1,20 @@
 """Command-line runs pinned byte for byte: golden certificates, every
-subcommand, and the one resolution bound of the slice-curve commands."""
+subcommand, the one resolution bound of the slice-curve commands and the
+0-crossing unknot; and fuzzed plat text, which never ends in exit 4."""
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spunslice.cli import main
 from spunslice.corpus import shipped_manifest_path
+from spunslice.diagrams import PlatWord, closure_components
 
 PLATS = shipped_manifest_path().parent / "plats"
 TREFOIL_PLAT = str(PLATS / "trefoil.plat")
@@ -125,3 +131,101 @@ def test_cli_resolution_below_16_is_rejected_with_one_message(command, m, capsys
 def test_cli_resolution_16_is_accepted(command, capsys):
     assert main(SLICE_CURVE_COMMANDS[command] + ["--resolution", "16"]) == 0
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# the 0-crossing unknot: a 2-strand plat with no letters
+# ---------------------------------------------------------------------------
+
+UNKNOT_PINS = {
+    "cobordism": (
+        ["cobordism", "--twists", "2"], 0,
+        "band bridge 1 framing -1 half-twists 2 arcs 1,1\n"
+        "linking-diagonal 1\n"
+        "definiteness positive\n",
+    ),
+    "pi1": (["pi1"], 0, "gens 1\nmeridians 1\nabelianization Z\n"),
+    "det": (["det", "--twists", "2"], 0, "checkerboard 1 fox 1\ndeterminant 1\n"),
+    "cover-h1": (["cover-h1"], 0, "cover-h1 0\ncover-h1-order 1\ndeterminant 1\n"),
+}
+
+
+@pytest.fixture
+def unknot_plat(tmp_path) -> str:
+    path = tmp_path / "unknot.plat"
+    path.write_text("strands 2\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(UNKNOT_PINS))
+def test_cli_unknot_output_is_pinned(command, unknot_plat, capsys):
+    argv, rc, stdout = UNKNOT_PINS[command]
+    assert main(argv[:1] + [unknot_plat] + argv[1:]) == rc
+    assert capsys.readouterr() == (stdout, "")
+
+
+@pytest.mark.parametrize("twists", ["2", "-2"])
+def test_cli_unknot_certify_fails_at_the_base_cover(twists, unknot_plat, capsys):
+    assert main(["certify", unknot_plat, "--twists", twists]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.endswith("verdict failed: base-cover-binary-icosahedral\n")
+    assert captured.err == ""
+
+
+# ---------------------------------------------------------------------------
+# plat text fuzz: every command exits with a result or an input error
+# ---------------------------------------------------------------------------
+
+_STRAY_LINES = st.one_of(
+    st.sampled_from(["", "# comment", "  g1 -  # trailing", "strands 4", "strands", "strands x",
+                     "g", "g1", "g1 *", "gx +", "g0 +", "g9 -", "g1 + +", "h1 +"]),
+    st.text(alphabet="gs0123456789+- #x", max_size=10),
+)
+
+
+@st.composite
+def _plat_text(draw) -> str:
+    """`strands N` (rarely missing), up to 12 in-range letters, half the time
+    closed up into a knot by at most 3 more, and sometimes stray lines,
+    harmless or garbage, anywhere after the strands line."""
+    strands = draw(st.one_of(st.sampled_from([2, 4, 6, 8]), st.integers(min_value=0, max_value=8)))
+    letter = st.tuples(st.integers(min_value=1, max_value=max(strands - 1, 1)), st.sampled_from([1, -1]))
+    word = draw(st.lists(letter, max_size=12))
+    if strands in (2, 4, 6, 8) and draw(st.booleans()):
+        # sigma_k for even k joins the components through bottom caps k/2 and k/2 + 1
+        for k in range(2, strands - 1, 2):
+            joined = PlatWord(strands, word + [(k, 1)])
+            if closure_components(joined) < closure_components(PlatWord(strands, word)):
+                word.append((k, 1))
+    lines = [f"g{k} {'+' if s == 1 else '-'}" for k, s in word]
+    header = draw(st.sampled_from(range(10))) > 0
+    if header:
+        lines.insert(0, f"strands {strands}")
+    if draw(st.booleans()):
+        for stray in draw(st.lists(_STRAY_LINES, min_size=1, max_size=2)):
+            lines.insert(draw(st.integers(min_value=int(header), max_value=len(lines))), stray)
+    return "\n".join(lines) + "\n"
+
+
+_FUZZ_COMMANDS = ["validate", "det", "goeritz", "pi1", "cover-h1", "symunion", "cobordism", "slice-check"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _plat_text(),
+    st.sampled_from(_FUZZ_COMMANDS),
+    st.one_of(st.none(), st.lists(st.sampled_from([-2, 0, 2]), min_size=1, max_size=4)),
+)
+@example("strands 2\n", "cobordism", [2])
+def test_cli_plat_text_fuzz_exits_with_a_result_or_an_input_error(text, command, twists):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.plat"
+        path.write_text(text)
+        argv = [command, str(path)]
+        if twists is not None:
+            argv.append("--twists=" + ",".join(map(str, twists)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "internal error" not in err.getvalue()

@@ -60,6 +60,29 @@ def test_coset_table_costs_at_most_five_bytes_per_cell():
     assert peak <= 5 * cells
 
 
+def test_the_union_find_costs_no_buffer_of_its_own():
+    # the union-find lives in the dead rows, so past the 4 bytes per cell only
+    # the table's own growth slack remains; a separate parent list of Python
+    # ints takes 4.43 bytes per cell here and fails
+    pres = branched_cover_presentation(wirtinger(plat_to_pd(t3_plat(7))))
+    cells = 20_000 * 2 * pres.n_generators
+    tracemalloc.start()
+    try:
+        todd_coxeter(pres, max_cosets=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.3 * cells
+
+
+def test_the_trivial_group_has_one_coset():
+    pres = GroupPresentation(0, ((),))
+    assert todd_coxeter(pres, ((),), 5) == todd_coxeter_lists(pres, ((),), 5)
+    assert todd_coxeter(pres).index == 1
+    with pytest.raises(ValueError, match="out of range"):
+        todd_coxeter(pres, ((), (1,)))
+
+
 def test_subgroup_letters_out_of_range_are_rejected():
     # a flat table would read another coset's row for such a letter
     pres = GroupPresentation(2, ((1, 1), (2, 2)))
