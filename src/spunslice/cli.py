@@ -81,7 +81,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_plat(path: str) -> PlatWord:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 text
         raise CliInputError(f"cannot read plat file {path}: {exc}") from exc
     plat = parse_plat(text)
     validate_plat(plat)

@@ -94,14 +94,19 @@ def corpus_run(manifest_path: str | Path) -> CorpusReport:
     manifest_path = Path(manifest_path)
     try:
         text = manifest_path.read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 text
         raise CorpusError(f"cannot read manifest {manifest_path}: {exc}") from exc
     entries = _parse_manifest(text, manifest_path.parent)
 
     rows = []
     for ln, name, plat_file, twists, expected, path in entries:
         try:
-            plat = parse_plat(path.read_text())
+            # ValueError: not UTF-8 text, or a NUL byte in the path
+            text = path.read_text()
+        except (OSError, ValueError) as exc:
+            raise CorpusError(f"manifest line {ln} ({name}): {exc}") from exc
+        try:
+            plat = parse_plat(text)
             if twists is None:
                 knot = plat
             else:
@@ -109,8 +114,6 @@ def corpus_run(manifest_path: str | Path) -> CorpusReport:
             pd = plat_to_pd(knot)
             det_g = goeritz_determinant(pd)
             det_a = alexander_det(pd)
-        except OSError as exc:
-            raise CorpusError(f"manifest line {ln} ({name}): {exc}") from exc
         except PlatError as exc:
             raise CorpusError(f"manifest line {ln} ({name}): {exc}") from exc
         rows.append(CorpusRow(name, plat_file, twists, expected, det_g, det_a))

@@ -15,15 +15,18 @@ Conventions used throughout:
   around the crossing starting from the incoming under-edge a, so c is the
   outgoing under-edge.  sign = +1 exactly when the over-strand runs d -> b.
 * Orientation and edge labels come from traversing the knot starting inside
-  the leftmost top cap, leaving through its right half (down column 2).
+  the leftmost top cap.  When a letter g1 touches column 1 the traversal
+  leaves the cap down column 2; otherwise it leaves down column 1, turns
+  through bottom cap 1 and enters column 2 from below.
 * The (1,1)-tangle of a plat is the knot cut open inside top cap 1.
-* The 0-crossing unknot (2 strands, empty word) is one port-less wire
-  through cap 1: edge 1, Wirtinger arc 1, and an empty PD code.
+* The 0-crossing unknot (2 strands, empty word) is one edge through cap 1
+  and no crossing: edge 1, Wirtinger arc 1, and an empty PD code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from itertools import chain
 
 
@@ -231,175 +234,89 @@ def mirror(plat: PlatWord) -> PlatWord:
 
 
 # ---------------------------------------------------------------------------
-# planar embedding sweep
-#
-# The sweep walks the word top to bottom maintaining, per column, the open
-# strand hanging there.  Wires record maximal diagram edges between crossing
-# ports (caps are interior to wires; the top caps are remembered in `vias`).
+# planar embedding: one walk along the knot
 
 _DIAG = {"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}
 _CCW = ("NE", "NW", "SW", "SE")  # counterclockwise port order at a crossing
 
 
-@dataclass
-class _Wire:
-    ends: list  # [(port, column), (port, column)]
-    vias: list  # indices j of the top caps the wire runs through
-
-
-@dataclass
+@dataclass(frozen=True)
 class Embedding:
-    """Planar data for a plat diagram: wires, ports, and a knot traversal."""
+    """Edge labels of a plat diagram in traversal order, and its PD code.
 
-    wires: list = field(default_factory=list)
-    port_wire: dict = field(default_factory=dict)
-    snapshots: list = field(default_factory=list)  # dangling state before each letter
-    edge_order: list = field(default_factory=list)  # wire index per traversal label
-    edge_label: dict = field(default_factory=dict)  # wire index -> 1-based label
-    passages: list = field(default_factory=list)  # (crossing, enter_port, exit_port)
-    chords: tuple = ()  # (over entry time, under entry time) per crossing
-    pd: PDCode | None = None
+    Edge 1 runs through top cap 1.  Passage t along the knot enters its
+    crossing on edge t and leaves it on edge t+1, where edge 2n+1 is edge 1.
+    """
 
-    def cap_wire(self, j: int) -> int:
-        """Wire index of the wire through top cap j."""
-        for wi, w in enumerate(self.wires):
-            if j in w.vias:
-                return wi
-        raise PlatError(f"no wire through top cap {j}")
-
-    def wire_at(self, letter_index: int, column: int) -> int:
-        """Wire index of the strand hanging at `column` just before letter_index."""
-        kind, val = self.snapshots[letter_index][column - 1]
-        # an untouched column hangs from its top cap
-        return self.port_wire[val[0]] if kind == "term" else self.cap_wire(val)
+    port_label: dict  # (crossing, port) -> label of the edge at that port
+    cap_label: dict  # top cap j -> label of the edge through it
+    chords: tuple  # (over entry time, under entry time) per crossing
+    pd: PDCode
 
 
 def _sweep(plat: PlatWord) -> Embedding:
-    emb = Embedding()
-    S = plat.strands
-    # dangling[c] = ('term', (port, col, vias)) strand ends above at a
-    #               crossing port, or ('peer', (other_col, j)) still open
-    #               through top cap j, untouched like its partner other_col.
-    dangling: list = [None] * (S + 1)
-    for j in range(1, S // 2 + 1):
-        left, right = 2 * j - 1, 2 * j
-        dangling[left] = ("peer", (right, j))
-        dangling[right] = ("peer", (left, j))
+    """Walk the knot once from inside top cap 1 and label edges as they come.
 
-    def snapshot():
-        return tuple(
-            ("term", val) if kind == "term" else ("cap", val[1])
-            for kind, val in dangling[1:]
-        )
+    Going down a column the walk meets the next letter below that touches
+    it, going up the next letter above; past the last letter it turns
+    through a bottom cap into the partner column, past the first through a
+    top cap.  A letter (k, s) touches columns k and k+1 and sends the walk
+    on along its other column.  The walk leaves cap 1 down column 2 when a
+    letter g1 touches column 1, and down column 1 otherwise.
+    """
+    word = plat.word
+    n2 = 2 * len(word)
+    touching: list[list[int]] = [[] for _ in range(plat.strands + 1)]
+    for ci, (k, _s) in enumerate(word):
+        touching[k].append(ci)
+        touching[k + 1].append(ci)
+    port_label: dict[tuple[int, str], int] = {}
+    cap_label = {1: 1}
+    entries: list[list[str]] = [[] for _ in word]  # ports each crossing is entered at
+    col, down, at = (2 if touching[1] else 1), True, -1
+    for t in range(1, n2 + 1):
+        while True:
+            line = touching[col]
+            i = bisect_right(line, at) if down else bisect_left(line, at) - 1
+            if 0 <= i < len(line):
+                break
+            col += 1 if col % 2 else -1  # through a cap into the partner column
+            if not down:
+                cap_label[(col + 1) // 2] = t
+            down, at = not down, (len(word) if down else -1)
+        ci = line[i]
+        k = word[ci][0]
+        port = ("N" if down else "S") + ("W" if col == k else "E")
+        port_label[ci, port] = t
+        port_label[ci, _DIAG[port]] = t % n2 + 1
+        entries[ci].append(port)
+        col, at = 2 * k + 1 - col, ci
 
-    def close(term_a, col_a, term_b, col_b, vias):
-        wi = len(emb.wires)
-        emb.wires.append(_Wire([(term_a, col_a), (term_b, col_b)], list(vias)))
-        for t in (term_a, term_b):
-            if t is not None:
-                emb.port_wire[t] = wi
-
-    def consume(col, port):
-        kind, val = dangling[col]
-        if kind == "term":
-            prev_port, prev_col, vias = val
-            close(prev_port, prev_col, port, col, vias)
-        else:
-            other, j = val
-            dangling[other] = ("term", (port, col, [j]))
-
-    for idx, (k, _s) in enumerate(plat.word):
-        emb.snapshots.append(snapshot())
-        consume(k, (idx, "NW"))
-        consume(k + 1, (idx, "NE"))
-        dangling[k] = ("term", ((idx, "SW"), k, []))
-        dangling[k + 1] = ("term", ((idx, "SE"), k + 1, []))
-    emb.snapshots.append(snapshot())
-
-    # Bottom caps.  A column still "peer" here was never touched, nor was its
-    # partner in top cap i, which bottom cap i joins too: in a knot that is the
-    # 2-strand empty word, one port-less wire.  Otherwise both columns hang
-    # from crossing ports and the cap closes one wire.
-    for i in range(1, S // 2 + 1):
-        a, b = dangling[2 * i - 1], dangling[2 * i]
-        if a[0] == "peer":
-            close(None, 2 * i - 1, None, 2 * i, [i])
-            continue
-        (ap, acol, avias), (bp, bcol, bvias) = a[1], b[1]
-        close(ap, acol, bp, bcol, avias + bvias)
-    return emb
-
-
-def _traverse(emb: Embedding, plat: PlatWord):
-    """Orient the knot and label wires 1..2n in traversal order."""
-    start = emb.cap_wire(1)
-    # leave the cut through the right half of cap 1: head for the end that
-    # consumed the higher column among the wire's two cap-adjacent ends
-    (pa, ca), (pb, cb) = emb.wires[start].ends
-    first_port = pa if ca > cb else pb
-
-    emb.edge_label[start] = 1
-    emb.edge_order.append(start)
-    port = first_port
-    n2 = 2 * len(plat.word)
-    for _step in range(n2):
-        ci, corner = port
-        exit_corner = _DIAG[corner]
-        exit_port = (ci, exit_corner)
-        emb.passages.append((ci, port, exit_port))
-        nwire = emb.port_wire[exit_port]
-        if nwire == start:
-            break
-        emb.edge_label[nwire] = len(emb.edge_order) + 1
-        emb.edge_order.append(nwire)
-        (pa, ca), (pb, cb) = emb.wires[nwire].ends
-        port = pb if pa == exit_port else pa
-    if len(emb.passages) != n2:
-        raise PlatError("traversal did not close after visiting every crossing twice")
-
-
-def _build_pd(emb: Embedding, plat: PlatWord):
-    enter_at: dict[tuple[int, str], int] = {}  # port -> traversal time (1-based)
-    for t, (_ci, pin, _pout) in enumerate(emb.passages, start=1):
-        enter_at[pin] = t
-
-    def label_of(port):
-        return emb.edge_label[emb.port_wire[port]]
-
-    crossings = []
-    chords = []
-    for ci, (k, s) in enumerate(plat.word):
-        over_pair = ("NW", "SE") if s == 1 else ("NE", "SW")
-        under_pair = ("NE", "SW") if s == 1 else ("NW", "SE")
-        under_in = next(c for c in under_pair if (ci, c) in enter_at)
-        # CCW cycle starting at the incoming under corner
+    crossings, chords = [], []
+    for ci, (_k, s) in enumerate(word):
+        p, q = entries[ci]
+        over_in, under_in = (p, q) if (p in ("NW", "SE")) == (s == 1) else (q, p)
+        # CCW cycle starting at the incoming under port
         i0 = _CCW.index(under_in)
-        cyc = [_CCW[(i0 + t) % 4] for t in range(4)]
-        a = label_of((ci, cyc[0]))
-        b = label_of((ci, cyc[1]))
-        c = label_of((ci, cyc[2]))
-        d = label_of((ci, cyc[3]))
-        over_in = next(cn for cn in over_pair if (ci, cn) in enter_at)
-        sign = 1 if over_in == cyc[3] else -1
-        crossings.append((a, b, c, d, sign))
-        chords.append((enter_at[(ci, over_in)], enter_at[(ci, under_in)]))
-    emb.pd = PDCode(tuple(crossings))
-    emb.chords = tuple(chords)
+        a, b, c, d = (port_label[ci, _CCW[(i0 + r) % 4]] for r in range(4))
+        crossings.append((a, b, c, d, 1 if over_in == _CCW[(i0 + 3) % 4] else -1))
+        # an entry port's label is the time of its passage
+        chords.append((port_label[ci, over_in], port_label[ci, under_in]))
+    return Embedding(port_label, cap_label, tuple(chords), PDCode(tuple(crossings)))
 
 
 def build_embedding(plat: PlatWord) -> Embedding:
-    """Full planar bookkeeping for a validated plat: wires, traversal, PD.
+    """Edge labels, chords and PD code of a validated plat, from one walk
+    along the knot.
 
     Built on the first call and kept on the plat object, so every consumer
-    of one plat shares one sweep.  The result is read-only and holds no
+    of one plat shares one walk.  The result is read-only and holds no
     reference to the plat, so it is freed with it.
     """
     emb = plat.__dict__.get("_embedding")
     if emb is None:
         validate_plat(plat)
         emb = _sweep(plat)
-        _traverse(emb, plat)
-        _build_pd(emb, plat)
         object.__setattr__(plat, "_embedding", emb)
     return emb
 
@@ -433,7 +350,7 @@ def bridge_regions(plat: PlatWord) -> dict[int, int | None]:
     emb = build_embedding(plat)
     out: dict[int, int | None] = {1: None}
     for j in range(2, plat.bridges + 1):
-        out[j] = emb.edge_label[emb.cap_wire(j)] - 1
+        out[j] = emb.cap_label[j] - 1
     return out
 
 
@@ -587,9 +504,17 @@ def band_arcs(su: SymmetricUnion):
     """
     emb = build_embedding(su.untwisted)
     _n, arc, _relations = wirtinger_relations(emb.pd)
+    word = su.untwisted.word
 
     def strand_arc(site: BandSite, column: int) -> int:
-        return arc[emb.edge_label[emb.wire_at(site.index0, column)]] + 1
+        # the edge leaving the last letter above the site on this column,
+        # through its SW or SE port; with none, the edge through the
+        # column's top cap
+        above = (ci for ci in range(site.index0 - 1, -1, -1) if word[ci][0] in (column - 1, column))
+        ci = next(above, None)
+        if ci is None:
+            return arc[emb.cap_label[(column + 1) // 2]] + 1
+        return arc[emb.port_label[ci, "SW" if word[ci][0] == column else "SE"]] + 1
 
     bands = tuple(
         (site, tuple(strand_arc(site, column) for column in site.columns))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import product
 
 from ..diagrams import PlatError
 
@@ -360,6 +361,8 @@ def table_group(elems, name: str = "") -> FiniteGroup:
 
 
 def symmetric_group(n: int) -> FiniteGroup:
+    if n < 2:
+        raise GroupError("need n >= 2")
     gens = [Perm.from_cycles(n, (0, 1)), Perm.from_cycles(n, tuple(range(n)))]
     return group_closure(gens, name=f"S{n}")
 
@@ -535,18 +538,8 @@ def iso_check(G: FiniteGroup, H: FiniteGroup):
             ]
         )
 
-    def search(k: int, chosen: list[int]):
-        if k == len(gens):
-            phi = _hom_from_generators(G, H, gens, chosen)
-            if phi is not None and len(set(phi)) == G.order:
-                return phi
-            return None
-        for h in candidates[k]:
-            chosen.append(h)
-            found = search(k + 1, chosen)
-            chosen.pop()
-            if found is not None:
-                return found
-        return None
-
-    return search(0, [])
+    for chosen in product(*candidates):
+        phi = _hom_from_generators(G, H, gens, chosen)
+        if phi is not None and len(set(phi)) == G.order:
+            return phi
+    return None

@@ -13,14 +13,17 @@ searches are checked against; they live here, outside the package.
 import random
 from collections import deque
 from fractions import Fraction
+from dataclasses import dataclass, field
 from itertools import permutations, product
 
 from spunslice.decker import NORTH, SOUTH, validate_curve
 from spunslice.diagrams import (
+    PDCode,
     PlatError,
     PlatWord,
     closure_components,
     strand_permutation,
+    validate_plat,
 )
 from spunslice.groups.presentations import GroupPresentation, Word
 from spunslice.groups.toddcoxeter import DEFAULT_MAX_COSETS, CosetResult
@@ -583,3 +586,166 @@ def closure_components_walk(plat: PlatWord) -> int:
             seen[e] = True
             c = e + 1 if e % 2 else e - 1  # top cap
     return comps
+
+
+# The wire sweep, the reference for the one walk along the knot in
+# `diagrams._sweep`: a top-to-bottom pass builds wires (maximal edges between
+# crossing ports) and a snapshot of every column before each letter, a
+# traversal orients the wires and labels them 1..2n, and a last pass reads
+# the PD code off the labelled ports.
+_DIAG = {"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}
+_CCW = ("NE", "NW", "SW", "SE")  # counterclockwise port order at a crossing
+
+
+@dataclass
+class _Wire:
+    ends: list  # [(port, column), (port, column)]
+    vias: list  # indices j of the top caps the wire runs through
+
+
+@dataclass
+class WireEmbedding:
+    """Planar data for a plat diagram: wires, ports, and a knot traversal."""
+
+    wires: list = field(default_factory=list)
+    port_wire: dict = field(default_factory=dict)
+    snapshots: list = field(default_factory=list)  # dangling state before each letter
+    edge_order: list = field(default_factory=list)  # wire index per traversal label
+    edge_label: dict = field(default_factory=dict)  # wire index -> 1-based label
+    passages: list = field(default_factory=list)  # (crossing, enter_port, exit_port)
+    chords: tuple = ()  # (over entry time, under entry time) per crossing
+    pd: PDCode | None = None
+
+    def cap_wire(self, j: int) -> int:
+        """Wire index of the wire through top cap j."""
+        for wi, w in enumerate(self.wires):
+            if j in w.vias:
+                return wi
+        raise PlatError(f"no wire through top cap {j}")
+
+    def wire_at(self, letter_index: int, column: int) -> int:
+        """Wire index of the strand hanging at `column` just before letter_index."""
+        kind, val = self.snapshots[letter_index][column - 1]
+        # an untouched column hangs from its top cap
+        return self.port_wire[val[0]] if kind == "term" else self.cap_wire(val)
+
+
+def _wire_sweep(plat: PlatWord) -> WireEmbedding:
+    emb = WireEmbedding()
+    S = plat.strands
+    # dangling[c] = ('term', (port, col, vias)) strand ends above at a
+    #               crossing port, or ('peer', (other_col, j)) still open
+    #               through top cap j, untouched like its partner other_col.
+    dangling: list = [None] * (S + 1)
+    for j in range(1, S // 2 + 1):
+        left, right = 2 * j - 1, 2 * j
+        dangling[left] = ("peer", (right, j))
+        dangling[right] = ("peer", (left, j))
+
+    def snapshot():
+        return tuple(
+            ("term", val) if kind == "term" else ("cap", val[1])
+            for kind, val in dangling[1:]
+        )
+
+    def close(term_a, col_a, term_b, col_b, vias):
+        wi = len(emb.wires)
+        emb.wires.append(_Wire([(term_a, col_a), (term_b, col_b)], list(vias)))
+        for t in (term_a, term_b):
+            if t is not None:
+                emb.port_wire[t] = wi
+
+    def consume(col, port):
+        kind, val = dangling[col]
+        if kind == "term":
+            prev_port, prev_col, vias = val
+            close(prev_port, prev_col, port, col, vias)
+        else:
+            other, j = val
+            dangling[other] = ("term", (port, col, [j]))
+
+    for idx, (k, _s) in enumerate(plat.word):
+        emb.snapshots.append(snapshot())
+        consume(k, (idx, "NW"))
+        consume(k + 1, (idx, "NE"))
+        dangling[k] = ("term", ((idx, "SW"), k, []))
+        dangling[k + 1] = ("term", ((idx, "SE"), k + 1, []))
+    emb.snapshots.append(snapshot())
+
+    # Bottom caps.  A column still "peer" here was never touched, nor was its
+    # partner in top cap i, which bottom cap i joins too: in a knot that is the
+    # 2-strand empty word, one port-less wire.  Otherwise both columns hang
+    # from crossing ports and the cap closes one wire.
+    for i in range(1, S // 2 + 1):
+        a, b = dangling[2 * i - 1], dangling[2 * i]
+        if a[0] == "peer":
+            close(None, 2 * i - 1, None, 2 * i, [i])
+            continue
+        (ap, acol, avias), (bp, bcol, bvias) = a[1], b[1]
+        close(ap, acol, bp, bcol, avias + bvias)
+    return emb
+
+
+def _wire_traverse(emb: WireEmbedding, plat: PlatWord):
+    """Orient the knot and label wires 1..2n in traversal order."""
+    start = emb.cap_wire(1)
+    # leave the cut through the right half of cap 1: head for the end that
+    # consumed the higher column among the wire's two cap-adjacent ends
+    (pa, ca), (pb, cb) = emb.wires[start].ends
+    first_port = pa if ca > cb else pb
+
+    emb.edge_label[start] = 1
+    emb.edge_order.append(start)
+    port = first_port
+    n2 = 2 * len(plat.word)
+    for _step in range(n2):
+        ci, corner = port
+        exit_corner = _DIAG[corner]
+        exit_port = (ci, exit_corner)
+        emb.passages.append((ci, port, exit_port))
+        nwire = emb.port_wire[exit_port]
+        if nwire == start:
+            break
+        emb.edge_label[nwire] = len(emb.edge_order) + 1
+        emb.edge_order.append(nwire)
+        (pa, ca), (pb, cb) = emb.wires[nwire].ends
+        port = pb if pa == exit_port else pa
+    if len(emb.passages) != n2:
+        raise PlatError("traversal did not close after visiting every crossing twice")
+
+
+def _wire_build_pd(emb: WireEmbedding, plat: PlatWord):
+    enter_at: dict[tuple[int, str], int] = {}  # port -> traversal time (1-based)
+    for t, (_ci, pin, _pout) in enumerate(emb.passages, start=1):
+        enter_at[pin] = t
+
+    def label_of(port):
+        return emb.edge_label[emb.port_wire[port]]
+
+    crossings = []
+    chords = []
+    for ci, (k, s) in enumerate(plat.word):
+        over_pair = ("NW", "SE") if s == 1 else ("NE", "SW")
+        under_pair = ("NE", "SW") if s == 1 else ("NW", "SE")
+        under_in = next(c for c in under_pair if (ci, c) in enter_at)
+        # CCW cycle starting at the incoming under corner
+        i0 = _CCW.index(under_in)
+        cyc = [_CCW[(i0 + t) % 4] for t in range(4)]
+        a = label_of((ci, cyc[0]))
+        b = label_of((ci, cyc[1]))
+        c = label_of((ci, cyc[2]))
+        d = label_of((ci, cyc[3]))
+        over_in = next(cn for cn in over_pair if (ci, cn) in enter_at)
+        sign = 1 if over_in == cyc[3] else -1
+        crossings.append((a, b, c, d, sign))
+        chords.append((enter_at[(ci, over_in)], enter_at[(ci, under_in)]))
+    emb.pd = PDCode(tuple(crossings))
+    emb.chords = tuple(chords)
+
+
+def embedding_wires(plat: PlatWord) -> WireEmbedding:
+    validate_plat(plat)
+    emb = _wire_sweep(plat)
+    _wire_traverse(emb, plat)
+    _wire_build_pd(emb, plat)
+    return emb

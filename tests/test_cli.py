@@ -1,6 +1,7 @@
 """Command-line runs pinned byte for byte: golden certificates, every
 subcommand, the one resolution bound of the slice-curve commands and the
-0-crossing unknot; and fuzzed plat text, which never ends in exit 4."""
+0-crossing unknot; unreadable files and bad batteries, which are input
+errors; and fuzzed plat text, which never ends in exit 4."""
 
 import contextlib
 import hashlib
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from spunslice import cli, corpus
 from spunslice.cli import main
 from spunslice.corpus import shipped_manifest_path
 from spunslice.diagrams import PlatWord, closure_components
@@ -170,6 +172,66 @@ def test_cli_unknot_certify_fails_at_the_base_cover(twists, unknot_plat, capsys)
     captured = capsys.readouterr()
     assert captured.out.endswith("verdict failed: base-cover-binary-icosahedral\n")
     assert captured.err == ""
+
+
+# ---------------------------------------------------------------------------
+# unreadable files and bad batteries: one error line, exit 3
+# ---------------------------------------------------------------------------
+
+PLAT_COMMANDS = {
+    "validate": ["validate"], "det": ["det"], "goeritz": ["goeritz"], "pi1": ["pi1"],
+    "cover-h1": ["cover-h1"], "slice-check": ["slice-check"], "symunion": ["symunion"],
+    "cobordism": ["cobordism"], "certify": ["certify"], "render": ["render", "chord"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PLAT_COMMANDS))
+def test_cli_a_plat_file_that_is_not_utf8_is_an_input_error(command, tmp_path, capsys):
+    path = tmp_path / "latin1.plat"
+    path.write_bytes(b"strands 4\ng2 +  # caf\xe9\n")
+    assert main(PLAT_COMMANDS[command] + [str(path), "--twists", "2,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read plat file {path}: 'utf-8' codec")
+    assert captured.err.count("\n") == 1
+
+
+MANIFEST_ERRORS = {
+    "manifest-not-utf8": (b"# caf\xe9\nt trefoil.plat - 3\n", "cannot read manifest {manifest}: 'utf-8' codec"),
+    "plat-not-utf8": (b"t latin1.plat - 3\n", "manifest line 1 (t): 'utf-8' codec"),
+    "nul-in-platfile": (b"t tre\x00foil.plat - 3\n", "manifest line 1 (t): embedded null byte"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_ERRORS))
+def test_cli_corpus_unreadable_input_is_an_input_error(case, tmp_path, capsys):
+    text, message = MANIFEST_ERRORS[case]
+    (tmp_path / "trefoil.plat").write_text("strands 4\ng2 +\ng2 +\ng2 +\n")
+    (tmp_path / "latin1.plat").write_bytes(b"strands 4\ng2 +  # caf\xe9\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_bytes(text)
+    assert main(["corpus", str(manifest)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message.format(manifest=manifest))
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_a_value_error_past_the_file_reads_is_still_internal(monkeypatch, capsys):
+    def boom(*_args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "parse_plat", boom)
+    assert main(["validate", TREFOIL_PLAT]) == 4
+    monkeypatch.setattr(corpus, "parse_plat", boom)
+    assert main(["corpus"]) == 4
+    assert capsys.readouterr().err.count("internal error: ValueError: boom\n") == 2
+
+
+@pytest.mark.parametrize("battery", ["S0", "S1"])
+def test_cli_certify_rejects_a_symmetric_group_on_fewer_than_two_points(battery, capsys):
+    assert main(["certify", TREFOIL_PLAT, "--twists", "2,2", "--battery", battery]) == 3
+    assert capsys.readouterr() == ("", "error: need n >= 2\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
 """One embedding per plat: each plat is swept once, the embedding holds no
-reference back to its plat, and the diagram facts read off it are pinned."""
+reference back to its plat, the diagram facts read off it are pinned, and
+the walk along the knot agrees with the wire sweep it replaced."""
 
 import gc
 import hashlib
 import itertools
 import weakref
 
-from conftest import T35, ladder_plats
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import FIG8, T35, embedding_wires, ladder_plats
 from spunslice import diagrams
 from spunslice.certificate import certify
+from spunslice.corpus import shipped_manifest_path
 from spunslice.decker import spin_plat
 from spunslice.diagrams import (
+    ChordDiagram,
     PlatWord,
     TwistVector,
     band_arcs,
@@ -18,7 +24,10 @@ from spunslice.diagrams import (
     build_embedding,
     build_symmetric_union,
     chord_diagram_of_tangle,
+    closure_components,
+    parse_plat,
     plat_to_pd,
+    wirtinger_relations,
 )
 from spunslice.groups.presentations import cobordism_presentation
 
@@ -94,7 +103,72 @@ def test_diagram_facts_are_byte_identical_to_the_recorded_digest():
 def test_the_0_crossing_unknot_is_one_edge_and_one_arc():
     unknot = PlatWord(2, ())
     emb = build_embedding(unknot)
-    assert len(emb.wires) == 1 and emb.edge_label == {0: 1}
+    assert emb.cap_label == {1: 1} and emb.port_label == {}
     assert diagrams.wirtinger_relations(emb.pd) == (1, {1: 0}, [])
     _pd, bands = band_arcs(build_symmetric_union(unknot, TwistVector((2,))))
     assert [arcs for _site, arcs in bands] == [(1, 1)]
+
+
+PLATS = shipped_manifest_path().parent / "plats"
+
+
+@pytest.mark.parametrize(
+    "plat,crossing,port",
+    [
+        # no g1 letter: down column 1, around bottom cap 1, up column 2 into
+        # the last letter touching column 2
+        (parse_plat((PLATS / "trefoil.plat").read_text()), 2, "SW"),
+        (parse_plat((PLATS / "t35.plat").read_text()), 24, "SW"),
+        # a g1 letter: down column 2 into the first letter touching it
+        (FIG8, 0, "NW"),
+    ],
+    ids=["trefoil", "t35", "fig8"],
+)
+def test_the_first_passage_leaves_cap_1_by_the_documented_column(plat, crossing, port):
+    emb = build_embedding(plat)
+    assert emb.port_label[crossing, port] == 1
+    assert emb.port_label[crossing, diagrams._DIAG[port]] == 2
+
+
+def _join_components(strands: int, word: list, sign: int) -> tuple:
+    # a letter g_2i below everything swaps two strands at bottom caps i and
+    # i+1; when they lie on different components it merges them
+    while (comps := closure_components(PlatWord(strands, tuple(word)))) > 1:
+        word.append(next(
+            (k, sign) for k in range(2, strands - 1, 2)
+            if closure_components(PlatWord(strands, tuple(word) + ((k, sign),))) < comps
+        ))
+    return tuple(word)
+
+
+@st.composite
+def knot_plats_and_even_twists(draw):
+    strands = 2 * draw(st.integers(1, 5))
+    low = 2 if draw(st.integers(0, 2)) == 0 else 1  # about a third without g1
+    letter = st.tuples(st.integers(low, max(low, strands - 1)), st.sampled_from((1, -1)))
+    word = draw(st.lists(letter, max_size=60)) if low < strands else []
+    word = _join_components(strands, word, draw(st.sampled_from((1, -1))))
+    tv = tuple(draw(st.sampled_from((-4, -2, 0, 2, 4))) for _ in range(strands // 2))
+    return PlatWord(strands, word), TwistVector(tv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(knot_plats_and_even_twists())
+def test_the_walk_matches_the_wire_sweep(case):
+    base, tv = case
+    su = build_symmetric_union(base, tv)
+    for plat in (base, su.knot, su.untwisted):
+        wires = embedding_wires(plat)
+        assert plat_to_pd(plat) == wires.pd
+        signs = tuple(crossing[4] for crossing in wires.pd.crossings)
+        assert chord_diagram_of_tangle(plat) == ChordDiagram(len(plat.word), wires.chords, signs)
+        caps = {j: wires.edge_label[wires.cap_wire(j)] - 1 for j in range(2, plat.bridges + 1)}
+        assert bridge_regions(plat) == {1: None, **caps}
+    wires = embedding_wires(su.untwisted)
+    _n, arc, _relations = wirtinger_relations(wires.pd)
+    bands = tuple(
+        (site, tuple(arc[wires.edge_label[wires.wire_at(site.index0, c)]] + 1 for c in site.columns))
+        for site in sorted(su.sites, key=lambda s: s.bridge)
+        if site.half_twists != 0
+    )
+    assert band_arcs(su) == (wires.pd, bands)

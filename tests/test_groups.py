@@ -5,8 +5,10 @@ via subgroup rewriting plus Smith normal form must agree with the two
 diagrammatic routes from test_covers.py.
 """
 
+import gc
 import itertools
 import time
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -354,6 +356,24 @@ def test_iso_check_positive_result_is_an_isomorphism():
 def test_iso_check_rejects_nonisomorphic_groups():
     assert iso_check(symmetric_group(3), cyclic_group(6)) is None
     assert iso_check(alternating_group(4), cyclic_group(12)) is None
+
+
+def test_iso_check_leaves_no_garbage_cycle_holding_its_groups():
+    group = FiniteGroup(sl2_f5().mult)
+    ref = weakref.ref(group)
+    gc.disable()
+    try:
+        assert iso_check(group, sl2_f5()) is not None
+        del group
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_symmetric_group_needs_two_points(n):
+    with pytest.raises(GroupError, match="need n >= 2"):
+        symmetric_group(n)
 
 
 # ---------------------------------------------------------------------------
