@@ -360,7 +360,9 @@ def table_group(elems, name: str = "") -> FiniteGroup:
     return FiniteGroup(table, [repr(x) for x in elems], name=name)
 
 
+@cache
 def symmetric_group(n: int) -> FiniteGroup:
+    """S_n, built once per process for each n."""
     if n < 2:
         raise GroupError("need n >= 2")
     gens = [Perm.from_cycles(n, (0, 1)), Perm.from_cycles(n, tuple(range(n)))]

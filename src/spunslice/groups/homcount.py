@@ -3,13 +3,34 @@
 The schedule.  A relator in which exactly one position is unknown
 *derives* that generator from the images already chosen; a relator with
 no unknown position is *checked*.  `_compile_schedule` runs this cascade
-once per presentation and records it as blocks `(generator, steps)`: an
-opening block with generator 0, then one block per free choice.  When the
-cascade stalls, the free generator whose choice would derive the most
-others (the smallest on ties) is chosen next.  On Wirtinger-style
-presentations this collapses the search tree to a handful of genuinely
-free choices.  A presentation is compiled on its first count and the
-schedule is kept on the presentation object.
+and records it as blocks `(generator, steps)`: an opening block with
+generator 0, then one block per free choice.  When the cascade stalls,
+the free generator whose choice would derive the most others (its *gain*;
+the smallest on ties) is chosen next.  On Wirtinger-style presentations
+this collapses the search tree to a handful of genuinely free choices.  A
+presentation is compiled on its first count and the schedule is kept on
+the presentation object.
+
+The cost model.  Greedy gain can leave several independent free blocks
+with every check waiting in the last one: into A5, the T(3,5) union with
+twists (0,0,0) then takes 1,820,522 nodes, and opening with another
+generator takes 66,084.  `_modelled_cost` scores a schedule without
+running it: the survivors start at 1, a free block multiplies them by
+b = 12 (A5's classes of 5-cycles have 12 elements), each check divides
+them by b, and each candidate tried and each derive step costs one node
+per survivor.  `_choose_schedule` compiles the greedy schedule and keeps
+it when it models at most `_LOOKAHEAD_COST` = 2,000 nodes per generator.
+Above that it also compiles the schedules that open with the other 7 of
+the 8 first choices of largest gain, on one shared relator index, drops a
+compile once its blocks so far model at the best cost yet, and keeps the
+cheapest, the greedy one on ties.  The gate sits in a measured gap.  Of
+the 27 T(3,5) unions with twists in {-2,0,2}^3, the 7 slow ones model at
+4,341 per generator or more (329,922 over 76 generators), the other 20 at
+670 or less.  The knot groups and (2,2,2) unions of T(3,q) for q = 5, 7,
+11, 25 and 85 model at 1,138 or less.  The lookahead costs about seven
+compiles and a compile's time grows with the number of generators, hence
+a bound per generator: a fixed bound would send the T(3,85) (2,2,2) union
+through 0.2 s of compiles to save 0.03 s of search.
 
 The relator index.  For each generator the compile keeps the relators it
 occurs in and how often, and for each relator the number of its positions
@@ -42,14 +63,18 @@ domain of blocks 2 and on is g's class; otherwise it is all of G.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heappush, nlargest
 
 from .finite import FiniteGroup
 from .presentations import GroupPresentation, invert
 
 DEFAULT_NODE_BUDGET = 5_000_000
+_BRANCHING = 12
+_LOOKAHEAD_COST = 2_000
+_LOOKAHEAD_WIDTH = 8
 
 
 @dataclass(frozen=True)
@@ -67,36 +92,46 @@ class _Budget(Exception):
     pass
 
 
-def _compile_schedule(n: int, rels: list[tuple[int, ...]]):
-    """Blocks `(generator, steps)`: the opening block (generator 0), then
-    one per free choice.  A step is `("derive", g, prefix, suffix, eps)`
-    or `("check", relator)`."""
+def _relator_index(n: int, rels: list[tuple[int, ...]]) -> list[list[tuple[int, int]]]:
+    """For each generator, `(relator, multiplicity)` of the relators it
+    occurs in."""
     occurs: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for ri, r in enumerate(rels):
         for g, m in Counter(map(abs, r)).items():
             occurs[g].append((ri, m))
-    unknown = [len(r) for r in rels]
-    done = [not r for r in rels]
-    known = [False] * (n + 1)
-    blocks: list[tuple[int, list[tuple]]] = [(0, [("check", r) for r in rels if not r])]
-    # ready relators at or after the current position, and before it
-    ahead = [ri for ri, u in enumerate(unknown) if u == 1]
-    behind: list[int] = []
+    return occurs
 
-    def assign(g: int, pos: int):
-        known[g] = True
-        for ri, m in occurs[g]:
+
+class _Cascade:
+    """One compile's state: the generators known, each relator's unknown
+    positions, the blocks so far and the relators ready to derive."""
+
+    def __init__(self, n: int, rels: list[tuple[int, ...]], occurs):
+        self.rels, self.occurs = rels, occurs
+        self.unknown = [len(r) for r in rels]
+        self.done = [not r for r in rels]
+        self.known = [False] * (n + 1)
+        self.blocks: list[tuple[int, list[tuple]]] = [(0, [("check", r) for r in rels if not r])]
+        # ready relators at or after the current position, and before it
+        self.ahead = [ri for ri, u in enumerate(self.unknown) if u == 1]
+        self.behind: list[int] = []
+
+    def assign(self, g: int, pos: int) -> None:
+        self.known[g] = True
+        unknown, done, steps = self.unknown, self.done, self.blocks[-1][1]
+        for ri, m in self.occurs[g]:
             if done[ri]:
                 continue
             unknown[ri] -= m
             if unknown[ri] == 0:
                 done[ri] = True
-                blocks[-1][1].append(("check", rels[ri]))
+                steps.append(("check", self.rels[ri]))
             elif unknown[ri] == 1:
-                heappush(ahead if ri >= pos else behind, ri)
+                heappush(self.ahead if ri >= pos else self.behind, ri)
 
-    def gain(c: int) -> int:
-        # how many generators choosing c would determine, c included
+    def gain(self, c: int) -> int:
+        """How many generators choosing c would determine, c included."""
+        rels, occurs, known, unknown, done = self.rels, self.occurs, self.known, self.unknown, self.done
         left: dict[int, int] = {}
         new = {c}
         work = [c]
@@ -112,25 +147,93 @@ def _compile_schedule(n: int, rels: list[tuple[int, ...]]):
                         work.append(h)
         return len(new)
 
-    while True:
-        while ahead or behind:
-            if not ahead:
-                ahead, behind = behind, []
-            ri = heappop(ahead)
+    def run(self) -> list[int]:
+        """Derive until the cascade stalls; the generators still free."""
+        rels, known, done = self.rels, self.known, self.done
+        while self.ahead or self.behind:
+            if not self.ahead:
+                self.ahead, self.behind = self.behind, []
+            ri = heappop(self.ahead)
             if done[ri]:
                 continue
             done[ri] = True
             r = rels[ri]
             p = next(p for p, x in enumerate(r) if not known[abs(x)])
             g = abs(r[p])
-            blocks[-1][1].append(("derive", g, r[:p], r[p + 1 :], 1 if r[p] > 0 else -1))
-            assign(g, ri + 1)
-        free = [g for g in range(1, n + 1) if not known[g]]
+            self.blocks[-1][1].append(("derive", g, r[:p], r[p + 1 :], 1 if r[p] > 0 else -1))
+            self.assign(g, ri + 1)
+        return [g for g in range(1, len(known)) if not known[g]]
+
+    def ranked(self, free: list[int], k: int) -> list[int]:
+        """The k free generators of largest gain, the smallest first on ties."""
+        return nlargest(k, free, key=lambda c: (self.gain(c), -c))
+
+    def choose(self, g: int) -> None:
+        self.blocks.append((g, []))
+        self.assign(g, 0)
+
+
+def _compile_schedule(
+    n: int,
+    rels: list[tuple[int, ...]],
+    first: int | None = None,
+    occurs: list | None = None,
+    stop: float = math.inf,
+):
+    """Blocks `(generator, steps)`: the opening block (generator 0), then
+    one per free choice.  A step is `("derive", g, prefix, suffix, eps)`
+    or `("check", relator)`.  `first`, when given, is the first free
+    choice; every other choice is greedy.  None once the modelled cost of
+    the blocks so far reaches `stop`."""
+    cascade = _Cascade(n, rels, _relator_index(n, rels) if occurs is None else occurs)
+    while True:
+        free = cascade.run()
+        if _modelled_cost(cascade.blocks) >= stop:
+            return None
         if not free:
-            return blocks
-        g = max(free, key=lambda c: (gain(c), -c))
-        blocks.append((g, []))
-        assign(g, 0)
+            return cascade.blocks
+        if first is not None and len(cascade.blocks) == 1:
+            cascade.choose(first)
+        else:
+            cascade.choose(cascade.ranked(free, 1)[0])
+
+
+def _modelled_cost(blocks) -> float:
+    """Search nodes the schedule is expected to take: a free block
+    multiplies the surviving partial assignments by `_BRANCHING`, each
+    check divides them by it, and each candidate tried and each derive
+    step costs one node per survivor."""
+    survivors = 1.0
+    cost = 0.0
+    for i, (_, steps) in enumerate(blocks):
+        if i:
+            survivors *= _BRANCHING
+        cost += survivors
+        for step in steps:
+            if step[0] == "derive":
+                cost += survivors
+            else:
+                survivors /= _BRANCHING
+    return cost
+
+
+def _choose_schedule(n: int, rels: list[tuple[int, ...]]):
+    """The greedy schedule, unless its modelled cost is above
+    `_LOOKAHEAD_COST` per generator: then the cheapest of the schedules
+    that open with one of the `_LOOKAHEAD_WIDTH` first choices of largest
+    gain, the greedy one on ties."""
+    blocks = _compile_schedule(n, rels)
+    best = _modelled_cost(blocks)
+    if best <= _LOOKAHEAD_COST * n:
+        return blocks
+    occurs = _relator_index(n, rels)
+    cascade = _Cascade(n, rels, occurs)
+    # the first of these is the greedy choice, already compiled
+    for c in cascade.ranked(cascade.run(), _LOOKAHEAD_WIDTH)[1:]:
+        other = _compile_schedule(n, rels, c, occurs, best)
+        if other is not None:
+            blocks, best = other, _modelled_cost(other)
+    return blocks
 
 
 def _step_word(step) -> tuple[int, tuple[int, ...]]:
@@ -169,7 +272,7 @@ def _schedule(pres: GroupPresentation) -> tuple[int, list, bool]:
         n = simple.n_generators
         blocks = [
             (g, [_step_word(s) for s in steps])
-            for g, steps in (_compile_schedule(n, list(simple.relators)) if n else ())
+            for g, steps in (_choose_schedule(n, list(simple.relators)) if n else ())
         ]
         got = (n, blocks, simple.meridians == frozenset(range(1, n + 1)))
         object.__setattr__(pres, "_hom_schedule", got)

@@ -50,6 +50,19 @@ def t3_plat(q: int) -> PlatWord:
 T35 = t3_plat(5)
 
 
+def join_components(strands: int, word: list, sign: int) -> tuple:
+    """The word with letters g_2i of the given sign appended until its plat
+    closure is a knot."""
+    # a letter g_2i below everything swaps two strands at bottom caps i and
+    # i+1; when they lie on different components it merges them
+    while (comps := closure_components(PlatWord(strands, tuple(word)))) > 1:
+        word.append(next(
+            (k, sign) for k in range(2, strands - 1, 2)
+            if closure_components(PlatWord(strands, tuple(word) + ((k, sign),))) < comps
+        ))
+    return tuple(word)
+
+
 def ladder_plats() -> list[tuple[str, PlatWord]]:
     """The benchmark ladder's random knot plats, named `strands x letters -
     i`: 4 at 6/40, 6 at 8/60 and 2 at 10/150, drawn in that order from
@@ -144,13 +157,14 @@ def hom_count_brute(pres, G) -> int:
     return count
 
 
-def compile_schedule_rescan(n: int, rels: list) -> list:
+def compile_schedule_rescan(n: int, rels: list, first: int | None = None) -> list:
     """The hom-count schedule by rescanning every relator: repeated passes
     in relator order derive each generator that a relator determines (its
     single unknown position), every fully known relator is checked after
     each derive, and a free generator is scored by rerunning the cascade
-    on copies of the state.  Same block format as the package's indexed
-    compile, which must return identical blocks."""
+    on copies of the state.  `first`, when given, is the first free choice
+    instead.  Same block format as the package's indexed compile, which
+    must return identical blocks."""
 
     def cascade(assigned, consumed, derived=None) -> int:
         gained = 0
@@ -192,7 +206,10 @@ def compile_schedule_rescan(n: int, rels: list) -> list:
         free = [g for g in range(1, n + 1) if g not in assigned]
         if not free:
             return blocks
-        g = max(free, key=lambda c: (cascade(assigned | {c}, list(consumed)), -c))
+        if first is not None and len(blocks) == 1:
+            g = first
+        else:
+            g = max(free, key=lambda c: (cascade(assigned | {c}, list(consumed)), -c))
         blocks.append((g, []))
         assigned.add(g)
 

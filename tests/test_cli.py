@@ -291,3 +291,57 @@ def test_cli_plat_text_fuzz_exits_with_a_result_or_an_input_error(text, command,
             code = main(argv)
     assert code in (0, 1, 2, 3), err.getvalue()
     assert "internal error" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# manifest text fuzz: corpus exits with a result or one input error
+# ---------------------------------------------------------------------------
+
+_SHIPPED_PLATS = sorted(str(p) for p in (shipped_manifest_path().parent / "plats").glob("*.plat"))
+
+
+# twist entries: mostly even, some odd, some empty ("2,,2")
+_TWIST_ENTRIES = ["-4", "-2", "0", "2", "4"] * 3 + ["-3", "-1", "1", "3", ""]
+
+
+@st.composite
+def _manifest_text(draw) -> str:
+    """Comment, blank and row lines.  A row has 3-5 fields, mostly 4; its
+    plat is a shipped one (absolute path), the manifest's own directory or
+    a missing file; its twists are `-` or 1-3 entries in -4..4 (odd and
+    empty ones included), so the list often has the wrong length; its
+    expected determinant is often a shipped plat's, sometimes not an
+    integer."""
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(["row", "row", "comment", "blank"]), max_size=5)):
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# comment", "   # indented", "#"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        else:
+            twists = st.lists(st.sampled_from(_TWIST_ENTRIES), min_size=1, max_size=3)
+            fields = [
+                draw(st.sampled_from(["k", "row-1", "t35"])),
+                draw(st.sampled_from(_SHIPPED_PLATS * 2 + [".", "missing.plat"])),
+                draw(st.one_of(st.just("-"), twists.map(",".join))),
+                draw(st.sampled_from(["1", "3", "5", "7", "9", "25", "0", "-1", "x", "1.5"])),
+            ]
+            count = draw(st.sampled_from([4, 4, 4, 3, 5]))
+            row = " ".join(fields[:count] + ["extra"] * (count - 4))
+            lines.append(row + draw(st.sampled_from(["", "  # note"])))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_manifest_text())
+@example("k " + _SHIPPED_PLATS[0] + " 2,,2 3\n")
+def test_cli_manifest_text_fuzz_exits_with_a_result_or_one_input_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = Path(tmp) / "manifest.txt"
+        manifest.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["corpus", str(manifest)])
+    assert code in (0, 1, 3), err.getvalue()
+    # one error line for an input error, none for a result
+    assert err.getvalue().count("error:") == (code == 3)

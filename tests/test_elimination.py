@@ -10,9 +10,9 @@ import random
 import time
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import lagrange_fraction
+from conftest import join_components, lagrange_fraction
 from spunslice.covers import (
     _bareiss,
     _fox_int_matrix,
@@ -58,9 +58,8 @@ def knot_plats(draw):
             max_size=24,
         )
     )
-    plat = PlatWord(strands, tuple(word))
-    assume(closure_components(plat) == 1)
-    return plat
+    # links are closed into knots, not filtered out
+    return PlatWord(strands, join_components(strands, word, draw(st.sampled_from([1, -1]))))
 
 
 def _goeritz_minor(pd):

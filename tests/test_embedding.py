@@ -10,7 +10,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIG8, T35, embedding_wires, ladder_plats
+from conftest import FIG8, T35, embedding_wires, join_components, ladder_plats
 from spunslice import diagrams
 from spunslice.certificate import certify
 from spunslice.corpus import shipped_manifest_path
@@ -24,7 +24,6 @@ from spunslice.diagrams import (
     build_embedding,
     build_symmetric_union,
     chord_diagram_of_tangle,
-    closure_components,
     parse_plat,
     plat_to_pd,
     wirtinger_relations,
@@ -130,24 +129,13 @@ def test_the_first_passage_leaves_cap_1_by_the_documented_column(plat, crossing,
     assert emb.port_label[crossing, diagrams._DIAG[port]] == 2
 
 
-def _join_components(strands: int, word: list, sign: int) -> tuple:
-    # a letter g_2i below everything swaps two strands at bottom caps i and
-    # i+1; when they lie on different components it merges them
-    while (comps := closure_components(PlatWord(strands, tuple(word)))) > 1:
-        word.append(next(
-            (k, sign) for k in range(2, strands - 1, 2)
-            if closure_components(PlatWord(strands, tuple(word) + ((k, sign),))) < comps
-        ))
-    return tuple(word)
-
-
 @st.composite
 def knot_plats_and_even_twists(draw):
     strands = 2 * draw(st.integers(1, 5))
     low = 2 if draw(st.integers(0, 2)) == 0 else 1  # about a third without g1
     letter = st.tuples(st.integers(low, max(low, strands - 1)), st.sampled_from((1, -1)))
     word = draw(st.lists(letter, max_size=60)) if low < strands else []
-    word = _join_components(strands, word, draw(st.sampled_from((1, -1))))
+    word = join_components(strands, word, draw(st.sampled_from((1, -1))))
     tv = tuple(draw(st.sampled_from((-4, -2, 0, 2, 4))) for _ in range(strands // 2))
     return PlatWord(strands, word), TwistVector(tv)
 

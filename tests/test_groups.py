@@ -9,9 +9,10 @@ import gc
 import itertools
 import time
 import weakref
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     DETERMINANTS,
@@ -66,7 +67,12 @@ from spunslice.groups import (
 )
 from spunslice.groups.finite import closure_elements
 from spunslice.groups import homcount
-from spunslice.groups.homcount import DEFAULT_NODE_BUDGET, _compile_schedule
+from spunslice.groups.homcount import (
+    DEFAULT_NODE_BUDGET,
+    _choose_schedule,
+    _compile_schedule,
+    _modelled_cost,
+)
 from spunslice.groups.quaternions import GENERATORS, _unit_icosians
 
 
@@ -376,6 +382,14 @@ def test_symmetric_group_needs_two_points(n):
         symmetric_group(n)
 
 
+def test_symmetric_group_is_built_once():
+    assert symmetric_group(4) is symmetric_group(4)
+    assert symmetric_group(3) is not symmetric_group(4)
+    for _ in range(2):  # a failed call is not cached
+        with pytest.raises(GroupError, match="need n >= 2"):
+            symmetric_group(1)
+
+
 # ---------------------------------------------------------------------------
 # homomorphism counting
 # ---------------------------------------------------------------------------
@@ -515,6 +529,121 @@ def test_indexed_schedule_matches_the_rescanning_oracle(case):
     n, relators = case
     rels = [tuple(r) for r in relators]
     assert _compile_schedule(n, rels) == compile_schedule_rescan(n, rels)
+
+
+def _first_choices(n, rels):
+    # the generators still free when the opening block stalls
+    opening = {step[1] for step in _compile_schedule(n, rels)[0][1] if step[0] == "derive"}
+    return [c for c in range(1, n + 1) if c not in opening]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(st.integers(-n, n).filter(lambda x: x != 0), max_size=7),
+                max_size=9,
+            ),
+        )
+    )
+)
+def test_forced_first_choice_matches_the_rescanning_oracle(case):
+    n, relators = case
+    rels = [tuple(r) for r in relators]
+    for c in _first_choices(n, rels):
+        assert _compile_schedule(n, rels, c) == compile_schedule_rescan(n, rels, c)
+
+
+def test_lookahead_candidates_match_the_rescanning_oracle_on_knots(monkeypatch):
+    compile_schedule = homcount._compile_schedule
+    calls = []
+
+    def recorded(n, rels, *args):
+        calls.append(args)
+        return compile_schedule(n, rels, *args)
+
+    monkeypatch.setattr(homcount, "_compile_schedule", recorded)
+    looked_ahead = 0
+    for pres in _knot_presentations():
+        n, rels = pres.n_generators, list(pres.relators)
+        calls.clear()
+        _choose_schedule(n, rels)
+        if _modelled_cost(compile_schedule(n, rels)) <= homcount._LOOKAHEAD_COST * n:
+            # below the gate: the greedy compile alone
+            assert calls == [()]
+            continue
+        looked_ahead += 1
+        assert calls[0] == () and 1 < len(calls) <= homcount._LOOKAHEAD_WIDTH
+        for first, *_ in calls[1:]:
+            assert compile_schedule(n, rels, first) == compile_schedule_rescan(n, rels, first)
+    # the 7 slow T(3,5) unions: (0,0,0), (0,0,+-2) and (+-2,0,+-2)
+    assert looked_ahead == 7
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([("S3", 5), ("S3", 6), ("A4", 5)]).flatmap(
+        lambda gn: st.tuples(
+            st.just(gn[0]),
+            st.just(gn[1]),
+            st.lists(
+                st.lists(
+                    st.integers(-gn[1], gn[1]).filter(lambda x: x != 0), min_size=1, max_size=4
+                ),
+                max_size=3,
+            ),
+        )
+    )
+)
+@example(("S3", 5, [[-5, -5]]))  # greedy opens with 1 and checks x5^2 last
+def test_schedules_above_the_lookahead_gate_count_as_brute_force(case):
+    # most draws model above the gate of 2,000 nodes per generator (with no
+    # relator, 5 free blocks model at 271,453); A4 on six generators would be
+    # seconds of brute force
+    name, n, relators = case
+    G = symmetric_group(3) if name == "S3" else alternating_group(4)
+    pres = GroupPresentation(n, tuple(tuple(r) for r in relators))
+    expected = hom_count_brute(pres, G)
+    assert hom_count(pres, G).count == expected
+    rels = list(pres.simplified().relators)
+    for c in _first_choices(n, rels):
+        blocks = _compile_schedule(n, rels, c)
+        with mock.patch.object(homcount, "_choose_schedule", lambda n, rels: blocks):
+            assert hom_count(GroupPresentation(n, pres.relators), G).count == expected
+
+
+def test_chosen_schedules_on_the_t35_sweep_beat_the_greedy_ones(monkeypatch, battery):
+    presentations = [wirtinger(plat_to_pd(T35))] + [
+        cobordism_presentation(build_symmetric_union(T35, TwistVector(tv)))
+        for tv in itertools.product((-2, 0, 2), repeat=3)
+    ]
+    for pres in presentations:
+        simple = pres.simplified()
+        n, rels = simple.n_generators, list(simple.relators)
+        assert _modelled_cost(_choose_schedule(n, rels)) <= _modelled_cost(_compile_schedule(n, rels))
+
+    def counts():
+        return [
+            hom_count(GroupPresentation(p.n_generators, p.relators, p.meridians), G)
+            for p in presentations
+            for G in battery
+        ]
+
+    chosen = counts()
+    monkeypatch.setattr(homcount, "_choose_schedule", homcount._compile_schedule)
+    greedy = counts()
+    assert [hc.count for hc in chosen] == [hc.count for hc in greedy]
+    assert all(a.nodes <= b.nodes for a, b in zip(chosen, greedy))
+    assert sum(hc.nodes for hc in chosen) < sum(hc.nodes for hc in greedy) / 5
+
+
+def test_untwisted_torus_cobordism_into_a5_takes_the_cheaper_first_choice():
+    # the greedy schedule takes 1,820,522 nodes
+    su = build_symmetric_union(T35, TwistVector((0, 0, 0)))
+    hc = hom_count(cobordism_presentation(su), alternating_group(5))
+    assert (hc.count, hc.nodes) == (5100, 66084)
 
 
 # ---------------------------------------------------------------------------
