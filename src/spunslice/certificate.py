@@ -162,18 +162,41 @@ class CertifyError(ValueError):
     """Invalid input to the certificate pipeline (CLI exit code 3)."""
 
 
+# A battery group is built as its multiplication table, order^2 entries, so
+# C20000 or S7 would already be a multi-GB process.  The largest group in
+# use, SL2F5, has order 120.
+MAX_BATTERY_ORDER = 1000
+
+
+def _battery_order(family: str, n: int) -> int:
+    """n for C_n, n! for S_n and n!/2 for A_n; the factorial stops growing
+    once it passes 2 * MAX_BATTERY_ORDER, so a huge n costs nothing."""
+    if family == "C":
+        return n
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        if order > 2 * MAX_BATTERY_ORDER:
+            break
+    return order // 2 if family == "A" else order
+
+
 def battery_group(name: str) -> FiniteGroup:
-    """Resolve a battery group name (S3, A4, S4, A5, C<n>, SL2F5)."""
+    """Resolve a battery group name (S3, A4, S4, A5, C<n>, SL2F5), refusing
+    one of more than MAX_BATTERY_ORDER elements before it is built."""
     key = name.strip().upper()
-    if key.startswith("S") and key[1:].isdigit():
-        return symmetric_group(int(key[1:]))
-    if key.startswith("A") and key[1:].isdigit():
-        return alternating_group(int(key[1:]))
-    if key.startswith("C") and key[1:].isdigit():
-        return cyclic_group(int(key[1:]))
     if key == "SL2F5":
         return sl2_f5()
-    raise CertifyError(f"unknown battery group {name!r}")
+    family, digits = key[:1], key[1:]
+    build = {"S": symmetric_group, "A": alternating_group, "C": cyclic_group}.get(family)
+    if build is None or not digits.isdecimal():  # isdigit() would let "²" through to int()
+        raise CertifyError(f"unknown battery group {name!r}")
+    # the order is at least n, so n with more digits than the bound is
+    # refused before int() would have to read every digit
+    n = digits.lstrip("0") or "0"
+    if len(n) > len(str(MAX_BATTERY_ORDER)) or _battery_order(family, int(n)) > MAX_BATTERY_ORDER:
+        raise CertifyError(f"battery group {name!r} has more than {MAX_BATTERY_ORDER} elements")
+    return build(int(n))
 
 
 DEFAULT_BATTERY = ("S3", "A4", "S4", "A5")

@@ -23,91 +23,66 @@ from .groups.snf import eliminate_unit_pivots
 # ---------------------------------------------------------------------------
 # faces of a PD diagram
 #
-# A dart is one quarter-slot of a crossing: (crossing index, position 0..3)
-# where position p is the p-th entry of the PD tuple.  The face containing
-# dart (c, p) is the one whose counterclockwise boundary walk arrives at
-# crossing c along the edge in slot p-1 and leaves along the edge in slot p,
-# i.e. the face touching the corner between slots p-1 and p.
-
-
-def _darts(pd: PDCode):
-    by_edge: dict[int, list[tuple[int, int]]] = {}
-    for ci, tup in enumerate(pd.crossings):
-        for p in range(4):
-            by_edge.setdefault(tup[p], []).append((ci, p))
-    for e, ds in by_edge.items():
-        if len(ds) != 2:
-            raise PlatError(f"edge {e} occurs {len(ds)} times")
-    return by_edge
-
-
-def pd_faces(pd: PDCode):
-    """Faces as dart cycles plus the dart -> face index map.
-
-    The Euler count (faces = crossings + 2) is asserted, so a nonplanar or
-    corrupted code fails loudly here.
-    """
-    if not pd.crossings:
-        return [], {}
-    by_edge = _darts(pd)
-
-    def mate(d):
-        a, b = by_edge[pd.crossings[d[0]][d[1]]]
-        return b if d == a else a
-
-    visited = set()
-    faces = []
-    face_of: dict[tuple[int, int], int] = {}
-    for ci in range(len(pd.crossings)):
-        for p in range(4):
-            d = (ci, p)
-            if d in visited:
-                continue
-            face = []
-            cur = d
-            while cur not in visited:
-                visited.add(cur)
-                face.append(cur)
-                face_of[cur] = len(faces)
-                nci, npos = mate(cur)
-                cur = (nci, (npos + 1) % 4)
-            faces.append(face)
-    n = len(pd.crossings)
-    if len(faces) != n + 2:
-        raise PlatError(
-            f"face count {len(faces)} != crossings + 2 = {n + 2}; nonplanar PD?"
-        )
-    return faces, face_of
+# A dart is one quarter-slot of a crossing, numbered d = 4c + p for slot p
+# (the p-th entry of the PD tuple) of crossing c.  The face containing dart
+# d is the one whose counterclockwise boundary walk arrives at crossing c
+# along the edge in slot p-1 and leaves along the edge in slot p, i.e. the
+# face touching the corner between slots p-1 and p.  The walk goes on from
+# the dart at the other end of that edge, mate[d], to the next slot there.
 
 
 def checkerboard(pd: PDCode):
-    """2-color the faces so faces sharing an edge get opposite colors.
+    """Number the faces and 2-color them so faces sharing an edge differ.
 
-    Returns (faces, colors, face_of) with colors in {0, 1}; the face
-    containing dart (0, 0) is colored 1 ("shaded").
+    Returns (face_of, color): face_of[d] is the face of dart d, faces being
+    numbered in order of their first dart, and color[f] in {0, 1}, the face
+    of dart 0 being colored 1 ("shaded").  Colors alternate around a
+    crossing, so dart d = 4c + p has color base[c] ^ (p & 1).  The Euler
+    count (faces = crossings + 2) is checked, so a nonplanar or corrupted
+    code fails loudly here.
     """
-    faces, face_of = pd_faces(pd)
-    by_edge = _darts(pd)
-    adj: list[set[int]] = [set() for _ in faces]
-    for _e, (d1, d2) in by_edge.items():
-        fa, fb = face_of[d1], face_of[d2]
-        adj[fa].add(fb)
-        adj[fb].add(fa)
-    color = [-1] * len(faces)
-    start = face_of[(0, 0)]
-    color[start] = 1
-    queue = [start]
-    while queue:
-        f = queue.pop()
-        for g in adj[f]:
-            if color[g] == -1:
-                color[g] = 1 - color[f]
-                queue.append(g)
-            elif color[g] == color[f]:
+    darts: dict[int, list[int]] = {}
+    for d, e in enumerate(e for tup in pd.crossings for e in tup[:4]):
+        darts.setdefault(e, []).append(d)
+    mate = [0] * (4 * pd.n_crossings)
+    for e, ds in darts.items():
+        if len(ds) != 2:
+            raise PlatError(f"edge {e} occurs {len(ds)} times")
+        mate[ds[0]], mate[ds[1]] = ds[1], ds[0]
+    nxt = [(m & ~3) | ((m + 1) & 3) for m in mate]  # next dart on the face
+    face_of = [-1] * len(mate)
+    nfaces = 0
+    for first in range(len(mate)):
+        if face_of[first] < 0:
+            d = first
+            while face_of[d] < 0:
+                face_of[d] = nfaces
+                d = nxt[d]
+            nfaces += 1
+    n = pd.n_crossings
+    if nfaces != n + 2:
+        raise PlatError(
+            f"face count {nfaces} != crossings + 2 = {n + 2}; nonplanar PD?"
+        )
+    # darts d and nxt[d] lie on one face, which fixes base across every
+    # edge; a conflict means some face would get both colors
+    base = [1] + [-1] * (n - 1)
+    queue = [0]
+    for c in queue:
+        for d in range(4 * c, 4 * c + 4):
+            e = nxt[d]
+            b = base[c] ^ (d & 1) ^ (e & 1)
+            if base[e >> 2] < 0:
+                base[e >> 2] = b
+                queue.append(e >> 2)
+            elif base[e >> 2] != b:
                 raise PlatError("faces are not 2-colorable; malformed PD code")
-    if -1 in color:
+    if len(queue) < n:
         raise PlatError("face adjacency graph is disconnected")
-    return faces, color, face_of
+    color = [0] * nfaces
+    for d, f in enumerate(face_of):
+        color[f] = base[d >> 2] ^ (d & 1)
+    return face_of, color
 
 
 def _bareiss(matrix) -> int:
@@ -133,23 +108,38 @@ def _bareiss(matrix) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def _int_det(matrix) -> int:
-    """Signed determinant of a square integer matrix: unit pivots first
+def _int_det(rows: list[dict[int, int]], n: int) -> int:
+    """Signed determinant of an n x n integer matrix given as sparse rows
+    {col: nonzero value}, which are consumed: unit pivots first
     (groups.snf.eliminate_unit_pivots), then Bareiss on the small core."""
-    red = eliminate_unit_pivots(matrix)
-    rows = Perm([r for r, _c, _p in red.pivots] + red.core_rows)
-    cols = Perm([c for _r, c, _p in red.pivots] + red.core_cols)
-    sign = 1 if rows.is_even == cols.is_even else -1
+    red = eliminate_unit_pivots(rows, n)
+    row_order = Perm([r for r, _c, _p in red.pivots] + red.core_rows)
+    col_order = Perm([c for _r, c, _p in red.pivots] + red.core_cols)
+    sign = 1 if row_order.is_even == col_order.is_even else -1
     for _r, _c, p in red.pivots:
         sign *= p
     return sign * _bareiss(red.core)
 
 
+def _minor_det(rows: list[dict[int, int]]) -> int:
+    """Determinant of a square sparse matrix with its last row and column
+    deleted; zero entries are dropped on the way."""
+    last = max(len(rows) - 1, 0)
+    minor = [{j: v for j, v in row.items() if v and j != last} for row in rows[:-1]]
+    return _int_det(minor, last)
+
+
 @dataclass(frozen=True)
 class GoeritzData:
-    matrix: tuple[tuple[int, ...], ...]  # full (undeleted) matrix
+    rows: tuple[dict[int, int], ...]  # full (undeleted) matrix as sparse rows
     determinant: int
     shaded_faces: int
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The full matrix, dense; built on each read."""
+        m = self.shaded_faces
+        return tuple(tuple(row.get(j, 0) for j in range(m)) for row in self.rows)
 
 
 def goeritz(pd: PDCode) -> GoeritzData:
@@ -164,34 +154,22 @@ def goeritz(pd: PDCode) -> GoeritzData:
     """
     if not pd.crossings:
         return GoeritzData((), 1, 0)
-    _faces, color, face_of = checkerboard(pd)
-    nfaces = max(face_of.values()) + 1
-    shaded = [fi for fi in range(nfaces) if color[fi] == 1]
-    index = {fi: i for i, fi in enumerate(shaded)}
-    m = len(shaded)
-    G = [[0] * m for _ in range(m)]
-    for ci in range(len(pd.crossings)):
+    face_of, color = checkerboard(pd)
+    shaded = [f for f, col in enumerate(color) if col]
+    index = {f: i for i, f in enumerate(shaded)}
+    G: list[dict[int, int]] = [{} for _ in shaded]
+    for d in range(0, len(face_of), 4):
         # dart p touches the corner between edge slots p-1 and p, so darts
-        # {0, 2} and {1, 3} are the two diagonal corner pairs
-        fcs = [face_of[(ci, p)] for p in range(4)]
-        pair02 = color[fcs[0]] == 1 and color[fcs[2]] == 1
-        pair13 = color[fcs[1]] == 1 and color[fcs[3]] == 1
-        if pair02 == pair13:
-            raise PlatError("checkerboard coloring inconsistent at a crossing")
-        if pair02:
-            eta, fa, fb = 1, fcs[0], fcs[2]
-        else:
-            eta, fa, fb = -1, fcs[1], fcs[3]
+        # {0, 2} and {1, 3} are the two diagonal corner pairs; p = 0 when the
+        # shaded pair is {0, 2}
+        p = 1 - color[face_of[d]]
+        eta, fa, fb = 1 - 2 * p, face_of[d + p], face_of[d + p + 2]
         if fa == fb:
             continue  # nugatory crossing: one shaded face on both corners
         ia, ib = index[fa], index[fb]
-        G[ia][ib] -= eta
-        G[ib][ia] -= eta
-        G[ia][ia] += eta
-        G[ib][ib] += eta
-    reduced = [row[:-1] for row in G[:-1]]
-    det = abs(_int_det(reduced))
-    return GoeritzData(tuple(tuple(r) for r in G), det, m)
+        for i, j, v in ((ia, ib, -eta), (ib, ia, -eta), (ia, ia, eta), (ib, ib, eta)):
+            G[i][j] = G[i].get(j, 0) + v
+    return GoeritzData(tuple(G), abs(_minor_det(G)), len(shaded))
 
 
 def goeritz_determinant(pd: PDCode) -> int:
@@ -202,15 +180,16 @@ def goeritz_determinant(pd: PDCode) -> int:
 # Fox calculus route
 
 
-def _fox_int_matrix(relations, ngen: int, t: int):
-    """Integer Fox Jacobian at the given t, with s = -1 rows scaled by t.
+def _fox_int_matrix(relations, t: int) -> list[dict[int, int]]:
+    """Integer Fox Jacobian at the given t as sparse rows {generator: value},
+    with s = -1 rows scaled by t.
 
     The scaling clears denominators; it multiplies the determinant by a power
     of t, which the polynomial normalization strips later.
     """
     rows = []
     for over, s, ain, cout in relations:
-        row = [0] * ngen
+        row = {over: 0, ain: 0, cout: 0}
         if s == 1:
             row[over] += 1 - t
             row[ain] += t
@@ -239,15 +218,10 @@ def alexander_polynomial(pd: PDCode) -> tuple[int, ...]:
     if ngen != nc:
         raise PlatError("arc count != crossing count; not a knot diagram?")
 
-    def eval_at(t: int) -> int:
-        rows = _fox_int_matrix(relations, ngen, t)
-        minor = [r[:-1] for r in rows[:-1]]
-        return _int_det(minor)
-
     # minor size nc-1, entries of degree <= 1 in t, so the determinant has
     # degree <= nc - 1 and nc sample points pin it down
     points = list(range(2, nc + 2))
-    values = [eval_at(t) for t in points]
+    values = [_minor_det(_fox_int_matrix(relations, t)) for t in points]
     coeffs = _newton_int(points, values)
     # strip unit powers of t
     low = next((i for i, c in enumerate(coeffs) if c), None)
@@ -295,10 +269,8 @@ def alexander_det(pd: PDCode) -> int:
     Jacobian equals Delta(t) up to a unit +-t^k, and at t = -1 every unit
     has absolute value 1, so no polynomial normalization is needed.
     """
-    ngen, _arc, relations = wirtinger_relations(pd)
-    rows = _fox_int_matrix(relations, ngen, -1)
-    minor = [r[:-1] for r in rows[:-1]]
-    return abs(_int_det(minor))
+    _ngen, _arc, relations = wirtinger_relations(pd)
+    return abs(_minor_det(_fox_int_matrix(relations, -1)))
 
 
 # ---------------------------------------------------------------------------

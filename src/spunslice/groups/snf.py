@@ -45,10 +45,11 @@ class UnitReduction(NamedTuple):
     core: list[list[int]]
 
 
-def eliminate_unit_pivots(matrix: list[list[int]]) -> UnitReduction:
+def eliminate_unit_pivots(rows: list[dict[int, int]], n: int) -> UnitReduction:
     """Eliminate +-1 pivots of an integer matrix, cheapest first.
 
-    Rows are held sparse as {col: value}.  Each step takes the +-1 entry of
+    The matrix comes as sparse rows {col: nonzero value} over n columns, and
+    the elimination consumes them.  Each step takes the +-1 entry of
     least Markowitz cost (row nnz - 1) * (col nnz - 1), clears its column
     from every other row by exact integer row operations (so determinants
     are unchanged), and retires its row and column.  Column operations would
@@ -60,11 +61,7 @@ def eliminate_unit_pivots(matrix: list[list[int]]) -> UnitReduction:
     entries, so the core is small (Havas-Holt-Rees, Linear Algebra Appl.
     192, 1993).
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    if any(len(row) != n for row in matrix):
-        raise ValueError("ragged matrix")
-    rows = [{j: int(v) for j, v in enumerate(row) if v} for row in matrix]
+    m = len(rows)
     cols: list[set[int]] = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
@@ -124,13 +121,11 @@ def eliminate_unit_pivots(matrix: list[list[int]]) -> UnitReduction:
     return UnitReduction(tuple(pivots), core_rows, core_cols, core)
 
 
-def smith_normal_form(
-    matrix: list[list[int]], want_transforms: bool = False
-):
-    """Diagonalize an integer matrix M as U @ M @ V = D with d_i | d_{i+1}.
+def smith_normal_form(matrix: list[list[int]]) -> list[list[int]]:
+    """Diagonalize an integer matrix M as U @ M @ V = D with d_i | d_{i+1}
+    and return D.
 
-    Returns (D, U, V) when want_transforms is set, else just D.  All
-    arithmetic is exact.  The pivot is always an entry of least absolute
+    All arithmetic is exact.  The pivot is always an entry of least absolute
     value; any nonzero remainder left by clearing its row and column is
     smaller, so the search starts again and the pivot shrinks until it
     divides its whole row and column.
@@ -140,32 +135,13 @@ def smith_normal_form(
     A = [list(map(int, row)) for row in matrix]
     if any(len(row) != n for row in A):
         raise ValueError("ragged matrix")
-    U = [[int(i == j) for j in range(m)] for i in range(m)] if want_transforms else None
-    V = [[int(i == j) for j in range(n)] for i in range(n)] if want_transforms else None
 
     def row_op(i, j, q):  # row_i -= q * row_j
         A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        if U is not None:
-            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for row in A:
             row[i] -= q * row[j]
-        if V is not None:
-            for row in V:
-                row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
 
     def clear(t) -> bool:
         """Clear row and column t against the pivot; False at a remainder."""
@@ -191,8 +167,9 @@ def smith_normal_form(
         if piv is None:
             break
         _, pi, pj = piv
-        swap_rows(t, pi)
-        swap_cols(t, pj)
+        A[t], A[pi] = A[pi], A[t]
+        for row in A:
+            row[t], row[pj] = row[pj], row[t]
         if not clear(t):
             continue  # a remainder is now the least entry: search again
         p = A[t][t]
@@ -205,17 +182,16 @@ def smith_normal_form(
             continue
         if p < 0:
             A[t] = [-x for x in A[t]]
-            if U is not None:
-                U[t] = [-x for x in U[t]]
         t += 1
-    if want_transforms:
-        return A, U, V
     return A
 
 
 def _divisors(matrix: list[list[int]]) -> tuple[int, ...]:
     """Nonzero invariant factors: one 1 per unit pivot, then the core's."""
-    red = eliminate_unit_pivots(matrix)
+    n = len(matrix[0])
+    if any(len(row) != n for row in matrix):
+        raise ValueError("ragged matrix")
+    red = eliminate_unit_pivots([{j: int(v) for j, v in enumerate(row) if v} for row in matrix], n)
     D = smith_normal_form([row for row in red.core if any(row)])
     return (1,) * len(red.pivots) + tuple(
         D[i][i] for i in range(min(len(D), len(red.core_cols))) if D[i][i]

@@ -1,13 +1,14 @@
 """Command-line runs pinned byte for byte: golden certificates, every
 subcommand, the one resolution bound of the slice-curve commands and the
-0-crossing unknot; unreadable files and bad batteries, which are input
-errors; and fuzzed plat text, which never ends in exit 4."""
+0-crossing unknot; unreadable files and bad or oversized batteries, which
+are input errors; and fuzzed plat text, which never ends in exit 4."""
 
 import contextlib
 import hashlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -232,6 +233,24 @@ def test_cli_a_value_error_past_the_file_reads_is_still_internal(monkeypatch, ca
 def test_cli_certify_rejects_a_symmetric_group_on_fewer_than_two_points(battery, capsys):
     assert main(["certify", TREFOIL_PLAT, "--twists", "2,2", "--battery", battery]) == 3
     assert capsys.readouterr() == ("", "error: need n >= 2\n")
+
+
+@pytest.mark.parametrize(
+    "battery",
+    ["C20000", "S7", "S100000", "C" + "9" * 5000],
+    ids=["C20000", "S7", "S100000", "C9x5000"],
+)
+def test_cli_certify_refuses_a_battery_group_above_the_order_bound(battery, capsys):
+    t0 = time.monotonic()
+    assert main(["certify", TREFOIL_PLAT, "--twists", "2,2", "--battery", f"S3,{battery}"]) == 3
+    assert time.monotonic() - t0 < 1.0
+    message = f"error: battery group {battery!r} has more than 1000 elements\n"
+    assert capsys.readouterr() == ("", message)
+
+
+def test_cli_certify_rejects_a_battery_order_written_with_a_superscript(capsys):
+    assert main(["certify", TREFOIL_PLAT, "--twists", "2,2", "--battery", "S²"]) == 3
+    assert capsys.readouterr() == ("", "error: unknown battery group 'S²'\n")
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,14 @@ form and Fox calculus); a third route through the cover's fundamental
 group lives in test_groups.py.
 """
 
+import hashlib
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ALEX_AT_3, DETERMINANTS, FIG8, T35, TREFOIL
+from conftest import ALEX_AT_3, DETERMINANTS, FIG8, T35, TREFOIL, join_components
 from spunslice.covers import (
     alexander_det,
     alexander_polynomial,
@@ -19,6 +23,7 @@ from spunslice.covers import (
     surgery_description,
 )
 from spunslice.diagrams import (
+    PDCode,
     PlatError,
     PlatWord,
     TwistVector,
@@ -94,6 +99,77 @@ def test_goeritz_matrix_is_symmetric():
         for i in range(len(m)):
             for j in range(len(m)):
                 assert m[i][j] == m[j][i]
+
+
+# plat_to_pd(TREFOIL).crossings
+TREFOIL_PD = ((3, 6, 4, 1, -1), (5, 2, 6, 3, -1), (1, 4, 2, 5, -1))
+
+
+@pytest.mark.parametrize(
+    "crossings, message",
+    [
+        (((3, 6, 4, 99, -1),) + TREFOIL_PD[1:], "edge 99 occurs 1 times"),
+        (((3, 6, 4, 3, -1),) + TREFOIL_PD[1:], "edge 3 occurs 3 times"),
+        # one crossing whose two edges are loops: one face, a torus graph
+        (((1, 2, 1, 2, 1),), "face count 1 != crossings + 2 = 3; nonplanar PD?"),
+        # the trefoil beside that torus graph: 5 + 1 faces for 4 crossings
+        (TREFOIL_PD + ((7, 8, 7, 8, 1),), "face adjacency graph is disconnected"),
+    ],
+    ids=["edge-once", "edge-thrice", "face-count", "disconnected"],
+)
+def test_malformed_pd_codes_are_rejected(crossings, message):
+    with pytest.raises(PlatError) as excinfo:
+        goeritz(PDCode(crossings))
+    assert str(excinfo.value) == message
+
+
+def _seeded_knots_and_unions():
+    """24 random knot plats on 4-8 strands with 1-16 letters, from
+    random.Random(7), each followed by one even union of it."""
+    rng = random.Random(7)
+    for _ in range(24):
+        strands = rng.choice((4, 6, 8))
+        letters = rng.randint(1, 16)
+        word = [(rng.randint(1, strands - 1), rng.choice((1, -1))) for _ in range(letters)]
+        plat = PlatWord(strands, join_components(strands, word, rng.choice((1, -1))))
+        tv = TwistVector(tuple(rng.choice((-2, 0, 2, 4)) for _ in range(strands // 2)))
+        yield plat, False
+        yield build_symmetric_union(plat, tv).knot, True
+
+
+# sha256 of `_determinant_facts` over `_seeded_knots_and_unions`, recorded
+# before faces were walked on integer darts and the matrices were built
+# sparse.  It pins face numbering, shading and which face is deleted.
+DETERMINANT_FACTS_SHA256 = "e2175a702805e575d8adc65fa49facd70c9ce76c4bf914b2327c584433a8ad10"
+
+
+def _determinant_facts(plat: PlatWord, union: bool) -> str:
+    pd = plat_to_pd(plat)
+    g = goeritz(pd)
+    facts = [g.matrix, g.determinant, g.shaded_faces, alexander_det(pd)]
+    if not union:
+        facts.append(alexander_polynomial(pd))
+    return repr(facts)
+
+
+def test_determinant_facts_are_byte_identical_to_the_recorded_digest():
+    digest = hashlib.sha256()
+    for plat, union in _seeded_knots_and_unions():
+        digest.update(_determinant_facts(plat, union).encode() + b"\n")
+    assert digest.hexdigest() == DETERMINANT_FACTS_SHA256
+
+
+def test_determinant_memory_is_linear_in_crossings():
+    pd = plat_to_pd(build_symmetric_union(T35, TwistVector((300, 300, 300))).knot)
+    assert pd.n_crossings == 2776
+    for route in (goeritz_determinant, alexander_det):
+        tracemalloc.start()
+        try:
+            assert route(pd) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 * pd.n_crossings, (route.__name__, peak)
 
 
 # ---------------------------------------------------------------------------

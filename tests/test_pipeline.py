@@ -195,6 +195,9 @@ def test_battery_group_names():
     assert battery_group("A4").order == 12
     assert battery_group("C7").order == 7
     assert battery_group("SL2F5").order == 120
+    # the largest accepted orders of the cyclic and symmetric families
+    assert battery_group("C1000").order == 1000
+    assert battery_group("S6").order == 720
 
 
 # ---------------------------------------------------------------------------
