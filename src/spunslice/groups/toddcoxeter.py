@@ -1,13 +1,18 @@
 """HLT-style Todd-Coxeter coset enumeration with coincidence handling.
 
 The coset table is one flat `array('i')` with entry (coset, col) at
-coset * ncols + col.  Generator g owns columns 2g-2 (g) and 2g-1 (g^-1), so
-col ^ 1 is the inverse column; -1 marks an undefined entry.  The union-find
-over cosets lives in the same table: when coset y merges into x, the first
-entry of y's row, which is never read as a table entry again, becomes
--2 - x.  So the table is the only buffer that grows during an enumeration,
-and a coset costs 4 bytes x 2n columns: about 1.26 GB for the 79-generator
-T(3,7) cover at the default budget of 2,000,000 cosets.
+coset * ncols + col.  Cosets are numbered from 1 and 0 marks an undefined
+entry, so row 0 is never used (one row, 632 bytes on the 79-generator
+T(3,7) cover).  Generator g owns columns 2g-2 (g) and 2g-1 (g^-1), so col ^ 1
+is the inverse column.  The union-find over cosets lives in the same table:
+when coset y merges into x, the first entry of y's row, which is never read
+as a table entry again, becomes -x.  A negative first entry marks a dead row,
+so find is called only on such a coset, and a merge visits only the defined
+entries of the dying row (`itertools.compress` over the row).  The table is
+the only buffer that grows during an enumeration, and a coset costs 4 bytes
+x 2n columns: about 1.26 GB for the T(3,7) cover at the default budget of
+2,000,000 cosets.  `todd_coxeter` returns the table with live cosets
+renumbered from 0.
 
 Termination is never guaranteed for infinite-index subgroups, so the
 enumerator carries an explicit coset budget and returns a typed
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 from .presentations import GroupPresentation, Word
 
@@ -56,26 +62,27 @@ def todd_coxeter(
     words = [_columns(w, ngens) for w in subgroup]
     if not ncols:  # the trivial group: one coset, and no row to hold the union-find
         return CosetResult("complete", 1, ((),), 1, max_cosets)
-    blank = array("i", [-1]) * ncols
-    table = array("i", blank)  # its length is ncols x the coset count
+    blank = array("i", [0]) * ncols
+    table = blank * 2  # row 0 unused, row 1 the subgroup's coset
+    cols = range(ncols)
     pending: list[tuple[int, int]] = []  # forced equalities queue
 
     def find(x: int) -> int:
-        while (p := table[x * ncols]) < -1:
-            q = table[(-2 - p) * ncols]
-            if q >= -1:
-                return -2 - p
+        while (p := table[x * ncols]) < 0:
+            q = table[-p * ncols]
+            if q >= 0:
+                return -p
             table[x * ncols] = q  # path halving
-            x = -2 - q
+            x = -q
         return x
 
     def set_entry(a: int, col: int, b: int):
         a, b = find(a), find(b)
         cur = table[a * ncols + col]
-        if cur == -1:
+        if not cur:
             table[a * ncols + col] = b
             back = table[b * ncols + (col ^ 1)]
-            if back == -1:
+            if not back:
                 table[b * ncols + (col ^ 1)] = a
             elif find(back) != a:
                 pending.append((find(back), a))
@@ -87,52 +94,55 @@ def todd_coxeter(
     def process_pending():
         while pending:
             x, y = pending.pop()
-            x, y = find(x), find(y)
+            if table[x * ncols] < 0:
+                x = find(x)
+            if table[y * ncols] < 0:
+                y = find(y)
             if x == y:
                 continue
             if x > y:
                 x, y = y, x
             row = table[y * ncols : y * ncols + ncols]
-            table[y * ncols] = -2 - x  # y dies, x survives
+            table[y * ncols] = -x  # y dies, x survives
             # no write below touches row y: find never returns y again
             base = x * ncols
-            for col, e in enumerate(row):
-                if e == -1:
-                    continue
-                if table[e * ncols] < -1:
+            for col in compress(cols, row):
+                e = row[col]
+                if table[e * ncols] < 0:
                     e = find(e)
                 cur = table[base + col]
-                if cur == -1:
+                if not cur:
                     table[base + col] = e
-                    back = table[e * ncols + (col ^ 1)]
-                    if back == -1:
+                    cur = table[e * ncols + (col ^ 1)]
+                    if not cur:
                         table[e * ncols + (col ^ 1)] = x
-                    elif find(back) != x:
-                        pending.append((find(back), x))
-                elif find(cur) != e:
-                    pending.append((find(cur), e))
+                        continue
+                    e = x  # the back entry of e must be x
+                if table[cur * ncols] < 0:
+                    cur = find(cur)
+                if cur != e:
+                    pending.append((cur, e))
 
     def scan(coset: int, word: list[int]) -> bool:
-        """Scan word at coset, filling gaps; False if the budget is hit."""
-        coset = find(coset)
+        """Scan word at the live coset, filling gaps; False if the budget is hit."""
         # forward as far as possible
         f = coset
         i = 0
         n = len(word)
         while i < n:
             nxt = table[f * ncols + word[i]]
-            if nxt == -1:
+            if not nxt:
                 break
-            f = nxt if table[nxt * ncols] >= -1 else find(nxt)
+            f = nxt if table[nxt * ncols] >= 0 else find(nxt)
             i += 1
         # backward from the end
         b = coset
         j = n
         while j > i:
             prev = table[b * ncols + (word[j - 1] ^ 1)]
-            if prev == -1:
+            if not prev:
                 break
-            b = prev if table[prev * ncols] >= -1 else find(prev)
+            b = prev if table[prev * ncols] >= 0 else find(prev)
             j -= 1
         if j == i:
             # the two scans meet: force f = b
@@ -140,53 +150,68 @@ def todd_coxeter(
                 pending.append((f, b))
                 process_pending()
             return True
-        # genuine gap: define new cosets for all but the last position
+        # genuine gap: define new cosets for all but the last position; a
+        # fresh coset's row is empty but for its back entry, so only a word
+        # that is not freely reduced needs set_entry, and then only the fresh
+        # coset, whose row is empty, dies
         while j > i + 1:
             c = len(table) // ncols
-            if c >= max_cosets:
+            if c > max_cosets:
                 return False
             table.extend(blank)
-            set_entry(f, word[i], c)
-            f = find(c)
+            col = word[i]
+            if table[f * ncols + col]:
+                set_entry(f, col, c)
+                f = find(c)
+            else:
+                table[f * ncols + col] = c
+                table[c * ncols + (col ^ 1)] = f
+                f = c
             i += 1
-        set_entry(f, word[i], find(b))
+        # the closing deduction; f and b are live
+        col = word[i]
+        if not table[f * ncols + col] and not table[b * ncols + (col ^ 1)]:
+            table[f * ncols + col] = b
+            table[b * ncols + (col ^ 1)] = f
+        else:
+            set_entry(f, col, b)
         return True
 
     def inconclusive() -> CosetResult:
-        return CosetResult("inconclusive", None, None, len(table) // ncols, max_cosets)
+        return CosetResult("inconclusive", None, None, len(table) // ncols - 1, max_cosets)
 
     for w in words:
-        if not scan(0, w):
+        if not scan(1, w):
             return inconclusive()
 
-    idx = 0
+    idx = 1
     while idx < len(table) // ncols:
-        if table[idx * ncols] >= -1:
+        if table[idx * ncols] >= 0:
             for r in relators:
                 if not scan(idx, r):
                     return inconclusive()
-                if table[idx * ncols] < -1:
+                if table[idx * ncols] < 0:
                     break
             else:
                 # idx stays live: a fresh coset closes a hole without coincidence
                 for col in range(ncols):
-                    if table[idx * ncols + col] == -1:
+                    if not table[idx * ncols + col]:
                         c = len(table) // ncols
-                        if c >= max_cosets:
+                        if c > max_cosets:
                             return inconclusive()
                         table.extend(blank)
                         table[idx * ncols + col] = c
                         table[c * ncols + (col ^ 1)] = idx
         idx += 1
 
-    # compress to live cosets
-    defined = len(table) // ncols
-    live = [c for c in range(defined) if table[c * ncols] >= -1]
+    # compress to live cosets, numbered from 0
+    defined = len(table) // ncols - 1
+    live = [c for c in range(1, defined + 1) if table[c * ncols] >= 0]
     renum = {c: k for k, c in enumerate(live)}
     final = []
     for c in live:
         row = table[c * ncols : c * ncols + ncols]
-        if -1 in row:
+        if 0 in row:
             raise RuntimeError("incomplete table reported as complete")
         final.append(tuple(renum[find(e)] for e in row))
     return CosetResult("complete", len(live), tuple(final), defined, max_cosets)

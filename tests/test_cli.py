@@ -1,12 +1,16 @@
 """Command-line runs pinned byte for byte: golden certificates, every
-subcommand, the one resolution bound of the slice-curve commands and the
-0-crossing unknot; unreadable files and bad or oversized batteries, which
-are input errors; and fuzzed plat text, which never ends in exit 4."""
+subcommand, `python -m spunslice`, the one resolution bound of the
+slice-curve commands and the 0-crossing unknot; unreadable files and bad or
+oversized batteries, which are input errors; and fuzzed plat text, which
+never ends in exit 4."""
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -69,6 +73,16 @@ def test_cli_subcommand_output_is_pinned(command, capsys):
     argv, rc, stdout = CLI_PINS[command]
     assert main(argv) == rc
     assert capsys.readouterr().out == stdout
+
+
+def test_python_m_spunslice_runs_the_cli_from_a_checkout(capsys):
+    # `python -m spunslice` needs only the package on the path, no install
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "spunslice", "validate", TREFOIL_PLAT],
+                          capture_output=True, text=True, env=env)
+    assert main(["validate", TREFOIL_PLAT]) == proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_cli_symunion_prints_the_doubled_plat(capsys):

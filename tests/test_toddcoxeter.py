@@ -1,5 +1,6 @@
 """The flat-table Todd-Coxeter enumerator against the list-of-lists
-reference `todd_coxeter_lists` in conftest, and the bytes its table costs."""
+reference `todd_coxeter_lists` in conftest, on narrow and on wide, sparse
+tables; the bytes its table costs; and where its coset budget binds."""
 
 import tracemalloc
 
@@ -89,3 +90,56 @@ def test_subgroup_letters_out_of_range_are_rejected():
     for bad in ((3,), (1, 0), (-3, 2)):
         with pytest.raises(ValueError, match="out of range"):
             todd_coxeter(pres, (bad,))
+
+
+@st.composite
+def wide_presentations(draw):
+    """5-12 generators, as on a branched-cover presentation: a finite von
+    Dyck core <a, b | a^p, b^q, (ab)^r>, every other generator identified
+    with an earlier one (x_a x_b^-1) or killed, and up to 3 words of up to 6
+    letters, all relabelled; so rows are wide and mostly undefined when they
+    merge, and most enumerations complete."""
+    n = draw(st.integers(min_value=5, max_value=12))
+    p, q, r = draw(st.sampled_from(((2, 2, 3), (2, 2, 5), (2, 3, 3), (2, 3, 4), (2, 3, 5))))
+    relators = [(1,) * p, (2,) * q, (1, 2) * r]
+    killed = draw(st.integers(min_value=3, max_value=n))
+    for g in range(3, n + 1):
+        relators.append((g,) if g == killed else (g, -draw(st.integers(1, g - 1))))
+    letter = st.integers(min_value=1, max_value=n).flatmap(lambda g: st.sampled_from((g, -g)))
+    relators += draw(st.lists(st.lists(letter, min_size=1, max_size=6).map(tuple), max_size=3))
+    label = [0] + draw(st.permutations(range(1, n + 1)))
+    relators = [tuple(label[x] if x > 0 else -label[-x] for x in w) for w in relators]
+    subgroup = draw(st.lists(st.lists(letter, max_size=4).map(tuple), max_size=2))
+    return GroupPresentation(n, tuple(draw(st.permutations(relators)))), tuple(subgroup)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_presentations(), st.sampled_from((20, 300, 3000)))
+def test_wide_sparse_rows_match_the_list_table(case, budget):
+    pres, subgroup = case
+    r = todd_coxeter(pres, subgroup, budget)
+    ref = todd_coxeter_lists(pres, subgroup, budget)
+    assert (r.status, r.index, r.table, r.cosets_defined) == (
+        ref.status, ref.index, ref.table, ref.cosets_defined)
+
+
+@pytest.mark.parametrize("word", [(1, 2, -1), (2, 3, -2), (1, -1, 2), (2, -2, 3)])
+def test_subgroup_words_that_are_not_reduced_match_the_list_table(word):
+    # a scan writes a fresh coset and its closing deduction straight into the
+    # table only where both entries are empty; words that are not cyclically
+    # or not freely reduced reach the other case
+    pres = GroupPresentation(3, ((1, 1), (2, 2), (1, 2) * 3, (3, -1)))
+    assert todd_coxeter(pres, (word,), 20) == todd_coxeter_lists(pres, (word,), 20)
+
+
+def test_the_budget_counts_every_coset_defined():
+    # a budget of exactly the index suffices, one less does not
+    pres = GroupPresentation(1, ((1,) * 5,))
+    r = todd_coxeter(pres, max_cosets=5)
+    assert (r.status, r.index, r.cosets_defined) == ("complete", 5, 5)
+    r = todd_coxeter(pres, max_cosets=4)
+    assert (r.status, r.cosets_defined) == ("inconclusive", 4)
+    cover = branched_cover_presentation(wirtinger(plat_to_pd(t3_plat(7))))
+    for budget in (1, 2, 158, 20_000):
+        r = todd_coxeter(cover, max_cosets=budget)
+        assert (r.status, r.cosets_defined) == ("inconclusive", budget)
