@@ -29,15 +29,8 @@ from .covers import (  # noqa: F401
 from .decker import (  # noqa: F401
     DeckerSet,
     SliceCurve,
-    check_slice_criterion,
     criterion_report,
     dehn_twist_annulus,
-    format_curve,
-    format_decker,
-    parse_curve,
-    parse_decker,
-    rotate_curve,
-    spin_chord_diagram,
     spin_plat,
     symmetric_union_curve,
     trace_double_curve,

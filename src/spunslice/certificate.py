@@ -39,6 +39,7 @@ from .covers import (
 )
 from .decker import (
     DEFAULT_RESOLUTION,
+    MAX_RESOLUTION,
     MIN_RESOLUTION,
     criterion_report,
     spin_plat,
@@ -480,6 +481,8 @@ def certify(plat: PlatWord, tv: TwistVector, config: CertifyConfig | None = None
     from . import __version__
 
     cfg = config or CertifyConfig()
+    if cfg.resolution > MAX_RESOLUTION:
+        raise CertifyError(f"resolution {cfg.resolution} too large; at most {MAX_RESOLUTION}")
     if cfg.resolution < MIN_RESOLUTION or cfg.resolution % 2:
         raise CertifyError(f"resolution must be an even integer >= {MIN_RESOLUTION}")
     if cfg.max_cosets < 1:

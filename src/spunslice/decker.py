@@ -21,7 +21,7 @@ a region and lets a strand wind full longitudes without touching itself.
 Crossing data -- which circle is crossed at which longitude -- is the only
 geometrically meaningful part and is what every check below consumes.  A
 curve classifies its edges once (`SliceCurve.edge_kinds`); validation,
-crossings, twisting and serialization all read that classification.
+crossings, twisting and the side test all read that classification.
 
 The side test: a vertex-simple cycle separates the sphere into exactly two
 faces.  A curve bounds a slice disc on one side of the identified surface
@@ -30,14 +30,15 @@ side-1 sweep of the under circle (forward), or the same with over and
 under swapped (reverse).  We 2-colour the complement combinatorially and
 evaluate both inclusions at every midpoint between longitude samples.
 
-The colouring runs on one cylinder grid.  Stacking the rows of all regions
-gives global rows 0..G-1 (G = sum of rows); region r starts at global row
-start[r].  A face is (f, k) with f in 0..G, spanning longitudes k..k+1
-between global rows f-1 and f, and has the integer id f*M + k.  Face f = 0
-is the north cap, f = G the south cap, and f = start[c] straddles circle c.
-Face (f, k) meets (f, k+1) across the edge at longitude k+1 (a row step, a
-circle crossing, or at the caps a pole edge) and meets (f+1, k) across the
-horizontal edge on global row f.
+The colouring is the even-odd rule.  The grid's cells are the cap wedges
+between consecutive pole edges and, in each region, the cells between
+consecutive rows (or a row and a circle) spanning longitudes k..k+1.  By the
+Jordan curve theorem a cell's side is the parity of the curve edges crossed
+on any walk to it from the anchor cell.  The walk from north cap wedge k
+straight south to the cell straddling circle c at longitude k crosses only
+the horizontal edges of regions 0..c-1 in column k, so one M-bit int per
+region, its columns with an odd number of curve edges, gives every circle's
+sides by XOR; the wedges take theirs from the pole edges the curve uses.
 """
 
 from __future__ import annotations
@@ -55,23 +56,13 @@ from .diagrams import (
 )
 
 __all__ = [
-    "CriterionReport",
     "DeckerSet",
     "SliceCurve",
-    "check_slice_criterion",
     "criterion_report",
-    "dehn_twist_annulus",
-    "format_curve",
-    "format_decker",
-    "parse_curve",
-    "parse_decker",
-    "rotate_curve",
     "side_map",
-    "spin_chord_diagram",
     "spin_plat",
     "symmetric_union_curve",
     "trace_double_curve",
-    "validate_curve",
 ]
 
 DEFAULT_RESOLUTION = 24
@@ -79,6 +70,10 @@ DEFAULT_RESOLUTION = 24
 # longitudes OVER_OFFSET..UNDER_OFFSET east of the seam, its descending strand
 # to the mirror sector west of it, and 16 keeps the two sectors well apart.
 MIN_RESOLUTION = 16
+# The crossing data never needs more than a few dozen longitudes; time and
+# memory grow linearly in M (each band wind walks M longitudes), and 4096
+# keeps one slice check well under a second and 30 MB.
+MAX_RESOLUTION = 4096
 
 NORTH = ("N",)
 SOUTH = ("S",)
@@ -100,9 +95,9 @@ class DeckerSet:
     """Latitude-circle pairing data of a spun knotted arc.
 
     pairs[i] = (over_circle, under_circle, sign), circles numbered 1..L in
-    latitude order, each sampled at m >= MIN_RESOLUTION longitudes.  The
-    identification of the two circles of a pair matches equal longitude
-    samples.  bridge_annuli, present when the set was built
+    latitude order, each sampled at m longitudes, MIN_RESOLUTION <= m <=
+    MAX_RESOLUTION.  The identification of the two circles of a pair matches
+    equal longitude samples.  bridge_annuli, present when the set was built
     from a plat, maps each cap (1-based, entry j-1) to the annulus region
     swept by its arc; the first cap carries the cut and has no annulus.
     """
@@ -121,6 +116,8 @@ class DeckerSet:
                 f"resolution {self.m} too small for the doubled curve; "
                 f"need at least {MIN_RESOLUTION}"
             )
+        if self.m > MAX_RESOLUTION:
+            raise PlatError(f"resolution {self.m} too large; at most {MAX_RESOLUTION}")
         seen = sorted(c for over, under, _s in self.pairs for c in (over, under))
         if seen != list(range(1, self.l + 1)):
             raise PlatError("pairs must partition circles 1..L")
@@ -152,11 +149,6 @@ class DeckerSet:
 def _pairs(cd: ChordDiagram) -> tuple[tuple[int, int, int], ...]:
     """(over, under, sign) per chord: the circle pairs of the spun tangle."""
     return tuple((a, b, s) for (a, b), s in zip(cd.chords, cd.signs))
-
-
-def spin_chord_diagram(cd: ChordDiagram, m: int = DEFAULT_RESOLUTION) -> DeckerSet:
-    """Decker set of the spin of the tangle with chord diagram `cd`."""
-    return DeckerSet(cd.n, 2 * cd.n, m, _pairs(cd))
 
 
 def spin_plat(plat: PlatWord, m: int = DEFAULT_RESOLUTION) -> DeckerSet:
@@ -469,100 +461,67 @@ class CriterionReport:
     reverse: bool
 
 
+def _side_masks(ds: DeckerSet, curve: SliceCurve) -> list[int]:
+    """Sides of the midpoints of circles 1..L, one M-bit int per circle:
+    bit k is set when midpoint (c, k) lies on side 2."""
+    validate_curve(ds, curve)
+    m, verts = curve.m, curve.vertices
+    # per region, the columns where the curve has an odd number of H edges
+    crossed = [0] * (curve.l + 1)
+    for (u, v), kind in zip(curve.edges(), curve.edge_kinds):
+        if kind[0] == "H":
+            crossed[u[0]] ^= 1 << (u[2] if kind[1] > 0 else v[2])
+    # the anchor wedge lies on side 1; through the pole, the curve leaves at
+    # longitude a and arrives at b, so the wedges b..a-1 lie on side 2
+    side = 0
+    if NORTH in verts:
+        i = verts.index(NORTH)
+        a, b = verts[(i + 1) % len(verts)][2], verts[i - 1][2]
+        run = (1 << (a - b) % m) - 1
+        side = (run << b | run >> (m - b)) & ((1 << m) - 1)
+    masks = []
+    for region in range(curve.l):
+        side ^= crossed[region]
+        masks.append(side)
+    return masks
+
+
 def side_map(ds: DeckerSet, curve: SliceCurve) -> dict[tuple[int, int], int]:
     """Side label (1 or 2) of each circle midpoint k+1/2.
 
-    Flood-fills the cylinder grid of the module docstring: the curve's
-    edges are blocked in two bytearrays, horizontal edges at id f*M + k of
-    the face below them (f < G) and the row-step, crossing and pole edges
-    at the id of the face just east of them; the label of midpoint (c, k)
-    is the colour of face start[c]*M + k.
-
-    Side 1 is the complement component containing the north pole.  When the
-    curve passes through the pole, the anchor is the north-cap face just
-    east of the curve's departure edge from the pole; tying the anchor to
-    the curve rather than to an absolute longitude keeps the labels stable
-    under global rotation.
+    The label is the parity of the curve edges crossed on any walk from the
+    anchor, which the Jordan curve theorem makes well defined; see the module
+    docstring.  Side 1 is the complement component containing the north
+    pole.  When the curve passes through the pole, the anchor is the
+    north-cap wedge just east of the curve's departure edge from the pole;
+    tying the anchor to the curve rather than to an absolute longitude keeps
+    the labels stable under global rotation.
     """
-    validate_curve(ds, curve)
-    m, verts = curve.m, curve.vertices
-    start = [0]
-    for r in curve.rows:
-        start.append(start[-1] + r)
-    south = start[-1] * m  # id of the first south-cap face
-    hblock = bytearray(south)
-    vblock = bytearray(south + m)
-    for (u, v), kind in zip(curve.edges(), curve.edge_kinds):
-        if kind[0] == "H":
-            region, row, k = u if kind[1] > 0 else v
-            hblock[(start[region] + row) * m + k] = 1
-        elif kind[0] == "P":
-            k = (u if v in (NORTH, SOUTH) else v)[2]
-            vblock[(0 if kind[1] == "N" else south) + k] = 1
-        else:  # V or X: the face between the two rows the edge joins
-            f = max(start[u[0]] + u[1], start[v[0]] + v[1])
-            vblock[f * m + u[2]] = 1
-    color = bytearray(south + m)
-
-    def flood(i: int, label: int) -> None:
-        color[i] = label
-        stack = [i]
-        push, pop = stack.append, stack.pop
-        while stack:
-            i = pop()
-            k = i % m
-            west = i - 1 if k else i + m - 1
-            east = i + 1 if k < m - 1 else i - k
-            if not (vblock[i] or color[west]):
-                color[west] = label
-                push(west)
-            if not (vblock[east] or color[east]):
-                color[east] = label
-                push(east)
-            if i >= m and not (hblock[i - m] or color[i - m]):
-                color[i - m] = label
-                push(i - m)
-            if i < south and not (hblock[i] or color[i + m]):
-                color[i + m] = label
-                push(i + m)
-
-    anchor = 0
-    if NORTH in verts:
-        anchor = verts[(verts.index(NORTH) + 1) % len(verts)][2]
-    flood(anchor, 1)
-    second = color.find(0)
-    if second < 0:
-        raise PlatError("curve does not separate the sphere")
-    flood(second, 2)
-    if color.find(0) >= 0:
-        raise PlatError("curve complement has more than two components")
+    masks = _side_masks(ds, curve)
     return {
-        (c, k): color[start[c] * m + k]
-        for c in range(1, curve.l + 1)
-        for k in range(m)
+        (c, k): 1 + (side >> k & 1)
+        for c, side in enumerate(masks, start=1)
+        for k in range(curve.m)
     }
 
 
 def criterion_report(ds: DeckerSet, curve: SliceCurve) -> CriterionReport:
     """Evaluate both inclusion directions of the side test."""
-    sides = side_map(ds, curve)
+    sides = _side_masks(ds, curve)
     crossings = curve.crossings()
     m = curve.m
     forward = True
     reverse = True
     for over, under, _sign in ds.pairs:
-        xo = set(crossings.get(over, ()))
-        xu = set(crossings.get(under, ()))
-        for k in range(m):
-            nxt = (k + 1) % m
-            if k in xo or nxt in xo or k in xu or nxt in xu:
-                continue  # midpoint adjacent to a crossing on either circle
-            so = sides[(over, k)]
-            su = sides[(under, k)]
-            if so == 1 and su != 1:
-                forward = False
-            if su == 1 and so != 1:
-                reverse = False
+        # midpoints k-1 and k are adjacent to a crossing at longitude k
+        keep = (1 << m) - 1
+        for k in crossings.get(over, ()) + crossings.get(under, ()):
+            keep &= ~(1 << k | 1 << (k - 1) % m)
+        so, su = sides[over - 1], sides[under - 1]
+        if su & ~so & keep:  # over on side 1 where under is on side 2
+            forward = False
+        if so & ~su & keep:
+            reverse = False
     if forward:
         verdict = "pass-forward"
     elif reverse:
@@ -570,11 +529,6 @@ def criterion_report(ds: DeckerSet, curve: SliceCurve) -> CriterionReport:
     else:
         verdict = "fail"
     return CriterionReport(verdict, forward, reverse)
-
-
-def check_slice_criterion(ds: DeckerSet, curve: SliceCurve) -> str:
-    """Verdict of the side test: pass-forward, pass-reverse, or fail."""
-    return criterion_report(ds, curve).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -663,15 +617,6 @@ def dehn_twist_annulus(
     return twisted
 
 
-def rotate_curve(curve: SliceCurve, d: int) -> SliceCurve:
-    """Rotate the whole curve d longitude samples eastward."""
-    verts = tuple(
-        v if v in (NORTH, SOUTH) else (v[0], v[1], (v[2] + d) % curve.m)
-        for v in curve.vertices
-    )
-    return SliceCurve(curve.l, curve.m, curve.rows, verts)
-
-
 def symmetric_union_curve(ds: DeckerSet, tv: TwistVector) -> SliceCurve:
     """Slice curve of the even symmetric union: doubled curve plus band winds.
 
@@ -695,164 +640,3 @@ def symmetric_union_curve(ds: DeckerSet, tv: TwistVector) -> SliceCurve:
             continue
         curve = dehn_twist_annulus(ds, curve, region, t // 2)
     return curve
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def format_decker(ds: DeckerSet) -> str:
-    lines = [f"decker circles {ds.l} resolution {ds.m}"]
-    for i, (_over, _under, sign) in enumerate(ds.pairs, start=1):
-        lines.append(f"pair {i} sign {sign:+d}")
-    for c in range(1, ds.l + 1):
-        i = ds.pair_of(c)
-        role = "over" if ds.is_over(c) else "under"
-        lines.append(f"circle {c} pair {i} {role}")
-    if ds.bridge_annuli is not None:
-        cells = " ".join(
-            "-" if r is None else str(r) for r in ds.bridge_annuli
-        )
-        lines.append(f"caps {cells}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_decker(text: str) -> DeckerSet:
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if not lines or not lines[0].startswith("decker circles "):
-        raise PlatError("missing decker header")
-    head = lines[0].split()
-    try:
-        l, m = int(head[2]), int(head[4])
-    except (IndexError, ValueError) as exc:
-        raise PlatError(f"bad decker header: {lines[0]!r}") from exc
-    signs: dict[int, int] = {}
-    overs: dict[int, int] = {}
-    unders: dict[int, int] = {}
-    annuli: tuple[int | None, ...] | None = None
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "pair" and parts[2] == "sign":
-            signs[int(parts[1])] = int(parts[3])
-        elif parts[0] == "circle":
-            c, i, role = int(parts[1]), int(parts[3]), parts[4]
-            (overs if role == "over" else unders)[i] = c
-        elif parts[0] == "caps":
-            annuli = tuple(
-                None if cell == "-" else int(cell) for cell in parts[1:]
-            )
-        else:
-            raise PlatError(f"unrecognized decker line: {ln!r}")
-    n = l // 2
-    if sorted(signs) != list(range(1, n + 1)):
-        raise PlatError("pair sign lines must cover pairs 1..n")
-    if sorted(overs) != list(range(1, n + 1)) or sorted(unders) != list(
-        range(1, n + 1)
-    ):
-        raise PlatError("each pair needs one over and one under circle")
-    pairs = tuple((overs[i], unders[i], signs[i]) for i in range(1, n + 1))
-    return DeckerSet(n, l, m, pairs, annuli)
-
-
-def format_curve(ds: DeckerSet, curve: SliceCurve) -> str:
-    validate_curve(ds, curve)
-    lines = [format_decker(ds).rstrip("\n")]
-    lines.append("curve rows " + " ".join(str(r) for r in curve.rows))
-    first = curve.vertices[0]
-    if first == NORTH:
-        lines.append("start pole N")
-    elif first == SOUTH:
-        lines.append("start pole S")
-    else:
-        lines.append(f"start {first[0]} {first[1]} {first[2]}")
-    moves: list[list] = []  # [kind, run length] for H and V, else [kind, argument]
-    for (u, v), kind in zip(curve.edges(), curve.edge_kinds):
-        tag = kind[0]
-        if tag in ("H", "V"):
-            if moves and moves[-1][0] == tag and (moves[-1][1] > 0) == (kind[1] > 0):
-                moves[-1][1] += kind[1]
-            else:
-                moves.append([tag, kind[1]])
-        elif tag == "X":
-            moves.append([tag, "down" if u[0] < kind[1] else "up"])
-        elif v in (NORTH, SOUTH):
-            moves.append([tag, v[0]])
-        else:
-            moves.append([tag, v[2]])
-    lines.extend(
-        f"move {tag} {arg:+d}" if tag in ("H", "V") else f"move {tag} {arg}"
-        for tag, arg in moves
-    )
-    lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
-def parse_curve(text: str) -> tuple[DeckerSet, SliceCurve]:
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    split = next(
-        (i for i, ln in enumerate(lines) if ln.startswith("curve rows ")), None
-    )
-    if split is None:
-        raise PlatError("missing 'curve rows' line")
-    ds = parse_decker("\n".join(lines[:split]))
-    rows = tuple(int(x) for x in lines[split].split()[2:])
-    start_line = lines[split + 1].split()
-    if start_line[0] != "start":
-        raise PlatError("missing start line")
-    if start_line[1] == "pole":
-        at: tuple = NORTH if start_line[2] == "N" else SOUTH
-    else:
-        at = (int(start_line[1]), int(start_line[2]), int(start_line[3]))
-    verts = [at]
-    if lines[-1] != "end":
-        raise PlatError("missing end line")
-    for ln in lines[split + 2 : -1]:
-        parts = ln.split()
-        if parts[0] != "move":
-            raise PlatError(f"unrecognized curve line: {ln!r}")
-        kind, arg = parts[1], parts[2]
-        if kind == "H":
-            count = int(arg)
-            step = 1 if count > 0 else -1
-            for _ in range(abs(count)):
-                l, r, k = at
-                at = (l, r, (k + step) % ds.m)
-                verts.append(at)
-        elif kind == "V":
-            count = int(arg)
-            step = 1 if count > 0 else -1
-            for _ in range(abs(count)):
-                l, r, k = at
-                at = (l, r + step, k)
-                verts.append(at)
-        elif kind == "X":
-            l, r, k = at
-            at = (l + 1, 0, k) if arg == "down" else (l - 1, rows[l - 1] - 1, k)
-            verts.append(at)
-        elif kind == "P":
-            if arg == "N":
-                at = NORTH
-            elif arg == "S":
-                at = SOUTH
-            elif at == NORTH:
-                at = (0, 0, int(arg))
-            elif at == SOUTH:
-                at = (ds.l, rows[ds.l] - 1, int(arg))
-            else:
-                raise PlatError("pole move from a non-pole vertex needs N or S")
-            verts.append(at)
-        else:
-            raise PlatError(f"unknown move kind {kind!r}")
-    if verts[-1] != verts[0]:
-        raise PlatError("curve moves do not close the cycle")
-    curve = SliceCurve(ds.l, ds.m, rows, tuple(verts[:-1]))
-    validate_curve(ds, curve)
-    return ds, curve

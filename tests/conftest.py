@@ -16,8 +16,18 @@ from fractions import Fraction
 from dataclasses import dataclass, field
 from itertools import permutations, product
 
-from spunslice.decker import NORTH, SOUTH, validate_curve
+from spunslice.decker import (
+    DEFAULT_RESOLUTION,
+    NORTH,
+    SOUTH,
+    CriterionReport,
+    DeckerSet,
+    SliceCurve,
+    _pairs,
+    validate_curve,
+)
 from spunslice.diagrams import (
+    ChordDiagram,
     PDCode,
     PlatError,
     PlatWord,
@@ -297,9 +307,11 @@ def icosian_as_q5(u) -> tuple:
     return tuple((Fraction(x, 4), Fraction(y, 4)) for x, y in u.q)
 
 
-# The side test's face-tuple flood fill, the reference for the cylinder-grid
-# `decker.side_map`: faces are ("NT", k), ("ST", k), ("XF", circle, k) and
-# ("Q", region, row, k), and blocked edges a frozenset of vertex pairs.
+# The side test's face-tuple flood fill, the reference for the even-odd
+# `decker.side_map`: it labels faces by the components it floods, so it
+# checks the parity rule rather than assuming the curve separates the sphere.
+# Faces are ("NT", k), ("ST", k), ("XF", circle, k) and ("Q", region, row,
+# k), and blocked edges a frozenset of vertex pairs.
 def side_map_faces(ds, curve) -> dict[tuple[int, int], int]:
     """Side label (1 or 2) of each circle midpoint k+1/2.
 
@@ -413,6 +425,210 @@ def side_map_faces(ds, curve) -> dict[tuple[int, int], int]:
         for c in range(1, lng + 1)
         for k in range(m)
     }
+
+
+def criterion_report_midpoints(ds, curve) -> CriterionReport:
+    """Both inclusion directions of the side test, one midpoint at a time on
+    the `side_map_faces` labels: the reference for the bitmask comparison of
+    `decker.criterion_report`."""
+    sides = side_map_faces(ds, curve)
+    crossings = curve.crossings()
+    m = curve.m
+    forward = True
+    reverse = True
+    for over, under, _sign in ds.pairs:
+        xo = set(crossings.get(over, ()))
+        xu = set(crossings.get(under, ()))
+        for k in range(m):
+            nxt = (k + 1) % m
+            if k in xo or nxt in xo or k in xu or nxt in xu:
+                continue  # midpoint adjacent to a crossing on either circle
+            so = sides[(over, k)]
+            su = sides[(under, k)]
+            if so == 1 and su != 1:
+                forward = False
+            if su == 1 and so != 1:
+                reverse = False
+    if forward:
+        verdict = "pass-forward"
+    elif reverse:
+        verdict = "pass-reverse"
+    else:
+        verdict = "fail"
+    return CriterionReport(verdict, forward, reverse)
+
+
+# Decker-set and curve helpers that only tests use: the spin of a bare chord
+# diagram, a global rotation, and a text form of decker sets and curves.
+def spin_chord_diagram(cd: ChordDiagram, m: int = DEFAULT_RESOLUTION) -> DeckerSet:
+    """Decker set of the spin of the tangle with chord diagram `cd`."""
+    return DeckerSet(cd.n, 2 * cd.n, m, _pairs(cd))
+
+
+def rotate_curve(curve: SliceCurve, d: int) -> SliceCurve:
+    """Rotate the whole curve d longitude samples eastward."""
+    verts = tuple(
+        v if v in (NORTH, SOUTH) else (v[0], v[1], (v[2] + d) % curve.m)
+        for v in curve.vertices
+    )
+    return SliceCurve(curve.l, curve.m, curve.rows, verts)
+
+
+def format_decker(ds: DeckerSet) -> str:
+    lines = [f"decker circles {ds.l} resolution {ds.m}"]
+    for i, (_over, _under, sign) in enumerate(ds.pairs, start=1):
+        lines.append(f"pair {i} sign {sign:+d}")
+    for c in range(1, ds.l + 1):
+        i = ds.pair_of(c)
+        role = "over" if ds.is_over(c) else "under"
+        lines.append(f"circle {c} pair {i} {role}")
+    if ds.bridge_annuli is not None:
+        cells = " ".join(
+            "-" if r is None else str(r) for r in ds.bridge_annuli
+        )
+        lines.append(f"caps {cells}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_decker(text: str) -> DeckerSet:
+    lines = [
+        ln.strip()
+        for ln in text.splitlines()
+        if ln.strip() and not ln.strip().startswith("#")
+    ]
+    if not lines or not lines[0].startswith("decker circles "):
+        raise PlatError("missing decker header")
+    head = lines[0].split()
+    try:
+        l, m = int(head[2]), int(head[4])
+    except (IndexError, ValueError) as exc:
+        raise PlatError(f"bad decker header: {lines[0]!r}") from exc
+    signs: dict[int, int] = {}
+    overs: dict[int, int] = {}
+    unders: dict[int, int] = {}
+    annuli: tuple[int | None, ...] | None = None
+    for ln in lines[1:]:
+        parts = ln.split()
+        if parts[0] == "pair" and parts[2] == "sign":
+            signs[int(parts[1])] = int(parts[3])
+        elif parts[0] == "circle":
+            c, i, role = int(parts[1]), int(parts[3]), parts[4]
+            (overs if role == "over" else unders)[i] = c
+        elif parts[0] == "caps":
+            annuli = tuple(
+                None if cell == "-" else int(cell) for cell in parts[1:]
+            )
+        else:
+            raise PlatError(f"unrecognized decker line: {ln!r}")
+    n = l // 2
+    if sorted(signs) != list(range(1, n + 1)):
+        raise PlatError("pair sign lines must cover pairs 1..n")
+    if sorted(overs) != list(range(1, n + 1)) or sorted(unders) != list(
+        range(1, n + 1)
+    ):
+        raise PlatError("each pair needs one over and one under circle")
+    pairs = tuple((overs[i], unders[i], signs[i]) for i in range(1, n + 1))
+    return DeckerSet(n, l, m, pairs, annuli)
+
+
+def format_curve(ds: DeckerSet, curve: SliceCurve) -> str:
+    validate_curve(ds, curve)
+    lines = [format_decker(ds).rstrip("\n")]
+    lines.append("curve rows " + " ".join(str(r) for r in curve.rows))
+    first = curve.vertices[0]
+    if first == NORTH:
+        lines.append("start pole N")
+    elif first == SOUTH:
+        lines.append("start pole S")
+    else:
+        lines.append(f"start {first[0]} {first[1]} {first[2]}")
+    moves: list[list] = []  # [kind, run length] for H and V, else [kind, argument]
+    for (u, v), kind in zip(curve.edges(), curve.edge_kinds):
+        tag = kind[0]
+        if tag in ("H", "V"):
+            if moves and moves[-1][0] == tag and (moves[-1][1] > 0) == (kind[1] > 0):
+                moves[-1][1] += kind[1]
+            else:
+                moves.append([tag, kind[1]])
+        elif tag == "X":
+            moves.append([tag, "down" if u[0] < kind[1] else "up"])
+        elif v in (NORTH, SOUTH):
+            moves.append([tag, v[0]])
+        else:
+            moves.append([tag, v[2]])
+    lines.extend(
+        f"move {tag} {arg:+d}" if tag in ("H", "V") else f"move {tag} {arg}"
+        for tag, arg in moves
+    )
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+def parse_curve(text: str) -> tuple[DeckerSet, SliceCurve]:
+    lines = [
+        ln.strip()
+        for ln in text.splitlines()
+        if ln.strip() and not ln.strip().startswith("#")
+    ]
+    split = next(
+        (i for i, ln in enumerate(lines) if ln.startswith("curve rows ")), None
+    )
+    if split is None:
+        raise PlatError("missing 'curve rows' line")
+    ds = parse_decker("\n".join(lines[:split]))
+    rows = tuple(int(x) for x in lines[split].split()[2:])
+    start_line = lines[split + 1].split()
+    if start_line[0] != "start":
+        raise PlatError("missing start line")
+    if start_line[1] == "pole":
+        at: tuple = NORTH if start_line[2] == "N" else SOUTH
+    else:
+        at = (int(start_line[1]), int(start_line[2]), int(start_line[3]))
+    verts = [at]
+    if lines[-1] != "end":
+        raise PlatError("missing end line")
+    for ln in lines[split + 2 : -1]:
+        parts = ln.split()
+        if parts[0] != "move":
+            raise PlatError(f"unrecognized curve line: {ln!r}")
+        kind, arg = parts[1], parts[2]
+        if kind == "H":
+            count = int(arg)
+            step = 1 if count > 0 else -1
+            for _ in range(abs(count)):
+                l, r, k = at
+                at = (l, r, (k + step) % ds.m)
+                verts.append(at)
+        elif kind == "V":
+            count = int(arg)
+            step = 1 if count > 0 else -1
+            for _ in range(abs(count)):
+                l, r, k = at
+                at = (l, r + step, k)
+                verts.append(at)
+        elif kind == "X":
+            l, r, k = at
+            at = (l + 1, 0, k) if arg == "down" else (l - 1, rows[l - 1] - 1, k)
+            verts.append(at)
+        elif kind == "P":
+            if arg == "N":
+                at = NORTH
+            elif arg == "S":
+                at = SOUTH
+            elif at == NORTH:
+                at = (0, 0, int(arg))
+            elif at == SOUTH:
+                at = (ds.l, rows[ds.l] - 1, int(arg))
+            else:
+                raise PlatError("pole move from a non-pole vertex needs N or S")
+            verts.append(at)
+        else:
+            raise PlatError(f"unknown move kind {kind!r}")
+    if verts[-1] != verts[0]:
+        raise PlatError("curve moves do not close the cycle")
+    curve = SliceCurve(ds.l, ds.m, rows, tuple(verts[:-1]))
+    validate_curve(ds, curve)
+    return ds, curve
 
 
 # The list-of-lists Todd-Coxeter enumerator, the reference for the flat

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import FIG8, T35, TREFOIL, UNKNOT, sl2_f5_matrix_count
+from conftest import FIG8, T35, TREFOIL, UNKNOT, rotate_curve, sl2_f5_matrix_count
 from spunslice.certificate import AXIOMS, certificate_json, certify
 from spunslice.covers import (
     alexander_det,
@@ -22,10 +22,8 @@ from spunslice.covers import (
     surgery_description,
 )
 from spunslice.decker import (
-    check_slice_criterion,
     criterion_report,
     dehn_twist_annulus,
-    rotate_curve,
     spin_plat,
     symmetric_union_curve,
     trace_double_curve,
@@ -128,11 +126,11 @@ def test_criterion_3_slice_criterion_suite():
     for plat, tvs in batteries:
         ds = spin_plat(plat)
         trace = trace_double_curve(ds)
-        verdict = check_slice_criterion(ds, trace)
+        verdict = criterion_report(ds, trace).verdict
         assert verdict in ("pass-forward", "pass-reverse"), plat
         for tv in tvs:
             cur = symmetric_union_curve(ds, TwistVector(tv))
-            assert check_slice_criterion(ds, cur) == verdict, (plat, tv)
+            assert criterion_report(ds, cur).verdict == verdict, (plat, tv)
         decks[plat] = (ds, trace, verdict)
 
     # a deliberately corrupted curve fails both directions
@@ -167,7 +165,7 @@ def test_criterion_3_slice_criterion_suite():
                 expected = {(c, (k + d) % ds.m) for c, k in expected}
         validate_curve(ds, cur)
         assert cur.crossing_set() == frozenset(expected)
-        assert check_slice_criterion(ds, cur) == verdict
+        assert criterion_report(ds, cur).verdict == verdict
         cases += 1
     assert cases >= 100
     _report(3, "slice criterion suite", t0, 30)

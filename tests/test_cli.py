@@ -1,6 +1,7 @@
 """Command-line runs pinned byte for byte: golden certificates, every
-subcommand, `python -m spunslice`, the one resolution bound of the
-slice-curve commands and the 0-crossing unknot; unreadable files and bad or
+subcommand, `python -m spunslice`, the lower resolution bound of the
+slice-curve commands, the upper one they share with certify, and the
+0-crossing unknot; unreadable files and bad or
 oversized batteries, which are input errors; and fuzzed plat text, which
 never ends in exit 4."""
 
@@ -124,7 +125,7 @@ def test_cli_certify_timing(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the one resolution bound
+# the resolution bounds
 # ---------------------------------------------------------------------------
 
 SLICE_CURVE_COMMANDS = {
@@ -142,6 +143,15 @@ def test_cli_resolution_below_16_is_rejected_with_one_message(command, m, capsys
     assert captured.err == (
         f"error: resolution {m} too small for the doubled curve; need at least 16\n"
     )
+
+
+@pytest.mark.parametrize("m", [4097, 4098, 100000, 10**12])
+@pytest.mark.parametrize("command", sorted(SLICE_CURVE_COMMANDS) + ["certify"])
+def test_cli_resolution_above_4096_is_rejected_with_one_message(command, m, capsys):
+    # rejected before any grid or curve is built
+    argv = SLICE_CURVE_COMMANDS.get(command, ["certify", TREFOIL_PLAT, "--twists", "2,2"])
+    assert main(argv + ["--resolution", str(m)]) == 3
+    assert capsys.readouterr() == ("", f"error: resolution {m} too large; at most 4096\n")
 
 
 @pytest.mark.parametrize("command", sorted(SLICE_CURVE_COMMANDS))

@@ -5,22 +5,27 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIG8, KINK, T35, TREFOIL, UNKNOT
-from spunslice.diagrams import PlatError, PlatWord, TwistVector, chord_diagram_of_tangle
-from spunslice.decker import (
-    NORTH,
-    SOUTH,
-    SliceCurve,
-    check_slice_criterion,
-    criterion_report,
-    dehn_twist_annulus,
+from conftest import (
+    FIG8,
+    KINK,
+    T35,
+    TREFOIL,
+    UNKNOT,
     format_curve,
     format_decker,
     parse_curve,
     parse_decker,
     rotate_curve,
-    side_map,
     spin_chord_diagram,
+)
+from spunslice.diagrams import PlatError, PlatWord, TwistVector, chord_diagram_of_tangle
+from spunslice.decker import (
+    NORTH,
+    SOUTH,
+    SliceCurve,
+    criterion_report,
+    dehn_twist_annulus,
+    side_map,
     spin_plat,
     symmetric_union_curve,
     trace_double_curve,
@@ -55,7 +60,7 @@ def test_unknot_trace_is_a_polar_hexagon():
         ("N",), (0, 0, 23), (0, 1, 23), ("S",), (0, 1, 1), (0, 0, 1),
     )
     assert curve.crossings() == {}
-    assert check_slice_criterion(ds, curve) == "pass-forward"
+    assert criterion_report(ds, curve).verdict == "pass-forward"
 
 
 def test_kink_trace_passes_forward(kink_ds):
@@ -193,7 +198,7 @@ def test_union_curves_keep_crossings_and_verdict(trefoil_ds, trefoil_trace):
     for tv in [(2, 2), (2, -2), (-4, 2), (0, 6)]:
         cur = symmetric_union_curve(trefoil_ds, TwistVector(tv))
         assert cur.crossing_set() == want
-        assert check_slice_criterion(trefoil_ds, cur) == "pass-forward"
+        assert criterion_report(trefoil_ds, cur).verdict == "pass-forward"
         ds2, cur2 = parse_curve(format_curve(trefoil_ds, cur))
         assert cur2 == cur
 
@@ -214,12 +219,12 @@ def test_union_curve_rejects_odd_twists(trefoil_ds):
 def test_twist_batteries_keep_the_trace_verdict(plat, tvs):
     ds = spin_plat(plat)
     trace = trace_double_curve(ds)
-    verdict = check_slice_criterion(ds, trace)
+    verdict = criterion_report(ds, trace).verdict
     assert verdict in ("pass-forward", "pass-reverse")
     for tv in tvs:
         cur = symmetric_union_curve(ds, TwistVector(tv))
         assert cur.crossing_set() == trace.crossing_set()
-        assert check_slice_criterion(ds, cur) == verdict
+        assert criterion_report(ds, cur).verdict == verdict
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +240,7 @@ def test_dehn_twists_preserve_crossings_and_verdict(trefoil_ds, trefoil_trace):
         cur = dehn_twist_annulus(trefoil_ds, cur, region, n)
         validate_curve(trefoil_ds, cur)
         assert cur.crossing_set() == trefoil_trace.crossing_set()
-        assert check_slice_criterion(trefoil_ds, cur) == "pass-forward"
+        assert criterion_report(trefoil_ds, cur).verdict == "pass-forward"
 
 
 def test_zero_twist_is_the_identity(trefoil_ds, trefoil_trace):
@@ -255,7 +260,7 @@ def test_rotations_preserve_the_verdict(trefoil_ds, trefoil_trace):
     for d in (1, 5, 11, 23):
         cur = rotate_curve(trefoil_trace, d)
         validate_curve(trefoil_ds, cur)
-        assert check_slice_criterion(trefoil_ds, cur) == "pass-forward"
+        assert criterion_report(trefoil_ds, cur).verdict == "pass-forward"
 
 
 def test_full_rotation_is_the_identity(trefoil_ds, trefoil_trace):
@@ -270,7 +275,7 @@ def test_rotation_by_any_amount_keeps_kink_verdict(d):
     trace = trace_double_curve(ds)
     cur = rotate_curve(trace, d)
     validate_curve(ds, cur)
-    assert check_slice_criterion(ds, cur) == "pass-forward"
+    assert criterion_report(ds, cur).verdict == "pass-forward"
 
 
 @settings(max_examples=25, deadline=None)
@@ -286,7 +291,7 @@ def test_twist_sequences_keep_trefoil_verdict(moves):
     cur = trace_double_curve(ds)
     for region, n in moves:
         cur = dehn_twist_annulus(ds, cur, region, n)
-    assert check_slice_criterion(ds, cur) == "pass-forward"
+    assert criterion_report(ds, cur).verdict == "pass-forward"
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +316,7 @@ def test_spin_plat_and_spin_chord_agree(trefoil_ds):
 def test_higher_resolution_still_passes():
     ds = spin_plat(KINK, 32)
     assert ds.m == 32
-    assert check_slice_criterion(ds, trace_double_curve(ds)) == "pass-forward"
+    assert criterion_report(ds, trace_double_curve(ds)).verdict == "pass-forward"
 
 
 @pytest.mark.parametrize("m", [8, 15])
@@ -322,3 +327,9 @@ def test_decker_sets_below_the_one_bound_are_rejected_where_built(m):
     text = format_decker(spin_plat(TREFOIL)).replace("resolution 24", f"resolution {m}")
     with pytest.raises(PlatError, match=message):
         parse_decker(text)
+
+
+def test_decker_sets_up_to_the_upper_bound_are_built():
+    assert spin_plat(TREFOIL, 4096).m == 4096
+    with pytest.raises(PlatError, match="resolution 4097 too large; at most 4096"):
+        spin_plat(TREFOIL, 4097)

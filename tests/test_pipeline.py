@@ -10,7 +10,7 @@ import xml.dom.minidom
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import T35, TREFOIL, TWO_COMPONENT
+from conftest import T35, TREFOIL, TWO_COMPONENT, format_decker
 from spunslice.certificate import (
     AXIOMS,
     CHECKED_PREMISES,
@@ -31,7 +31,7 @@ from spunslice.corpus import (
 )
 from spunslice.cli import main
 from spunslice.diagrams import PlatWord, TwistVector, chord_diagram_of_tangle
-from spunslice.decker import format_decker, spin_plat, trace_double_curve
+from spunslice.decker import spin_plat, trace_double_curve
 from spunslice.render import (
     render_chord_diagram,
     render_decker,

@@ -1,6 +1,7 @@
-"""The cylinder-grid side test against the face-tuple oracle, edge kinds
-classified once per curve, and the decker, curve and SVG texts pinned to
-the bytes of the face-tuple implementation."""
+"""The even-odd side test and the bitmask slice criterion against the
+face-tuple flood fill and the per-midpoint criterion, edge kinds classified
+once per curve, and the decker, curve and SVG texts pinned to the bytes of
+the face-tuple implementation."""
 
 import hashlib
 from itertools import product
@@ -8,13 +9,21 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import KINK, T35, TREFOIL, ladder_plats, side_map_faces
+from conftest import (
+    KINK,
+    T35,
+    TREFOIL,
+    criterion_report_midpoints,
+    format_curve,
+    ladder_plats,
+    rotate_curve,
+    side_map_faces,
+)
+from test_decker import corrupted_one_chord
 from spunslice.corpus import shipped_manifest_path
 from spunslice.decker import (
     SliceCurve,
     criterion_report,
-    format_curve,
-    rotate_curve,
     side_map,
     spin_plat,
     symmetric_union_curve,
@@ -27,6 +36,27 @@ from spunslice.render import render_decker
 
 def assert_oracle_sides(ds, curve):
     assert list(side_map(ds, curve).items()) == list(side_map_faces(ds, curve).items())
+
+
+def assert_oracle_report(ds, curve):
+    assert criterion_report(ds, curve) == criterion_report_midpoints(ds, curve)
+
+
+def kink_curves():
+    """Hand-built curves on the spun kink, whose over circle is 2: the
+    corrupted one, which fails both ways and leaves the north pole just west
+    of longitude 0; a small disc that avoids the pole, so its anchor is the
+    cap wedge at 0; and a box that crosses circle 1 at 8 and 14 and circle 2
+    at 10 and 14, so the forward inclusion breaks only at midpoints 8 and 9,
+    next to a crossing, where the side test does not look."""
+    ds = spin_plat(KINK)
+    disc = SliceCurve(2, ds.m, (2, 3, 2), ((1, 0, 10), (1, 0, 11), (1, 1, 11), (1, 1, 10)))
+    box = SliceCurve(2, ds.m, (2, 3, 2), (
+        (0, 1, 8), (1, 0, 8), *((1, 1, k) for k in (8, 9, 10)), (1, 2, 10),
+        *((2, 0, k) for k in range(10, 15)), (1, 2, 14), (1, 1, 14), (1, 0, 14),
+        *((0, 1, k) for k in range(14, 8, -1)),
+    ))
+    return ds, (corrupted_one_chord(ds), disc, box)
 
 
 def even_twists(plat, t=2):
@@ -87,6 +117,12 @@ def test_side_map_matches_the_face_oracle_on_rotated_curves():
         curve = symmetric_union_curve(ds, TwistVector(tv))
         for d in (1, 5, 12, 23, 37):
             assert_oracle_sides(ds, rotate_curve(curve, d))
+            assert_oracle_report(ds, rotate_curve(curve, d))
+    kink_ds, curves = kink_curves()
+    for curve in curves:
+        for d in (0, 1, 5, 12, 23, 37):
+            assert_oracle_sides(kink_ds, rotate_curve(curve, d))
+            assert_oracle_report(kink_ds, rotate_curve(curve, d))
 
 
 @st.composite
@@ -109,6 +145,12 @@ def test_side_map_matches_the_face_oracle_on_random_plats(plat_tv, d):
     curve = symmetric_union_curve(ds, tv)
     assert_oracle_sides(ds, curve)
     assert_oracle_sides(ds, rotate_curve(curve, d))
+    assert_oracle_report(ds, curve)
+    assert_oracle_report(ds, rotate_curve(curve, d))
+    kink_ds, curves = kink_curves()
+    for curve in curves:
+        assert_oracle_sides(kink_ds, rotate_curve(curve, d))
+        assert_oracle_report(kink_ds, rotate_curve(curve, d))
 
 
 # format_curve text of the (2, ..., 2) union curve, recorded from the

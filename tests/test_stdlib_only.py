@@ -1,12 +1,18 @@
-"""The runtime package imports nothing but the standard library and itself."""
+"""The runtime package imports nothing but the standard library and itself,
+and `decker.__all__` names only what the rest of the runtime or the bench
+uses."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import spunslice
 
+from spunslice import decker
+
 PACKAGE = Path(spunslice.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _imported_top_level_modules(path: Path):
@@ -27,3 +33,20 @@ def test_the_runtime_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names and name != "spunslice"
     ]
     assert foreign == []
+
+
+def test_every_name_decker_exports_is_used_outside_the_module():
+    # a re-export from the package's __init__ is not a use; helpers that
+    # only tests call belong in tests/conftest.py
+    assert (PERFBENCH / "spans.py").is_file()
+    texts = [
+        path.read_text()
+        for path in sorted(PACKAGE.rglob("*.py")) + sorted(PERFBENCH.rglob("*.py"))
+        + sorted(PERFBENCH.rglob("*.md"))
+        if path not in (PACKAGE / "decker.py", PACKAGE / "__init__.py")
+    ]
+    unused = [
+        name for name in decker.__all__
+        if not any(re.search(rf"\b{name}\b", text) for text in texts)
+    ]
+    assert unused == []
