@@ -12,7 +12,6 @@ from .diagrams import (  # noqa: F401
     build_symmetric_union,
     chord_diagram_of_tangle,
     format_plat,
-    mirror,
     parse_plat,
     plat_to_pd,
     validate_plat,
@@ -30,7 +29,6 @@ from .decker import (  # noqa: F401
     DeckerSet,
     SliceCurve,
     criterion_report,
-    dehn_twist_annulus,
     spin_plat,
     symmetric_union_curve,
     trace_double_curve,

@@ -41,6 +41,7 @@ from .decker import (
     DEFAULT_RESOLUTION,
     MAX_RESOLUTION,
     MIN_RESOLUTION,
+    check_winding,
     criterion_report,
     spin_plat,
     symmetric_union_curve,
@@ -492,6 +493,7 @@ def certify(plat: PlatWord, tv: TwistVector, config: CertifyConfig | None = None
     try:
         validate_plat(plat)
         tv.require_even()
+        check_winding(cfg.resolution, tv)
         su = build_symmetric_union(plat, tv)
         battery = cfg.battery_groups()
     except (PlatError, GroupError) as exc:

@@ -21,7 +21,9 @@ a region and lets a strand wind full longitudes without touching itself.
 Crossing data -- which circle is crossed at which longitude -- is the only
 geometrically meaningful part and is what every check below consumes.  A
 curve classifies its edges once (`SliceCurve.edge_kinds`); validation,
-crossings, twisting and the side test all read that classification.
+crossings and the side test all read that classification.  A band's winds
+are part of the route: the strands of its annulus are routed once, with the
+winds added to their displacement, so no built curve is routed again.
 
 The side test: a vertex-simple cycle separates the sphere into exactly two
 faces.  A curve bounds a slice disc on one side of the identified surface
@@ -58,6 +60,7 @@ from .diagrams import (
 __all__ = [
     "DeckerSet",
     "SliceCurve",
+    "check_winding",
     "criterion_report",
     "side_map",
     "spin_plat",
@@ -74,6 +77,11 @@ MIN_RESOLUTION = 16
 # memory grow linearly in M (each band wind walks M longitudes), and 4096
 # keeps one slice check well under a second and 30 MB.
 MAX_RESOLUTION = 4096
+# Each band wind walks M longitudes in both strands of its annulus, so a
+# slice curve has about 2 * M * sum(|t_j| / 2, j >= 2) vertices.  2**18
+# winding longitudes (about 525,000 vertices) keeps one slice curve near a
+# second and 150 MB; (1000, 1000, 1000) still runs at the default M = 24.
+MAX_WINDING = 2**18
 
 NORTH = ("N",)
 SOUTH = ("S",)
@@ -246,11 +254,6 @@ class SliceCurve:
                 out.setdefault(kind[1], []).append(kind[2])
         return {c: tuple(sorted(ks)) for c, ks in sorted(out.items())}
 
-    def crossing_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (c, k) for c, ks in self.crossings().items() for k in ks
-        )
-
 
 def validate_curve(ds: DeckerSet, curve: SliceCurve) -> None:
     """Raise PlatError unless the curve is a valid simple cycle on ds."""
@@ -293,7 +296,7 @@ def _route_region(m: int, arcs: list[tuple[int, int, int]]):
 
     Returns (rows, paths); paths[i] is a list of (row, longitude) for the
     i-th descriptor.  All strands must wind the same way; this covers every
-    curve this package builds (doubled curves and their band twists).
+    curve this package builds (doubled curves and their band winds).
     """
     if not arcs:
         return 1, []
@@ -371,10 +374,12 @@ def _route_region(m: int, arcs: list[tuple[int, int, int]]):
 
 
 # ---------------------------------------------------------------------------
-# the doubled curve
+# the doubled curve and the even symmetric union
 
 
-def _build_trace(ds: DeckerSet) -> SliceCurve:
+def _build_trace(ds: DeckerSet, winds: dict[int, int]) -> SliceCurve:
+    """The doubled curve, both strands in annulus region r winding winds[r]
+    extra full turns."""
     m = ds.m
     if ds.l == 0:
         verts = [NORTH, (0, 0, m - 1), (0, 1, m - 1), SOUTH, (0, 1, 1), (0, 0, 1)]
@@ -386,10 +391,11 @@ def _build_trace(ds: DeckerSet) -> SliceCurve:
     rows = [2] + [3] * (ds.l - 1) + [2]
     annulus_paths: dict[int, tuple[list, list]] = {}
     for region in range(1, ds.l):
+        wind = winds.get(region, 0) * m
         arcs = [
-            (down[region], down[region + 1], _short_rep(down[region + 1] - down[region], m)),
+            (down[region], down[region + 1], _short_rep(down[region + 1] - down[region], m) + wind),
             # ascending strand, described as a downward path (reversed later)
-            (up[region], up[region + 1], _short_rep(up[region + 1] - up[region], m)),
+            (up[region], up[region + 1], _short_rep(up[region + 1] - up[region], m) + wind),
         ]
         nrows, paths = _route_region(m, arcs)
         rows[region] = nrows
@@ -435,7 +441,7 @@ def _walk_longitudes(start: int, end: int, m: int) -> list[int]:
     return [(start + step * i) % m for i in range(abs(s) + 1)]
 
 
-def trace_double_curve(ds: DeckerSet, cd: ChordDiagram | None = None) -> SliceCurve:
+def trace_double_curve(ds: DeckerSet) -> SliceCurve:
     """The doubled-knot curve: down one seam of the sphere and back.
 
     The descending strand crosses circle c at longitude M - offset(c) and
@@ -443,9 +449,47 @@ def trace_double_curve(ds: DeckerSet, cd: ChordDiagram | None = None) -> SliceCu
     circles and a wide one on under circles, so that each over circle's
     side-1 sweep nests inside its partner's.
     """
-    if cd is not None and _pairs(cd) != ds.pairs:
-        raise PlatError("decker set was not built from this chord diagram")
-    return _build_trace(ds)
+    return _build_trace(ds, {})
+
+
+def check_winding(m: int, tv: TwistVector) -> None:
+    """Raise PlatError when the band winds of tv at resolution m walk more
+    than MAX_WINDING longitudes.  The first cap carries the cut and does not
+    wind."""
+    winding = m * sum(abs(t) // 2 for t in tv.entries[1:])
+    if winding > MAX_WINDING:
+        raise PlatError(
+            f"twists wind {winding} longitudes at resolution {m}; at most {MAX_WINDING}"
+        )
+
+
+def symmetric_union_curve(ds: DeckerSet, tv: TwistVector) -> SliceCurve:
+    """Slice curve of the even symmetric union: doubled curve plus band winds.
+
+    Each cap's half-twist count t must be even; both strands in its annulus
+    wind t/2 extra full turns, routed in the same pass that routes the
+    doubled curve, so the crossing data is the doubled curve's.  The first
+    cap carries the cut through the poles and needs no winding.
+    """
+    if ds.bridge_annuli is None:
+        raise PlatError(
+            "decker set lacks cap-annulus data; build it with spin_plat"
+        )
+    tv.require_even()
+    if len(tv) != len(ds.bridge_annuli):
+        raise PlatError(
+            f"twist vector has {len(tv)} entries for "
+            f"{len(ds.bridge_annuli)} caps"
+        )
+    check_winding(ds.m, tv)
+    winds: dict[int, int] = {}
+    for t, region in zip(tv, ds.bridge_annuli):
+        if region is None or t == 0:
+            continue
+        if not 1 <= region <= ds.l - 1:
+            raise PlatError(f"region {region} is not an annulus")
+        winds[region] = winds.get(region, 0) + t // 2
+    return _build_trace(ds, winds)
 
 
 # ---------------------------------------------------------------------------
@@ -529,114 +573,3 @@ def criterion_report(ds: DeckerSet, curve: SliceCurve) -> CriterionReport:
     else:
         verdict = "fail"
     return CriterionReport(verdict, forward, reverse)
-
-
-# ---------------------------------------------------------------------------
-# Dehn twists along region annuli
-
-
-def dehn_twist_annulus(
-    ds: DeckerSet, curve: SliceCurve, region: int, n: int
-) -> SliceCurve:
-    """Wind every strand of the curve inside an annulus region n extra turns.
-
-    Crossing data is untouched: the strands re-enter and leave the region
-    at their old longitudes, and the curve keeps its resolution.
-    """
-    if not 1 <= region <= curve.l - 1:
-        raise PlatError(f"region {region} is not an annulus")
-    if n == 0:
-        return curve
-    validate_curve(ds, curve)
-    m = curve.m
-    verts = list(curve.vertices)
-    total = len(verts)
-    # rotate the list so it does not start inside the region being rebuilt
-    start = 0
-    while verts[start] not in (NORTH, SOUTH) and verts[start][0] == region:
-        start += 1
-        if start == total:
-            raise PlatError("curve lies entirely inside the twist region")
-    verts = verts[start:] + verts[:start]
-    kinds = curve.edge_kinds[start:] + curve.edge_kinds[:start]
-    # carve out maximal runs inside the region
-    runs: list[tuple[int, int]] = []  # [begin, end) index ranges
-    i = 0
-    while i < total:
-        v = verts[i]
-        if v not in (NORTH, SOUTH) and v[0] == region:
-            j = i
-            while j < total and verts[j] not in (NORTH, SOUTH) and verts[j][0] == region:
-                j += 1
-            runs.append((i, j))
-            i = j
-        else:
-            i += 1
-    if not runs:
-        return curve
-    arcs = []
-    directions = []
-    for begin, end in runs:
-        before = verts[begin - 1]
-        after = verts[end % total]
-        for nb in (before, after):
-            if nb in (NORTH, SOUTH) or nb[0] == region:
-                raise PlatError("twist region strands must cross the region")
-        if before[0] == region - 1 and after[0] == region + 1:
-            down = True
-        elif before[0] == region + 1 and after[0] == region - 1:
-            down = False
-        else:
-            raise PlatError(
-                "band twisting supports through-strands only; "
-                "this curve turns back inside the region"
-            )
-        s = sum(kind[1] for kind in kinds[begin : end - 1] if kind[0] == "H")
-        entry_k = verts[begin][2]
-        exit_k = verts[end - 1][2]
-        if down:
-            arcs.append((entry_k, exit_k, s + n * m))
-        else:
-            arcs.append((exit_k, entry_k, -s + n * m))
-        directions.append(down)
-    nrows, paths = _route_region(m, arcs)
-    new_rows = list(curve.rows)
-    new_rows[region] = nrows
-    out: list[tuple] = []
-    cursor = 0
-    for (begin, end), down, path in zip(runs, directions, paths):
-        out.extend(verts[cursor:begin])
-        ordered = path if down else list(reversed(path))
-        out.extend((region, r, k) for r, k in ordered)
-        cursor = end
-    out.extend(verts[cursor:])
-    twisted = SliceCurve(curve.l, m, tuple(new_rows), tuple(out))
-    validate_curve(ds, twisted)
-    if twisted.crossing_set() != curve.crossing_set():
-        raise PlatError("twist changed crossing data (internal error)")
-    return twisted
-
-
-def symmetric_union_curve(ds: DeckerSet, tv: TwistVector) -> SliceCurve:
-    """Slice curve of the even symmetric union: doubled curve plus band winds.
-
-    Each cap's half-twist count t must be even; the strands in its annulus
-    wind t/2 extra full turns.  The first cap carries the cut through the
-    poles and needs no winding.
-    """
-    if ds.bridge_annuli is None:
-        raise PlatError(
-            "decker set lacks cap-annulus data; build it with spin_plat"
-        )
-    tv.require_even()
-    if len(tv) != len(ds.bridge_annuli):
-        raise PlatError(
-            f"twist vector has {len(tv)} entries for "
-            f"{len(ds.bridge_annuli)} caps"
-        )
-    curve = _build_trace(ds)
-    for t, region in zip(tv, ds.bridge_annuli):
-        if region is None or t == 0:
-            continue
-        curve = dehn_twist_annulus(ds, curve, region, t // 2)
-    return curve

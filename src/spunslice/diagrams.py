@@ -228,11 +228,6 @@ def validate_plat(plat: PlatWord) -> PlatDiagram:
     return PlatDiagram(plat, strand_permutation(plat), comps)
 
 
-def mirror(plat: PlatWord) -> PlatWord:
-    """Mirror image: reversed word with all letter signs inverted."""
-    return PlatWord(plat.strands, tuple((k, -s) for k, s in reversed(plat.word)))
-
-
 # ---------------------------------------------------------------------------
 # planar embedding: one walk along the knot
 

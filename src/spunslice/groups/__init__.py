@@ -7,7 +7,6 @@ from .presentations import (  # noqa: F401
     branched_cover_presentation,
     cobordism_presentation,
     format_presentation,
-    parse_presentation,
     reidemeister_schreier_index2,
     wirtinger,
 )

@@ -85,9 +85,6 @@ class FiniteGroup:
                         todo.append(row[g])
         return gens
 
-    def op(self, a: int, b: int) -> int:
-        return self.mult[a][b]
-
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != self.identity:

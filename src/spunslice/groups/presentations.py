@@ -124,39 +124,6 @@ def format_presentation(pres: GroupPresentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_presentation(text: str) -> GroupPresentation:
-    ngen = None
-    meridians: frozenset[int] = frozenset()
-    relators: list[Word] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "gens":
-            if ngen is not None:
-                raise PlatError(f"line {lineno}: duplicate gens line")
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise PlatError(f"line {lineno}: expected 'gens N'")
-            ngen = int(parts[1])
-            continue
-        if ngen is None:
-            raise PlatError(f"line {lineno}: 'gens N' must come first")
-        if parts[0] == "meridians":
-            meridians = frozenset(int(p) for p in parts[1:])
-            continue
-        try:
-            word = tuple(int(p) for p in parts)
-        except ValueError:
-            raise PlatError(f"line {lineno}: bad relator letter") from None
-        if any(x == 0 for x in word):
-            raise PlatError(f"line {lineno}: generator index 0 is invalid")
-        relators.append(word)
-    if ngen is None:
-        raise PlatError("missing 'gens N' line")
-    return GroupPresentation(ngen, tuple(relators), meridians)
-
-
 # ---------------------------------------------------------------------------
 # index-2 rewriting
 

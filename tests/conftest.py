@@ -24,6 +24,7 @@ from spunslice.decker import (
     DeckerSet,
     SliceCurve,
     _pairs,
+    _route_region,
     validate_curve,
 )
 from spunslice.diagrams import (
@@ -629,6 +630,136 @@ def parse_curve(text: str) -> tuple[DeckerSet, SliceCurve]:
     curve = SliceCurve(ds.l, ds.m, rows, tuple(verts[:-1]))
     validate_curve(ds, curve)
     return ds, curve
+
+
+# The Dehn twist that re-routes one annulus of a built curve: the oracle for
+# `symmetric_union_curve`, which routes each band's winds in the same pass
+# that routes the doubled curve.
+def crossing_set(curve: SliceCurve) -> frozenset[tuple[int, int]]:
+    return frozenset(
+        (c, k) for c, ks in curve.crossings().items() for k in ks
+    )
+
+
+def dehn_twist_annulus(
+    ds: DeckerSet, curve: SliceCurve, region: int, n: int
+) -> SliceCurve:
+    """Wind every strand of the curve inside an annulus region n extra turns.
+
+    Crossing data is untouched: the strands re-enter and leave the region
+    at their old longitudes, and the curve keeps its resolution.
+    """
+    if not 1 <= region <= curve.l - 1:
+        raise PlatError(f"region {region} is not an annulus")
+    if n == 0:
+        return curve
+    validate_curve(ds, curve)
+    m = curve.m
+    verts = list(curve.vertices)
+    total = len(verts)
+    # rotate the list so it does not start inside the region being rebuilt
+    start = 0
+    while verts[start] not in (NORTH, SOUTH) and verts[start][0] == region:
+        start += 1
+        if start == total:
+            raise PlatError("curve lies entirely inside the twist region")
+    verts = verts[start:] + verts[:start]
+    kinds = curve.edge_kinds[start:] + curve.edge_kinds[:start]
+    # carve out maximal runs inside the region
+    runs: list[tuple[int, int]] = []  # [begin, end) index ranges
+    i = 0
+    while i < total:
+        v = verts[i]
+        if v not in (NORTH, SOUTH) and v[0] == region:
+            j = i
+            while j < total and verts[j] not in (NORTH, SOUTH) and verts[j][0] == region:
+                j += 1
+            runs.append((i, j))
+            i = j
+        else:
+            i += 1
+    if not runs:
+        return curve
+    arcs = []
+    directions = []
+    for begin, end in runs:
+        before = verts[begin - 1]
+        after = verts[end % total]
+        for nb in (before, after):
+            if nb in (NORTH, SOUTH) or nb[0] == region:
+                raise PlatError("twist region strands must cross the region")
+        if before[0] == region - 1 and after[0] == region + 1:
+            down = True
+        elif before[0] == region + 1 and after[0] == region - 1:
+            down = False
+        else:
+            raise PlatError(
+                "band twisting supports through-strands only; "
+                "this curve turns back inside the region"
+            )
+        s = sum(kind[1] for kind in kinds[begin : end - 1] if kind[0] == "H")
+        entry_k = verts[begin][2]
+        exit_k = verts[end - 1][2]
+        if down:
+            arcs.append((entry_k, exit_k, s + n * m))
+        else:
+            arcs.append((exit_k, entry_k, -s + n * m))
+        directions.append(down)
+    nrows, paths = _route_region(m, arcs)
+    new_rows = list(curve.rows)
+    new_rows[region] = nrows
+    out: list[tuple] = []
+    cursor = 0
+    for (begin, end), down, path in zip(runs, directions, paths):
+        out.extend(verts[cursor:begin])
+        ordered = path if down else list(reversed(path))
+        out.extend((region, r, k) for r, k in ordered)
+        cursor = end
+    out.extend(verts[cursor:])
+    twisted = SliceCurve(curve.l, m, tuple(new_rows), tuple(out))
+    validate_curve(ds, twisted)
+    if crossing_set(twisted) != crossing_set(curve):
+        raise PlatError("twist changed crossing data (internal error)")
+    return twisted
+
+
+# Plat and presentation helpers that only tests use.
+def mirror(plat: PlatWord) -> PlatWord:
+    """Mirror image: reversed word with all letter signs inverted."""
+    return PlatWord(plat.strands, tuple((k, -s) for k, s in reversed(plat.word)))
+
+
+def parse_presentation(text: str) -> GroupPresentation:
+    ngen = None
+    meridians: frozenset[int] = frozenset()
+    relators: list[Word] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "gens":
+            if ngen is not None:
+                raise PlatError(f"line {lineno}: duplicate gens line")
+            if len(parts) != 2 or not parts[1].isdigit():
+                raise PlatError(f"line {lineno}: expected 'gens N'")
+            ngen = int(parts[1])
+            continue
+        if ngen is None:
+            raise PlatError(f"line {lineno}: 'gens N' must come first")
+        if parts[0] == "meridians":
+            meridians = frozenset(int(p) for p in parts[1:])
+            continue
+        try:
+            word = tuple(int(p) for p in parts)
+        except ValueError:
+            raise PlatError(f"line {lineno}: bad relator letter") from None
+        if any(x == 0 for x in word):
+            raise PlatError(f"line {lineno}: generator index 0 is invalid")
+        relators.append(word)
+    if ngen is None:
+        raise PlatError("missing 'gens N' line")
+    return GroupPresentation(ngen, tuple(relators), meridians)
 
 
 # The list-of-lists Todd-Coxeter enumerator, the reference for the flat

@@ -13,7 +13,16 @@ import time
 
 import pytest
 
-from conftest import FIG8, T35, TREFOIL, UNKNOT, rotate_curve, sl2_f5_matrix_count
+from conftest import (
+    FIG8,
+    T35,
+    TREFOIL,
+    UNKNOT,
+    crossing_set,
+    dehn_twist_annulus,
+    rotate_curve,
+    sl2_f5_matrix_count,
+)
 from spunslice.certificate import AXIOMS, certificate_json, certify
 from spunslice.covers import (
     alexander_det,
@@ -23,7 +32,6 @@ from spunslice.covers import (
 )
 from spunslice.decker import (
     criterion_report,
-    dehn_twist_annulus,
     spin_plat,
     symmetric_union_curve,
     trace_double_curve,
@@ -153,7 +161,7 @@ def test_criterion_3_slice_criterion_suite():
         tv = TwistVector(tuple(2 * rng.randint(-3, 3) for _ in range(bridges)))
         cur = symmetric_union_curve(ds, tv)
         # Dehn twists fix the crossing set; rotations translate it
-        expected = set(trace.crossing_set())
+        expected = set(crossing_set(trace))
         for _ in range(rng.randint(1, 3)):
             if rng.random() < 0.5 and ds.l > 1:
                 region = rng.randrange(1, ds.l)
@@ -164,7 +172,7 @@ def test_criterion_3_slice_criterion_suite():
                 cur = rotate_curve(cur, d)
                 expected = {(c, (k + d) % ds.m) for c, k in expected}
         validate_curve(ds, cur)
-        assert cur.crossing_set() == frozenset(expected)
+        assert crossing_set(cur) == frozenset(expected)
         assert criterion_report(ds, cur).verdict == verdict
         cases += 1
     assert cases >= 100

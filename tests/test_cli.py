@@ -1,7 +1,7 @@
 """Command-line runs pinned byte for byte: golden certificates, every
 subcommand, `python -m spunslice`, the lower resolution bound of the
-slice-curve commands, the upper one they share with certify, and the
-0-crossing unknot; unreadable files and bad or
+slice-curve commands, the upper one and the band-winding bound they share
+with certify, and the 0-crossing unknot; unreadable files and bad or
 oversized batteries, which are input errors; and fuzzed plat text, which
 never ends in exit 4."""
 
@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spunslice import cli, corpus
+from spunslice import certificate, cli, corpus, decker
 from spunslice.cli import main
 from spunslice.corpus import shipped_manifest_path
 from spunslice.diagrams import PlatWord, closure_components
@@ -125,7 +125,7 @@ def test_cli_certify_timing(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the resolution bounds
+# the resolution bounds and the band-winding bound
 # ---------------------------------------------------------------------------
 
 SLICE_CURVE_COMMANDS = {
@@ -158,6 +158,50 @@ def test_cli_resolution_above_4096_is_rejected_with_one_message(command, m, caps
 def test_cli_resolution_16_is_accepted(command, capsys):
     assert main(SLICE_CURVE_COMMANDS[command] + ["--resolution", "16"]) == 0
     assert capsys.readouterr().err == ""
+
+
+WINDING_COMMANDS = {
+    "slice-check": ["slice-check", T35_PLAT],
+    "render-decker": ["render", "decker", T35_PLAT],
+    "certify": ["certify", T35_PLAT],
+}
+
+
+@pytest.mark.parametrize(
+    "twists, m, winding",
+    [
+        ("0,64,66", 4096, 266240),
+        ("100,-100,100", 4096, 409600),
+        ("1000,1000,1000", 4096, 4096000),
+        ("2,2,22000", 24, 264024),
+    ],
+)
+@pytest.mark.parametrize("command", sorted(WINDING_COMMANDS))
+def test_cli_winding_above_2_18_longitudes_is_rejected_with_one_message(
+    command, twists, m, winding, capsys, monkeypatch
+):
+    # rejected before any curve or twisted diagram is built
+    def build_nothing(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(decker, "_route_region", build_nothing)
+    monkeypatch.setattr(certificate, "build_symmetric_union", build_nothing)
+    argv = WINDING_COMMANDS[command] + ["--twists", twists, "--resolution", str(m)]
+    assert main(argv) == 3
+    assert capsys.readouterr() == (
+        "", f"error: twists wind {winding} longitudes at resolution {m}; at most 262144\n"
+    )
+
+
+def test_cli_large_twists_at_the_default_resolution_still_run(capsys):
+    # (1000, 1000, 1000) winds 24 * 1000 = 24,000 longitudes
+    assert main(["slice-check", T35_PLAT, "--twists", "1000,1000,1000"]) == 0
+    assert capsys.readouterr() == (
+        "circles 56 resolution 24 curve-vertices 52868\n"
+        "forward True reverse False\n"
+        "verdict pass-forward\n",
+        "",
+    )
 
 
 # ---------------------------------------------------------------------------

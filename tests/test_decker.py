@@ -1,9 +1,11 @@
 """Doubled spun-surface diagrams and the separating-curve criterion."""
 
+import itertools
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     FIG8,
@@ -11,20 +13,25 @@ from conftest import (
     T35,
     TREFOIL,
     UNKNOT,
+    crossing_set,
+    dehn_twist_annulus,
     format_curve,
+    join_components,
     format_decker,
     parse_curve,
     parse_decker,
     rotate_curve,
     spin_chord_diagram,
 )
+from spunslice import decker
 from spunslice.diagrams import PlatError, PlatWord, TwistVector, chord_diagram_of_tangle
 from spunslice.decker import (
+    MAX_WINDING,
     NORTH,
     SOUTH,
     SliceCurve,
+    check_winding,
     criterion_report,
-    dehn_twist_annulus,
     side_map,
     spin_plat,
     symmetric_union_curve,
@@ -45,7 +52,7 @@ def trefoil_ds():
 
 @pytest.fixture(scope="module")
 def trefoil_trace(trefoil_ds):
-    return trace_double_curve(trefoil_ds, chord_diagram_of_tangle(TREFOIL))
+    return trace_double_curve(trefoil_ds)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +72,7 @@ def test_unknot_trace_is_a_polar_hexagon():
 
 def test_kink_trace_passes_forward(kink_ds):
     assert kink_ds.l == 2 and kink_ds.n == 1
-    curve = trace_double_curve(kink_ds, chord_diagram_of_tangle(KINK))
+    curve = trace_double_curve(kink_ds)
     rep = criterion_report(kink_ds, curve)
     assert rep.verdict == "pass-forward"
     assert rep.forward and not rep.reverse
@@ -194,10 +201,10 @@ def test_union_curve_at_zero_twists_is_the_trace(trefoil_ds, trefoil_trace):
 
 
 def test_union_curves_keep_crossings_and_verdict(trefoil_ds, trefoil_trace):
-    want = trefoil_trace.crossing_set()
+    want = crossing_set(trefoil_trace)
     for tv in [(2, 2), (2, -2), (-4, 2), (0, 6)]:
         cur = symmetric_union_curve(trefoil_ds, TwistVector(tv))
-        assert cur.crossing_set() == want
+        assert crossing_set(cur) == want
         assert criterion_report(trefoil_ds, cur).verdict == "pass-forward"
         ds2, cur2 = parse_curve(format_curve(trefoil_ds, cur))
         assert cur2 == cur
@@ -223,8 +230,76 @@ def test_twist_batteries_keep_the_trace_verdict(plat, tvs):
     assert verdict in ("pass-forward", "pass-reverse")
     for tv in tvs:
         cur = symmetric_union_curve(ds, TwistVector(tv))
-        assert cur.crossing_set() == trace.crossing_set()
+        assert crossing_set(cur) == crossing_set(trace)
         assert criterion_report(ds, cur).verdict == verdict
+
+
+def twist_oracle(ds, tv):
+    """The doubled curve, then one Dehn twist per wound band: the union
+    curve built in two routing passes."""
+    cur = trace_double_curve(ds)
+    for t, region in zip(tv, ds.bridge_annuli):
+        if region is not None and t != 0:
+            cur = dehn_twist_annulus(ds, cur, region, t // 2)
+    return cur
+
+
+@st.composite
+def knot_plats_with_even_twists(draw):
+    strands = draw(st.sampled_from([4, 6, 8]))
+    word = [
+        (draw(st.integers(1, strands - 1)), draw(st.sampled_from([1, -1])))
+        for _ in range(draw(st.integers(0, 16)))
+    ]
+    plat = PlatWord(strands, join_components(strands, word, 1))
+    tv = tuple(2 * draw(st.integers(-3, 3)) for _ in range(plat.bridges))
+    return plat, tv, draw(st.sampled_from([16, 17, 24, 31, 64]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(knot_plats_with_even_twists())
+def test_one_routing_pass_equals_the_twist_oracle(plat_tv_m):
+    plat, tv, m = plat_tv_m
+    ds = spin_plat(plat, m)
+    assert symmetric_union_curve(ds, TwistVector(tv)) == twist_oracle(ds, tv)
+
+
+@pytest.mark.parametrize("tv", list(itertools.product((-2, 0, 2), repeat=3)))
+def test_one_routing_pass_equals_the_twist_oracle_on_the_t35_sweep(tv):
+    ds = spin_plat(T35)
+    assert symmetric_union_curve(ds, TwistVector(tv)) == twist_oracle(ds, tv)
+
+
+@settings(max_examples=20, deadline=None)
+@example((0, 2, -4))
+@given(st.tuples(*[st.integers(-3, 3).map(lambda t: 2 * t)] * 3))
+def test_each_annulus_is_routed_once_whatever_the_twists(tv):
+    ds = spin_plat(T35)
+    route = decker._route_region
+    calls = []
+
+    def counting(m, arcs):
+        calls.append(arcs)
+        return route(m, arcs)
+
+    with mock.patch.object(decker, "_route_region", counting):
+        symmetric_union_curve(ds, TwistVector(tv))
+    assert len(calls) == ds.l - 1
+
+
+def test_slice_curve_winding_is_bounded_before_any_routing():
+    assert MAX_WINDING == 2**18
+    # exactly at the bound, and cap 1, which carries the cut, never winds
+    check_winding(4096, TwistVector((0, 64, 64)))
+    check_winding(4096, TwistVector((10**6, 64, 64)))
+    check_winding(24, TwistVector((1000, 1000, 1000)))
+    ds = spin_plat(T35, 4096)
+    message = "twists wind 266240 longitudes at resolution 4096; at most 262144"
+    with mock.patch.object(decker, "_route_region", side_effect=AssertionError("routed")):
+        with pytest.raises(PlatError, match=message):
+            check_winding(4096, TwistVector((0, 64, 66)))
+        with pytest.raises(PlatError, match=message):
+            symmetric_union_curve(ds, TwistVector((0, 64, 66)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +314,7 @@ def test_dehn_twists_preserve_crossings_and_verdict(trefoil_ds, trefoil_trace):
         n = rng.choice([-3, -2, -1, 1, 2, 3])
         cur = dehn_twist_annulus(trefoil_ds, cur, region, n)
         validate_curve(trefoil_ds, cur)
-        assert cur.crossing_set() == trefoil_trace.crossing_set()
+        assert crossing_set(cur) == crossing_set(trefoil_trace)
         assert criterion_report(trefoil_ds, cur).verdict == "pass-forward"
 
 

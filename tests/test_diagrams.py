@@ -13,6 +13,7 @@ from conftest import (
     TWO_COMPONENT,
     UNKNOT,
     closure_components_walk,
+    mirror,
 )
 from spunslice.diagrams import (
     PDCode,
@@ -24,7 +25,6 @@ from spunslice.diagrams import (
     chord_diagram_of_tangle,
     closure_components,
     format_plat,
-    mirror,
     parse_plat,
     plat_to_pd,
     validate_plat,

@@ -23,6 +23,7 @@ from conftest import (
     compile_schedule_rescan,
     hom_count_brute,
     icosian_as_q5,
+    parse_presentation,
     quaternion_product_q5,
     sl2_f5_matrix_count,
     t3_plat,
@@ -54,7 +55,6 @@ from spunslice.groups import (
     icosian_group,
     icosian_involution_lemma,
     iso_check,
-    parse_presentation,
     regular_representation,
     reidemeister_schreier_index2,
     sl2_f5,
@@ -349,7 +349,7 @@ def test_iso_check_positive_result_is_an_isomorphism():
     assert sorted(mapping) == list(range(g.order))
     for a in range(g.order):
         for b in range(g.order):
-            assert mapping[g.op(a, b)] == g.op(mapping[a], mapping[b])
+            assert mapping[g.mult[a][b]] == g.mult[mapping[a]][mapping[b]]
 
 
 def test_iso_check_rejects_nonisomorphic_groups():

@@ -1,6 +1,7 @@
 """The runtime package imports nothing but the standard library and itself,
-and `decker.__all__` names only what the rest of the runtime or the bench
-uses."""
+`decker.__all__` names only what the rest of the runtime or the bench uses,
+and every top-level function or method of the runtime has a caller outside
+its own body."""
 
 import ast
 import re
@@ -50,3 +51,47 @@ def test_every_name_decker_exports_is_used_outside_the_module():
         if not any(re.search(rf"\b{name}\b", text) for text in texts)
     ]
     assert unused == []
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and the non-dunder methods of top-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from (
+                item for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            )
+
+
+def test_every_runtime_function_is_referenced_outside_its_own_body():
+    # a reference is a name or attribute in runtime code (an import is not
+    # one), or a word in a perfbench/ file; helpers that only tests call
+    # belong in tests/conftest.py
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    references = [
+        (path, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    bench = [
+        path.read_text()
+        for path in sorted(PERFBENCH.rglob("*.py")) + sorted(PERFBENCH.rglob("*.md"))
+    ]
+    unreferenced = [
+        f"{path.relative_to(PACKAGE)}: {d.name}"
+        for path, tree in trees.items()
+        for d in _definitions(tree)
+        if not any(
+            name == d.name and not (where == path and d.lineno <= line <= d.end_lineno)
+            for where, name, line in references
+        )
+        and not any(re.search(rf"\b{d.name}\b", text) for text in bench)
+    ]
+    assert unreferenced == []
