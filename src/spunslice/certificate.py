@@ -492,7 +492,7 @@ def certify(plat: PlatWord, tv: TwistVector, config: CertifyConfig | None = None
         tv = TwistVector(tuple(tv))
     try:
         validate_plat(plat)
-        tv.require_even()
+        tv.validate(plat.bridges)
         check_winding(cfg.resolution, tv)
         su = build_symmetric_union(plat, tv)
         battery = cfg.battery_groups()

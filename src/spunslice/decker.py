@@ -475,12 +475,7 @@ def symmetric_union_curve(ds: DeckerSet, tv: TwistVector) -> SliceCurve:
         raise PlatError(
             "decker set lacks cap-annulus data; build it with spin_plat"
         )
-    tv.require_even()
-    if len(tv) != len(ds.bridge_annuli):
-        raise PlatError(
-            f"twist vector has {len(tv)} entries for "
-            f"{len(ds.bridge_annuli)} caps"
-        )
+    tv.validate(len(ds.bridge_annuli))
     check_winding(ds.m, tv)
     winds: dict[int, int] = {}
     for t, region in zip(tv, ds.bridge_annuli):

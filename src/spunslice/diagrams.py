@@ -174,7 +174,12 @@ class TwistVector:
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(int(t) for t in self.entries))
 
-    def require_even(self):
+    def validate(self, bridges: int) -> None:
+        """Raise PlatError unless there is one entry per bridge, all even.
+        The length is checked first, so every command words a vector of the
+        wrong length, odd entries or not, the same way."""
+        if len(self.entries) != bridges:
+            raise PlatError(f"twist vector length {len(self.entries)} != bridge count {bridges}")
         for j, t in enumerate(self.entries, start=1):
             if t % 2:
                 raise PlatError(
@@ -428,11 +433,7 @@ def build_symmetric_union(plat: PlatWord, tv: TwistVector) -> SymmetricUnion:
     with the mirror image.
     """
     validate_plat(plat)
-    if len(tv) != plat.bridges:
-        raise PlatError(
-            f"twist vector length {len(tv)} != bridge count {plat.bridges}"
-        )
-    tv.require_even()
+    tv.validate(plat.bridges)
     b = plat.bridges
     S = 4 * b - 2
 

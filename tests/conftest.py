@@ -12,6 +12,7 @@ searches are checked against; they live here, outside the package.
 
 import random
 from collections import deque
+from heapq import heappop, heappush
 from fractions import Fraction
 from dataclasses import dataclass, field
 from itertools import permutations, product
@@ -37,6 +38,7 @@ from spunslice.diagrams import (
     validate_plat,
 )
 from spunslice.groups.presentations import GroupPresentation, Word
+from spunslice.groups.snf import UnitReduction
 from spunslice.groups.toddcoxeter import DEFAULT_MAX_COSETS, CosetResult
 
 UNKNOT = PlatWord(2, ())
@@ -1113,3 +1115,83 @@ def embedding_wires(plat: PlatWord) -> WireEmbedding:
     _wire_traverse(emb, plat)
     _wire_build_pd(emb, plat)
     return emb
+
+
+# The per-entry Markowitz eliminator, the reference for the shortest-row rule
+# of `groups.snf.eliminate_unit_pivots`: a heap of (cost, row, col) over
+# every +-1 entry, re-keyed after each pivot.  Its pivot order differs, but
+# the determinant it signs and the divisors it leaves must not.
+def eliminate_unit_pivots_markowitz(rows: list[dict[int, int]], n: int) -> UnitReduction:
+    """Eliminate +-1 pivots of an integer matrix, cheapest first.
+
+    The matrix comes as sparse rows {col: nonzero value} over n columns, and
+    the elimination consumes them.  Each step takes the +-1 entry of
+    least Markowitz cost (row nnz - 1) * (col nnz - 1), clears its column
+    from every other row by exact integer row operations (so determinants
+    are unchanged), and retires its row and column.  Column operations would
+    clear the rest of the pivot row without touching any remaining row, so
+    the matrix is equivalent to diag(pivots) + core, and a square matrix has
+    determinant sign(row order) * sign(col order) * prod(pivots) * det(core)
+    with rows ordered (pivot rows..., core rows) and columns likewise.
+    Wirtinger-, Fox- and Goeritz-derived rows are sparse and rich in +-1
+    entries, so the core is small (Havas-Holt-Rees, Linear Algebra Appl.
+    192, 1993).
+    """
+    m = len(rows)
+    cols: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    live = [True] * m
+    heap: list[tuple[int, int, int]] = []
+
+    def push(i, j):  # (Markowitz cost, row, col) of a +-1 entry
+        v = rows[i][j]
+        if v == 1 or v == -1:
+            heappush(heap, ((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j))
+
+    for i, row in enumerate(rows):
+        for j in row:
+            push(i, j)
+    pivots = []
+    while heap:
+        cost, r, c = heappop(heap)
+        prow = rows[r]
+        p = prow.get(c) if live[r] else None
+        if p != 1 and p != -1:
+            continue  # stale: row retired or entry changed
+        now = (len(prow) - 1) * (len(cols[c]) - 1)
+        if now != cost:
+            heappush(heap, (now, r, c))
+            continue
+        live[r] = False
+        pivots.append((r, c, p))
+        for j in prow:
+            cols[j].discard(r)
+        hit = cols[c]
+        cols[c] = set()
+        for i in hit:
+            row = rows[i]
+            f = row.pop(c) * p
+            for j, v in prow.items():
+                if j == c:
+                    continue
+                w = row.get(j, 0) - f * v
+                if w:
+                    row[j] = w
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        # costs changed only in the rows hit and the pivot row's columns
+        for i in hit:
+            for j in rows[i]:
+                push(i, j)
+        for j in prow:
+            for i in cols[j]:
+                push(i, j)
+    done = {c for _r, c, _p in pivots}
+    core_rows = [i for i in range(m) if live[i]]
+    core_cols = [j for j in range(n) if j not in done]
+    core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
+    return UnitReduction(tuple(pivots), core_rows, core_cols, core)

@@ -1,9 +1,10 @@
 """Command-line runs pinned byte for byte: golden certificates, every
-subcommand, `python -m spunslice`, the lower resolution bound of the
-slice-curve commands, the upper one and the band-winding bound they share
-with certify, and the 0-crossing unknot; unreadable files and bad or
-oversized batteries, which are input errors; and fuzzed plat text, which
-never ends in exit 4."""
+subcommand, `python -m spunslice`, one message for a bad twist vector from
+every twist command, the lower resolution bound of the slice-curve
+commands, the upper one and the band-winding bound they share with
+certify, and the 0-crossing unknot; unreadable files and bad or oversized
+batteries, which are input errors; and fuzzed plat text, which never ends
+in exit 4."""
 
 import contextlib
 import hashlib
@@ -95,6 +96,32 @@ def test_cli_symunion_prints_the_doubled_plat(capsys):
 def test_cli_twist_commands_need_twists(command, capsys):
     assert main([command, TREFOIL_PLAT]) == 3
     assert capsys.readouterr().err == f"error: {command} requires --twists\n"
+
+
+TWIST_COMMANDS = {
+    "certify": ["certify"],
+    "slice-check": ["slice-check"],
+    "render-decker": ["render", "decker"],
+    "det": ["det"],
+    "symunion": ["symunion"],
+    "cobordism": ["cobordism"],
+}
+
+
+@pytest.mark.parametrize(
+    "twists, message",
+    [
+        ("2,2", "twist vector length 2 != bridge count 3"),
+        ("1,1", "twist vector length 2 != bridge count 3"),  # length before parity
+        ("2,1,2", "twist entry t_2 = 1 is odd; only the even family is supported"),
+    ],
+)
+@pytest.mark.parametrize("command", sorted(TWIST_COMMANDS))
+def test_cli_a_bad_twist_vector_gets_one_message_from_every_command(
+    command, twists, message, capsys
+):
+    assert main(TWIST_COMMANDS[command] + [T35_PLAT, "--twists", twists]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 RENDER_SHA256 = {

@@ -160,9 +160,11 @@ def test_bridge_regions_are_frozen():
 # ---------------------------------------------------------------------------
 
 def test_twist_vector_even_check():
-    TwistVector((0, -4)).require_even()
+    TwistVector((0, -4)).validate(2)
     with pytest.raises(PlatError, match="t_2 = 1 is odd"):
-        TwistVector((2, 1)).require_even()
+        TwistVector((2, 1)).validate(2)
+    with pytest.raises(PlatError, match="length 2 != bridge count 3"):
+        TwistVector((1, 1)).validate(3)  # the length is checked first
 
 
 def test_symmetric_union_of_trefoil_is_frozen():

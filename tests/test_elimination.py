@@ -1,18 +1,21 @@
 """The shared integer eliminator (groups.snf.eliminate_unit_pivots) against
-dense oracles: Bareiss on the full matrix and sympy (tests only).
+dense oracles: Bareiss on the full matrix and sympy (tests only), and
+against the per-entry Markowitz eliminator it replaced (tests/conftest.py).
 
 Both determinant routes, the Alexander interpolation and the cover's first
 homology run through the same unit-pivot elimination, so each is checked
 here against a computation that does not use it.
 """
 
+import heapq
 import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import join_components, lagrange_fraction
+from conftest import TREFOIL, eliminate_unit_pivots_markowitz, join_components, lagrange_fraction
+from spunslice import covers
 from spunslice.covers import (
     _bareiss,
     _fox_int_matrix,
@@ -36,9 +39,11 @@ from spunslice.groups import (
     abelianization,
     branched_cover_presentation,
     elementary_divisors,
+    snf,
     wirtinger,
 )
-from spunslice.groups.snf import eliminate_unit_pivots
+from spunslice.groups.snf import _divisors, eliminate_unit_pivots
+from test_covers import _seeded_knots_and_unions
 
 try:
     import sympy
@@ -185,3 +190,93 @@ def test_alexander_polynomial_of_a_150_crossing_knot_within_budget():
     coeffs = alexander_polynomial(pd)
     assert abs(sum(c * (-1) ** k for k, c in enumerate(coeffs))) == alexander_det(pd)
     assert time.monotonic() - t0 < 10.0
+
+
+# ---------------------------------------------------------------------------
+# the shortest-row rule against the Markowitz oracle
+# ---------------------------------------------------------------------------
+
+def _under_both(compute):
+    """compute() with the runtime eliminator, then with the Markowitz oracle
+    in its place; compute must build fresh rows, which are consumed."""
+    got = compute()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(snf, "eliminate_unit_pivots", eliminate_unit_pivots_markowitz)
+        mp.setattr(covers, "eliminate_unit_pivots", eliminate_unit_pivots_markowitz)
+        want = compute()
+    return got, want
+
+
+def _assert_well_formed(red, m, n):
+    pivot_rows = [r for r, _c, _p in red.pivots]
+    pivot_cols = [c for _r, c, _p in red.pivots]
+    assert len(set(pivot_rows)) == len(pivot_rows) and len(set(pivot_cols)) == len(pivot_cols)
+    assert all(p in (1, -1) for _r, _c, p in red.pivots)
+    assert red.core_rows == [i for i in range(m) if i not in pivot_rows]
+    assert red.core_cols == [j for j in range(n) if j not in pivot_cols]
+    assert [len(row) for row in red.core] == [len(red.core_cols)] * len(red.core_rows)
+
+
+@st.composite
+def sparse_unit_rich_matrices(draw):
+    """Sparse rows over -3..3, 3 in 5 of their entries +-1, square or not;
+    up to four rows hold 40 or more entries when there are that many
+    columns."""
+    m = draw(st.integers(1, 44))
+    n = m if draw(st.booleans()) else draw(st.integers(1, 60))
+    lengths = [draw(st.integers(0, 5)) for _ in range(m)]
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=4)):
+        lengths[i] = max(n - 8, 40)
+    value = st.sampled_from([1, -1, 1, -1, 1, -1, 2, -2, 3, -3])
+    rows = []
+    for k in lengths:
+        k = min(k, n)
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+        rows.append({j: draw(value) for j in cols})
+    return rows, n
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_unit_rich_matrices())
+def test_shortest_row_pivots_keep_the_oracles_determinant_and_divisors(case):
+    rows, n = case
+    red = eliminate_unit_pivots([dict(row) for row in rows], n)
+    _assert_well_formed(red, len(rows), n)
+    _assert_well_formed(eliminate_unit_pivots_markowitz([dict(row) for row in rows], n), len(rows), n)
+    dense = [[row.get(j, 0) for j in range(n)] for row in rows]
+    got, want = _under_both(lambda: _divisors(dense))
+    assert got == want
+    if len(rows) == n:
+        got, want = _under_both(lambda: _int_det([dict(row) for row in rows], n))
+        assert got == want
+
+
+def test_determinant_facts_plats_agree_under_both_eliminators():
+    for plat, _union in _seeded_knots_and_unions():
+        pd = plat_to_pd(plat)
+        got, want = _under_both(lambda: (
+            goeritz(pd).determinant,
+            [_int_det(_sparse(_fox_minor(pd, t)), pd.n_crossings - 1) for t in (-1, 3)],
+            abelianization(branched_cover_presentation(wirtinger(pd))),
+        ))
+        assert got == want
+
+
+def test_a_long_twist_face_is_queued_once_per_pivot_that_hits_it(monkeypatch):
+    # the twist region's face row has 1,005 entries; re-keying every entry a
+    # pivot touched once took 1,515,541 pushes on these 9,015 nonzeros
+    pd = plat_to_pd(build_symmetric_union(TREFOIL, TwistVector((1000, 1000))).knot)
+    rows = goeritz(pd).rows
+    last = len(rows) - 1
+    minor = [{j: v for j, v in row.items() if v and j != last} for row in rows[:-1]]
+    nonzeros = sum(map(len, minor))
+    pushes = 0
+
+    def counting_heappush(queue, item):
+        nonlocal pushes
+        pushes += 1
+        heapq.heappush(queue, item)
+
+    monkeypatch.setattr(snf, "heappush", counting_heappush)
+    assert abs(_int_det(minor, last)) == 9
+    assert 0 < pushes <= nonzeros

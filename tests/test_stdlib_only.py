@@ -1,9 +1,10 @@
 """The runtime package imports nothing but the standard library and itself,
 `decker.__all__` names only what the rest of the runtime or the bench uses,
-and every top-level function or method of the runtime has a caller outside
-its own body."""
+every top-level function or method of the runtime has a caller outside
+its own body, and every entry point the traced bench wraps exists."""
 
 import ast
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -95,3 +96,18 @@ def test_every_runtime_function_is_referenced_outside_its_own_body():
         and not any(re.search(rf"\b{d.name}\b", text) for text in bench)
     ]
     assert unreferenced == []
+
+
+def test_every_entry_point_the_traced_bench_wraps_exists():
+    # spans.install reads vars(owner)[attr]: a renamed target would pass
+    # every other test and then stop the traced bench with a KeyError
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = spans._targets()
+    assert targets
+    missing = [
+        f"{owner.__name__}.{attr}" for owner, attr, _name, _hook in targets
+        if attr not in vars(owner)
+    ]
+    assert missing == []
