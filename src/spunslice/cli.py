@@ -106,7 +106,7 @@ def _knot(args) -> PlatWord:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
@@ -117,7 +117,7 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_validate(args) -> int:
-    plat = _load_plat(args.platfile)
+    plat = _knot(args)
     diagram = validate_plat(plat)
     print(
         f"strands {plat.strands} letters {len(plat.word)} "
@@ -262,23 +262,20 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    plat = _load_plat(args.platfile)
-    tv = _twist_vector(args)
-    kind = args.kind
-    if kind == "chord":
-        svg = render_chord_diagram(chord_diagram_of_tangle(plat))
-    elif kind == "decker":
+    if args.kind == "decker":
+        plat = _load_plat(args.platfile)
+        tv = _twist_vector(args)
         ds = spin_plat(plat, m=args.resolution)
         curve = trace_double_curve(ds) if tv is None else symmetric_union_curve(ds, tv)
         svg = render_decker(ds, curve)
-    elif kind == "plat":
-        knot = plat if tv is None else build_symmetric_union(plat, tv).knot
-        svg = render_plat(knot)
-    elif kind == "pd":
-        knot = plat if tv is None else build_symmetric_union(plat, tv).knot
-        svg = render_pd(plat_to_pd(knot))
-    else:  # argparse choices guard this
-        raise CliInputError(f"unknown render kind {kind!r}")
+    else:
+        knot = _knot(args)
+        if args.kind == "chord":
+            svg = render_chord_diagram(chord_diagram_of_tangle(knot))
+        elif args.kind == "plat":
+            svg = render_plat(knot)
+        else:
+            svg = render_pd(plat_to_pd(knot))
     _emit(args, svg)
     return 0
 
@@ -294,20 +291,25 @@ def _cmd_corpus(args) -> int:
 # parser assembly
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--twists", help="comma-separated half-twist counts, one per bridge")
-    common.add_argument("--battery", help="comma-separated finite-group battery (default S3,A4,S4,A5)")
-    common.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS, help="coset enumeration budget")
-    common.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION, help="longitudes per latitude circle")
-    common.add_argument("--out", help="write primary output to this file")
+# the shared flags; each subcommand takes only the ones it reads
+_FLAGS = {
+    "--twists": dict(help="comma-separated half-twist counts, one per bridge"),
+    "--battery": dict(help="comma-separated finite-group battery (default S3,A4,S4,A5)"),
+    "--max-cosets": dict(type=int, default=DEFAULT_MAX_COSETS, help="coset enumeration budget"),
+    "--resolution": dict(type=int, default=DEFAULT_RESOLUTION, help="longitudes per latitude circle"),
+    "--out": dict(help="write primary output to this file"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spunslice", description=__doc__)
     parser.add_argument("--version", action="version", version=f"spunslice {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, func, help_text, *, platfile=True, extra=None):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    def add(name, func, help_text, flags=(), *, platfile=True, extra=None):
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         if platfile:
             p.add_argument("platfile", help="plat word file")
         if extra:
@@ -315,14 +317,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    add("validate", _cmd_validate, "check a plat word file")
-    add("det", _cmd_det, "knot determinant along two independent routes")
-    add("goeritz", _cmd_goeritz, "checkerboard form and its determinant")
-    add("slice-check", _cmd_slice_check, "run the slice-curve side test on the doubled sphere")
-    add("symunion", _cmd_symunion, "emit the twisted mirror double as a plat word")
-    add("pi1", _cmd_pi1, "knot group presentation and abelianization")
-    add("cover-h1", _cmd_cover_h1, "first homology of the branched double cover")
-    add("cobordism", _cmd_cobordism, "surgery bands and linking form of the twist cobordism")
+    twists = ("--twists",)
+    add("validate", _cmd_validate, "check a plat word file", twists)
+    add("det", _cmd_det, "knot determinant along two independent routes", twists)
+    add("goeritz", _cmd_goeritz, "checkerboard form and its determinant", twists)
+    add(
+        "slice-check",
+        _cmd_slice_check,
+        "run the slice-curve side test on the doubled sphere",
+        ("--twists", "--resolution"),
+    )
+    add(
+        "symunion",
+        _cmd_symunion,
+        "emit the twisted mirror double as a plat word",
+        ("--twists", "--out"),
+    )
+    add("pi1", _cmd_pi1, "knot group presentation and abelianization", twists)
+    add("cover-h1", _cmd_cover_h1, "first homology of the branched double cover", twists)
+    add("cobordism", _cmd_cobordism, "surgery bands and linking form of the twist cobordism", twists)
     add(
         "groups",
         _cmd_groups,
@@ -334,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         "certify",
         _cmd_certify,
         "assemble the full embedding-obstruction certificate",
+        tuple(_FLAGS),
         extra=lambda p: p.add_argument(
             "--timing", action="store_true", help="include (nondeterministic) timing lines"
         ),
@@ -342,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         "render",
         _cmd_render,
         "draw a chord diagram, doubled sphere, plat ladder, or PD schematic",
+        ("--twists", "--resolution", "--out"),
         platfile=False,
         extra=lambda p: (
             p.add_argument("kind", choices=("chord", "decker", "plat", "pd")),

@@ -4,6 +4,11 @@ Elements are canonical indices into a multiplication table.  Concrete
 groups come either from BFS closure of generator objects (permutations,
 2x2 matrices over the 5-element field, exact quaternions) or from a coset
 enumeration's regular representation.
+
+The subgroup generated by S is the orbit of the identity under right
+multiplication by S, reading each reached row once at S's columns.  In a
+finite group every inverse is a positive power, so each element of <S> is a
+positive word in S and the orbit is all of <S>.
 """
 
 from __future__ import annotations
@@ -33,21 +38,17 @@ class FiniteGroup:
     the whole table at a cost of (number of generators) * order^2.
     """
 
-    def __init__(self, mult, labels=None, name=""):
+    def __init__(self, mult, name=""):
         self.mult = tuple(tuple(row) for row in mult)
         n = len(self.mult)
         self.order = n
         self.name = name
-        if labels is None:
-            labels = [str(i) for i in range(n)]
-        self.labels = tuple(str(x) for x in labels)
-        if len(self.labels) != n or any(len(r) != n for r in self.mult):
+        if any(len(r) != n for r in self.mult):
             raise GroupError("multiplication table is not square")
-        ident = None
-        for e in range(n):
-            if all(self.mult[e][x] == x and self.mult[x][e] == x for x in range(n)):
-                ident = e
-                break
+        ident = next(
+            (e for e in range(n) if all(self.mult[e][x] == x == self.mult[x][e] for x in range(n))),
+            None,
+        )
         if ident is None:
             raise GroupError("table has no identity")
         self.identity = ident
@@ -60,41 +61,33 @@ class FiniteGroup:
             if inv[a] < 0:
                 raise GroupError(f"element {a} has no inverse")
         self.inverse = tuple(inv)
-        for g in self._light_generators():
+        for g in self._greedy_generators(range(n)):
             g_row = self.mult[g]
             for x in range(n):
                 row = self.mult[x]
                 if self.mult[row[g]] != tuple(map(row.__getitem__, g_row)):
                     raise GroupError("table is not associative")
 
-    def _light_generators(self) -> list[int]:
-        """Greedy generators whose closure under right multiplication, starting
-        from the identity, is the whole table (no associativity assumed)."""
+    def _greedy_generators(self, candidates) -> list[int]:
+        """The candidates, in order, that the closure of those taken before
+        them has not reached; they generate what all the candidates do."""
         gens: list[int] = []
-        reached = {self.identity}
-        for a in range(self.order):
-            if a in reached:
-                continue
-            gens.append(a)
-            todo = list(reached)
-            while todo:
-                row = self.mult[todo.pop()]
-                for g in gens:
-                    if row[g] not in reached:
-                        reached.add(row[g])
-                        todo.append(row[g])
+        reached = frozenset({self.identity})
+        for a in candidates:
+            if a not in reached:
+                gens.append(a)
+                reached = self.subgroup_closure(gens)
         return gens
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mult[x][a]
-            k += 1
-        return k
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        return tuple(self.element_order(a) for a in range(self.order))
+        orders = []
+        for a in range(self.order):
+            k, x = 1, a
+            while x != self.identity:
+                x, k = self.mult[x][a], k + 1
+            orders.append(k)
+        return tuple(orders)
 
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -134,15 +127,17 @@ class FiniteGroup:
         )
 
     def subgroup_closure(self, elements) -> frozenset[int]:
-        todo = list(set(elements) | {self.identity})
-        have = set(todo)
+        """<elements>: the orbit of the identity under right multiplication."""
+        gens = tuple(set(elements))
+        have = {self.identity}
+        todo = [self.identity]
         while todo:
-            a = todo.pop()
-            for b in list(have):
-                for c in (self.mult[a][b], self.mult[b][a]):
-                    if c not in have:
-                        have.add(c)
-                        todo.append(c)
+            row = self.mult[todo.pop()]
+            for g in gens:
+                c = row[g]
+                if c not in have:
+                    have.add(c)
+                    todo.append(c)
         return frozenset(have)
 
     def normal_closure(self, elements) -> frozenset[int]:
@@ -208,7 +203,6 @@ class FiniteGroup:
         """The quotient by a normal subgroup, with the projection map."""
         if self.identity not in normal:
             raise GroupError("normal subgroup must contain the identity")
-        rep = {}
         cosets = []
         proj = [-1] * self.order
         for a in range(self.order):
@@ -223,8 +217,7 @@ class FiniteGroup:
                 proj[x] = k
         m = len(cosets)
         table = [[proj[self.mult[cosets[i]][cosets[j]]] for j in range(m)] for i in range(m)]
-        q = FiniteGroup(table, [self.labels[c] for c in cosets], name=name)
-        return q, tuple(proj)
+        return FiniteGroup(table, name=name), tuple(proj)
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +341,9 @@ def group_closure(generators, bound: int = CLOSURE_BOUND, name: str = "") -> Fin
 def table_group(elems, name: str = "") -> FiniteGroup:
     """The group of a multiplicatively closed list of element objects, in
     list order; every table entry is one directly computed product."""
-    # identity = the unique idempotent
-    ident = [x for x in elems if x * x == x]
-    if len(ident) != 1:
-        raise GroupError("generator closure is not a group")
     index = {x: i for i, x in enumerate(elems)}
     table = [[index[a * b] for b in elems] for a in elems]
-    return FiniteGroup(table, [repr(x) for x in elems], name=name)
+    return FiniteGroup(table, name=name)
 
 
 @cache
@@ -380,8 +369,10 @@ def alternating_group(n: int) -> FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    if n < 1:
+        raise GroupError("need n >= 1")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, [str(i) for i in range(n)], name=f"C{n}")
+    return FiniteGroup(table, name=f"C{n}")
 
 
 @cache
@@ -462,23 +453,6 @@ def su2_obstruction(G: FiniteGroup) -> str:
 # isomorphism search
 
 
-def _generating_sequence(G: FiniteGroup) -> list[int]:
-    """A short generating sequence, preferring high-order elements."""
-    by_order = sorted(range(G.order), key=lambda a: -G.element_orders[a])
-    gens: list[int] = []
-    have: frozenset[int] = frozenset({G.identity})
-    for a in by_order:
-        if a in have:
-            continue
-        gens.append(a)
-        have = G.subgroup_closure(gens)
-        if len(have) == G.order:
-            return gens
-    if G.order == 1:
-        return []
-    raise GroupError("could not generate the group")
-
-
 def _hom_from_generators(G: FiniteGroup, H: FiniteGroup, gens, images):
     """Extend generator images to a map on all of G, or None if inconsistent.
 
@@ -520,7 +494,8 @@ def iso_check(G: FiniteGroup, H: FiniteGroup):
     h_sizes = sorted(len(c) for c in H.conjugacy_classes)
     if g_sizes != h_sizes:
         return None
-    gens = _generating_sequence(G)
+    # a short generating sequence, preferring high-order elements
+    gens = G._greedy_generators(sorted(range(G.order), key=lambda a: -G.element_orders[a]))
     if not gens:
         return tuple([H.identity] * H.order) if H.order == 1 else None
 

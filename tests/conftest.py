@@ -37,6 +37,7 @@ from spunslice.diagrams import (
     strand_permutation,
     validate_plat,
 )
+from spunslice.groups.finite import GroupError
 from spunslice.groups.presentations import GroupPresentation, Word
 from spunslice.groups.snf import UnitReduction
 from spunslice.groups.toddcoxeter import DEFAULT_MAX_COSETS, CosetResult
@@ -1195,3 +1196,61 @@ def eliminate_unit_pivots_markowitz(rows: list[dict[int, int]], n: int) -> UnitR
     core_cols = [j for j in range(n) if j not in done]
     core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
     return UnitReduction(tuple(pivots), core_rows, core_cols, core)
+
+
+# ---------------------------------------------------------------------------
+# References for `FiniteGroup`'s closure walk (the orbit of the identity
+# under right multiplication): the pairwise closure, which multiplies each
+# new element by every element reached so far on both sides, and two greedy
+# generator loops, one a breadth-first walk of its own over range(order) for
+# Light's test, one over descending element order on the pairwise closure.
+
+
+def subgroup_closure_pairwise(G, elements) -> frozenset[int]:
+    """<elements>, closed under products on both sides."""
+    todo = list(set(elements) | {G.identity})
+    have = set(todo)
+    while todo:
+        a = todo.pop()
+        for b in list(have):
+            for c in (G.mult[a][b], G.mult[b][a]):
+                if c not in have:
+                    have.add(c)
+                    todo.append(c)
+    return frozenset(have)
+
+
+def light_generators_walk(G) -> list[int]:
+    """Greedy generators whose closure under right multiplication, starting
+    from the identity, is the whole table (no associativity assumed)."""
+    gens: list[int] = []
+    reached = {G.identity}
+    for a in range(G.order):
+        if a in reached:
+            continue
+        gens.append(a)
+        todo = list(reached)
+        while todo:
+            row = G.mult[todo.pop()]
+            for g in gens:
+                if row[g] not in reached:
+                    reached.add(row[g])
+                    todo.append(row[g])
+    return gens
+
+
+def generating_sequence_pairwise(G) -> list[int]:
+    """A short generating sequence, preferring high-order elements."""
+    by_order = sorted(range(G.order), key=lambda a: -G.element_orders[a])
+    gens: list[int] = []
+    have: frozenset[int] = frozenset({G.identity})
+    for a in by_order:
+        if a in have:
+            continue
+        gens.append(a)
+        have = subgroup_closure_pairwise(G, gens)
+        if len(have) == G.order:
+            return gens
+    if G.order == 1:
+        return []
+    raise GroupError("could not generate the group")

@@ -2,9 +2,9 @@
 subcommand, `python -m spunslice`, one message for a bad twist vector from
 every twist command, the lower resolution bound of the slice-curve
 commands, the upper one and the band-winding bound they share with
-certify, and the 0-crossing unknot; unreadable files and bad or oversized
-batteries, which are input errors; and fuzzed plat text, which never ends
-in exit 4."""
+certify, and the 0-crossing unknot; unreadable files, bad or oversized
+batteries and shared flags that a command does not read, which are input
+errors; and fuzzed plat text, which never ends in exit 4."""
 
 import contextlib
 import hashlib
@@ -105,6 +105,8 @@ TWIST_COMMANDS = {
     "det": ["det"],
     "symunion": ["symunion"],
     "cobordism": ["cobordism"],
+    "validate": ["validate"],
+    "render-chord": ["render", "chord"],
 }
 
 
@@ -330,6 +332,12 @@ def test_cli_certify_rejects_a_symmetric_group_on_fewer_than_two_points(battery,
     assert capsys.readouterr() == ("", "error: need n >= 2\n")
 
 
+@pytest.mark.parametrize("battery", ["C0", "C00"])
+def test_cli_certify_rejects_a_cyclic_group_on_no_points(battery, capsys):
+    assert main(["certify", TREFOIL_PLAT, "--twists", "2,2", "--battery", battery]) == 3
+    assert capsys.readouterr() == ("", "error: need n >= 1\n")
+
+
 @pytest.mark.parametrize(
     "battery",
     ["C20000", "S7", "S100000", "C" + "9" * 5000],
@@ -346,6 +354,55 @@ def test_cli_certify_refuses_a_battery_group_above_the_order_bound(battery, caps
 def test_cli_certify_rejects_a_battery_order_written_with_a_superscript(capsys):
     assert main(["certify", TREFOIL_PLAT, "--twists", "2,2", "--battery", "S²"]) == 3
     assert capsys.readouterr() == ("", "error: unknown battery group 'S²'\n")
+
+
+# ---------------------------------------------------------------------------
+# each subcommand takes only the shared flags it reads
+# ---------------------------------------------------------------------------
+
+READ_FLAGS = {
+    "validate": ["--twists"], "det": ["--twists"], "goeritz": ["--twists"],
+    "slice-check": ["--twists", "--resolution"], "symunion": ["--twists", "--out"],
+    "pi1": ["--twists"], "cover-h1": ["--twists"], "cobordism": ["--twists"], "groups": [],
+    "certify": ["--twists", "--battery", "--max-cosets", "--resolution", "--out"],
+    "render": ["--twists", "--resolution", "--out"], "corpus": [],
+}
+FLAG_VALUES = {"--twists": "2,2", "--battery": "S3", "--max-cosets": "10", "--resolution": "16"}
+UNREAD_FLAGS = [
+    (command, flag)
+    for command in sorted(READ_FLAGS)
+    for flag in sorted(FLAG_VALUES) + ["--out"]
+    if flag not in READ_FLAGS[command]
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_cli_a_flag_the_command_does_not_read_is_a_usage_error(command, flag, tmp_path, capsys):
+    out_file = tmp_path / "out"
+    argv = {"groups": ["groups"], "corpus": ["corpus"], "render": ["render", "chord", TREFOIL_PLAT]}.get(
+        command, [command, TREFOIL_PLAT, "--twists", "2,2"]
+    )
+    argv = argv + [flag, FLAG_VALUES.get(flag, str(out_file))]
+    if "--out" in READ_FLAGS[command]:
+        argv += ["--out", str(out_file)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unrecognized arguments: {flag}")
+    assert captured.err.count("\n") == 1
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("kind", ["chord", "plat", "pd"])
+def test_cli_render_draws_the_symmetric_union_with_twists(kind, tmp_path, capsys):
+    union = tmp_path / "union.plat"
+    assert main(["symunion", TREFOIL_PLAT, "--twists", "2,2", "--out", str(union)]) == 0
+    assert main(["render", kind, str(union)]) == 0
+    drawn = capsys.readouterr().out
+    assert main(["render", kind, TREFOIL_PLAT, "--twists", "2,2"]) == 0
+    assert capsys.readouterr().out == drawn
+    assert main(["render", kind, TREFOIL_PLAT]) == 0
+    assert capsys.readouterr().out != drawn
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ via subgroup rewriting plus Smith normal form must agree with the two
 diagrammatic routes from test_covers.py.
 """
 
+import dataclasses
 import gc
 import itertools
 import time
 import weakref
+from functools import cache, partial
 from unittest import mock
 
 import pytest
@@ -21,11 +23,14 @@ from conftest import (
     TREFOIL,
     UNKNOT,
     compile_schedule_rescan,
+    generating_sequence_pairwise,
     hom_count_brute,
     icosian_as_q5,
+    light_generators_walk,
     parse_presentation,
     quaternion_product_q5,
     sl2_f5_matrix_count,
+    subgroup_closure_pairwise,
     t3_plat,
     unit_icosians_q5,
 )
@@ -309,7 +314,6 @@ def test_integer_icosians_match_the_fraction_oracle():
     # integer keys sort the elements exactly as their Fraction coordinates do
     ordered = closure_elements(GENERATORS, bound=121)
     assert [icosian_as_q5(u) for u in ordered] == sorted(oracle)
-    assert icosian_group().labels == tuple(repr(u) for u in ordered)
     assert repr(GENERATORS[1]) == "<1/4+1/4r5,-1/4+1/4r5,1/2,0>"
 
 
@@ -381,6 +385,87 @@ def test_symmetric_group_is_built_once():
     for _ in range(2):  # a failed call is not cached
         with pytest.raises(GroupError, match="need n >= 2"):
             symmetric_group(1)
+
+
+# ---------------------------------------------------------------------------
+# the closure walk against the pairwise-closure oracles
+# ---------------------------------------------------------------------------
+
+CLOSURE_GROUPS = {
+    "S4": lambda: symmetric_group(4),
+    "A5": lambda: alternating_group(5),
+    "SL2F5": sl2_f5,
+    "icosian": icosian_group,
+    "T35-cover": lambda: FiniteGroup(
+        regular_representation(
+            todd_coxeter(branched_cover_presentation(wirtinger(plat_to_pd(T35))), max_cosets=500_000)
+        ),
+        name="coverG",
+    ),
+}
+
+
+@cache
+def _closure_group(name: str) -> FiniteGroup:
+    return CLOSURE_GROUPS[name]()
+
+
+def _report_fields(rep):
+    """The report with each quotient replaced by its order."""
+    return dataclasses.replace(rep, quotients=tuple(q.order for q, _ in rep.quotients))
+
+
+@cache
+def _pairwise_oracles(name: str):
+    """Both greedy generator sequences and the structure report, each
+    computed through the pairwise closure."""
+    G = _closure_group(name)
+    ref = FiniteGroup(G.mult, name=G.name)
+    ref.subgroup_closure = partial(subgroup_closure_pairwise, ref)
+    return light_generators_walk(G), generating_sequence_pairwise(G), structure_report(ref)
+
+
+@st.composite
+def _group_and_elements(draw):
+    name = draw(st.sampled_from(sorted(CLOSURE_GROUPS)))
+    order = _closure_group(name).order
+    return name, draw(st.sets(st.integers(min_value=0, max_value=order - 1), min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_group_and_elements())
+@example(("S4", {1}))
+@example(("A5", {5, 7}))
+@example(("SL2F5", {0, 1, 2}))
+@example(("icosian", {3}))
+@example(("T35-cover", {1, 2}))
+def test_closure_walk_matches_the_pairwise_closure(case):
+    name, elements = case
+    G = _closure_group(name)
+    assert G.subgroup_closure(elements) == subgroup_closure_pairwise(G, elements)
+    light, by_order, report = _pairwise_oracles(name)
+    assert G._greedy_generators(range(G.order)) == light
+    assert G._greedy_generators(sorted(range(G.order), key=lambda a: -G.element_orders[a])) == by_order
+    assert _report_fields(structure_report(G)) == _report_fields(report)
+
+
+class _CountedRows(tuple):
+    """A multiplication table that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
+def test_subgroup_closure_reads_each_reached_row_once(name):
+    G = FiniteGroup(_closure_group(name).mult)
+    for elements in ([1], [1, 2], [G.identity], range(G.order)):
+        G.mult = _CountedRows(G.mult)
+        subgroup = G.subgroup_closure(elements)
+        assert G.mult.reads <= len(subgroup)
 
 
 # ---------------------------------------------------------------------------
