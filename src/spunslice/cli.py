@@ -7,11 +7,15 @@ regression (corpus).
 
 Exit codes: 0 success / verified, 1 failed check or premise, 2 inconclusive
 search, 3 invalid input, 4 internal error (an unexpected exception).
+
+The parser is built once per process, on the first main() call, and keeps
+only command names: main() looks each handler up by name at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from pathlib import Path
@@ -265,10 +269,12 @@ def _cmd_render(args) -> int:
     if args.kind == "decker":
         plat = _load_plat(args.platfile)
         tv = _twist_vector(args)
-        ds = spin_plat(plat, m=args.resolution)
+        ds = spin_plat(plat, m=DEFAULT_RESOLUTION if args.resolution is None else args.resolution)
         curve = trace_double_curve(ds) if tv is None else symmetric_union_curve(ds, tv)
         svg = render_decker(ds, curve)
     else:
+        if args.resolution is not None:
+            raise CliInputError(f"render {args.kind} does not read --resolution")
         knot = _knot(args)
         if args.kind == "chord":
             svg = render_chord_diagram(chord_diagram_of_tangle(knot))
@@ -301,50 +307,45 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="spunslice", description=__doc__)
+    # --help prints the docstring's first three paragraphs, not the last
+    description = __doc__.rsplit("\n\n", 1)[0]
+    parser = _Parser(prog="spunslice", description=description)
     parser.add_argument("--version", action="version", version=f"spunslice {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, func, help_text, flags=(), *, platfile=True, extra=None):
-        p = sub.add_parser(name, help=help_text)
+    def add(func, help_text, flags=(), *, platfile=True, extra=None):
+        # the parser keeps the command name, never the handler itself
+        p = sub.add_parser(func.__name__.removeprefix("_cmd_").replace("_", "-"), help=help_text)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
         if platfile:
             p.add_argument("platfile", help="plat word file")
         if extra:
             extra(p)
-        p.set_defaults(func=func)
         return p
 
     twists = ("--twists",)
-    add("validate", _cmd_validate, "check a plat word file", twists)
-    add("det", _cmd_det, "knot determinant along two independent routes", twists)
-    add("goeritz", _cmd_goeritz, "checkerboard form and its determinant", twists)
+    add(_cmd_validate, "check a plat word file", twists)
+    add(_cmd_det, "knot determinant along two independent routes", twists)
+    add(_cmd_goeritz, "checkerboard form and its determinant", twists)
     add(
-        "slice-check",
         _cmd_slice_check,
         "run the slice-curve side test on the doubled sphere",
         ("--twists", "--resolution"),
     )
+    add(_cmd_symunion, "emit the twisted mirror double as a plat word", ("--twists", "--out"))
+    add(_cmd_pi1, "knot group presentation and abelianization", twists)
+    add(_cmd_cover_h1, "first homology of the branched double cover", twists)
+    add(_cmd_cobordism, "surgery bands and linking form of the twist cobordism", twists)
     add(
-        "symunion",
-        _cmd_symunion,
-        "emit the twisted mirror double as a plat word",
-        ("--twists", "--out"),
-    )
-    add("pi1", _cmd_pi1, "knot group presentation and abelianization", twists)
-    add("cover-h1", _cmd_cover_h1, "first homology of the branched double cover", twists)
-    add("cobordism", _cmd_cobordism, "surgery bands and linking form of the twist cobordism", twists)
-    add(
-        "groups",
         _cmd_groups,
         "structure reports for the certificate's finite groups",
         platfile=False,
         extra=lambda p: p.add_argument("names", nargs="*", help="sl2f5 a5 icosian"),
     )
     add(
-        "certify",
         _cmd_certify,
         "assemble the full embedding-obstruction certificate",
         tuple(_FLAGS),
@@ -353,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     add(
-        "render",
         _cmd_render,
         "draw a chord diagram, doubled sphere, plat ladder, or PD schematic",
         ("--twists", "--resolution", "--out"),
@@ -361,10 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
         extra=lambda p: (
             p.add_argument("kind", choices=("chord", "decker", "plat", "pd")),
             p.add_argument("platfile", help="plat word file"),
+            p.set_defaults(resolution=None),  # only decker reads it; None marks it unset
         ),
     )
     add(
-        "corpus",
         _cmd_corpus,
         "run the determinant regression manifest",
         platfile=False,
@@ -377,9 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (CliInputError, PlatError, CertifyError, CorpusError, GroupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

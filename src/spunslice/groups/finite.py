@@ -188,12 +188,13 @@ class FiniteGroup:
 
     @cached_property
     def commutator_subgroup(self) -> frozenset[int]:
-        comms = {
-            self.mult[self.mult[a][b]][self.mult[self.inverse[a]][self.inverse[b]]]
-            for a in range(self.order)
-            for b in range(self.order)
-        }
-        return self.subgroup_closure(comms)
+        """The normal closure of the commutators of a generating set, which
+        is the subgroup generated by all commutators."""
+        gens = self._greedy_generators(range(self.order))
+        mult, inv = self.mult, self.inverse
+        return self.normal_closure(
+            {mult[mult[a][b]][mult[inv[a]][inv[b]]] for a in gens for b in gens}
+        )
 
     @property
     def is_perfect(self) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..diagrams import PDCode, PlatError, SymmetricUnion, band_arcs, wirtinger_relations
-from .snf import AbelianInvariants, abelian_invariants
+from .snf import AbelianInvariants, invariants_of_rows
 
 Word = tuple[int, ...]
 
@@ -48,15 +48,6 @@ class GroupPresentation:
             if not 1 <= m <= self.n_generators:
                 raise ValueError(f"meridian index {m} out of range")
 
-    def abelianized_matrix(self) -> list[list[int]]:
-        rows = []
-        for r in self.relators:
-            row = [0] * self.n_generators
-            for x in r:
-                row[abs(x) - 1] += 1 if x > 0 else -1
-            rows.append(row)
-        return rows
-
     def simplified(self) -> "GroupPresentation":
         """Free reduction plus removal of empty/duplicate relators."""
         seen = set()
@@ -79,7 +70,15 @@ class GroupPresentation:
 
 
 def abelianization(pres: GroupPresentation) -> AbelianInvariants:
-    return abelian_invariants(pres.abelianized_matrix(), pres.n_generators)
+    """Invariants of the abelianized group, from one sparse row of generator
+    exponent sums per relator."""
+    rows = []
+    for r in pres.relators:
+        row: dict[int, int] = {}
+        for x in r:
+            row[abs(x) - 1] = row.get(abs(x) - 1, 0) + (1 if x > 0 else -1)
+        rows.append({j: v for j, v in row.items() if v})
+    return invariants_of_rows(rows, pres.n_generators)
 
 
 def wirtinger(pd: PDCode) -> GroupPresentation:

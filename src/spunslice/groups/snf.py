@@ -1,5 +1,5 @@
 """Exact integer elimination: unit-pivot reduction, Smith normal form and
-abelian invariants over the integers.
+abelian invariants over the integers, from sparse rows or a dense matrix.
 
 Unit pivots are taken shortest row first: the +-1 entry, in the shortest row
 that holds one, whose column has the fewest entries.  That bounds both
@@ -182,16 +182,27 @@ def smith_normal_form(matrix: list[list[int]]) -> list[list[int]]:
     return A
 
 
+def invariants_of_rows(rows: list[dict[int, int]], n: int) -> AbelianInvariants:
+    """Invariants of Z^n / (span of the rows), each row a sparse
+    {col: nonzero value} over n columns; the rows are consumed.
+
+    The nonzero invariant factors are one 1 per unit pivot, then the Smith
+    normal form of the small core."""
+    red = eliminate_unit_pivots(rows, n)
+    D = smith_normal_form([row for row in red.core if any(row)])
+    divisors = (1,) * len(red.pivots) + tuple(
+        D[i][i] for i in range(min(len(D), len(red.core_cols))) if D[i][i]
+    )
+    return AbelianInvariants(divisors, n - len(divisors))
+
+
 def _divisors(matrix: list[list[int]]) -> tuple[int, ...]:
-    """Nonzero invariant factors: one 1 per unit pivot, then the core's."""
+    """Nonzero invariant factors of a dense matrix."""
     n = len(matrix[0])
     if any(len(row) != n for row in matrix):
         raise ValueError("ragged matrix")
-    red = eliminate_unit_pivots([{j: int(v) for j, v in enumerate(row) if v} for row in matrix], n)
-    D = smith_normal_form([row for row in red.core if any(row)])
-    return (1,) * len(red.pivots) + tuple(
-        D[i][i] for i in range(min(len(D), len(red.core_cols))) if D[i][i]
-    )
+    rows = [{j: int(v) for j, v in enumerate(row) if v} for row in matrix]
+    return invariants_of_rows(rows, n).divisors
 
 
 def elementary_divisors(matrix: list[list[int]]) -> tuple[tuple[int, ...], int]:

@@ -765,6 +765,18 @@ def parse_presentation(text: str) -> GroupPresentation:
     return GroupPresentation(ngen, tuple(relators), meridians)
 
 
+# The dense relators x generators exponent-sum matrix, the reference for the
+# sparse rows that `groups.presentations.abelianization` hands the eliminator.
+def abelianized_matrix(pres: GroupPresentation) -> list[list[int]]:
+    rows = []
+    for r in pres.relators:
+        row = [0] * pres.n_generators
+        for x in r:
+            row[abs(x) - 1] += 1 if x > 0 else -1
+        rows.append(row)
+    return rows
+
+
 # The list-of-lists Todd-Coxeter enumerator, the reference for the flat
 # `array('i')` table of `groups.toddcoxeter.todd_coxeter`: one Python list
 # of 2n entries per coset, the same HLT order and the same coset numbering.
@@ -1204,6 +1216,7 @@ def eliminate_unit_pivots_markowitz(rows: list[dict[int, int]], n: int) -> UnitR
 # new element by every element reached so far on both sides, and two greedy
 # generator loops, one a breadth-first walk of its own over range(order) for
 # Light's test, one over descending element order on the pairwise closure.
+# Then the commutator subgroup as the closure of all |G|^2 commutators.
 
 
 def subgroup_closure_pairwise(G, elements) -> frozenset[int]:
@@ -1254,3 +1267,13 @@ def generating_sequence_pairwise(G) -> list[int]:
     if G.order == 1:
         return []
     raise GroupError("could not generate the group")
+
+
+def commutator_subgroup_all_pairs(G) -> frozenset[int]:
+    """<[a, b] for all a, b in G>."""
+    comms = {
+        G.mult[G.mult[a][b]][G.mult[G.inverse[a]][G.inverse[b]]]
+        for a in range(G.order)
+        for b in range(G.order)
+    }
+    return G.subgroup_closure(comms)

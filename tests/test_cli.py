@@ -1,10 +1,11 @@
 """Command-line runs pinned byte for byte: golden certificates, every
-subcommand, `python -m spunslice`, one message for a bad twist vector from
-every twist command, the lower resolution bound of the slice-curve
-commands, the upper one and the band-winding bound they share with
-certify, and the 0-crossing unknot; unreadable files, bad or oversized
-batteries and shared flags that a command does not read, which are input
-errors; and fuzzed plat text, which never ends in exit 4."""
+subcommand, `python -m spunslice`, one parser per process answering as a
+fresh process does, one message for a bad twist vector from every twist
+command, the lower resolution bound of the slice-curve commands, the upper
+one and the band-winding bound they share with certify, and the 0-crossing
+unknot; unreadable files, bad or oversized batteries and shared flags that
+a command does not read, which are input errors; and fuzzed plat text,
+which never ends in exit 4."""
 
 import contextlib
 import hashlib
@@ -85,6 +86,60 @@ def test_python_m_spunslice_runs_the_cli_from_a_checkout(capsys):
                           capture_output=True, text=True, env=env)
     assert main(["validate", TREFOIL_PLAT]) == proc.returncode == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# one parser per process, handlers looked up by command name at call time
+# ---------------------------------------------------------------------------
+
+VALID_INVOCATIONS = {
+    "validate": ["validate", TREFOIL_PLAT],
+    "det": ["det", TREFOIL_PLAT, "--twists", "2,2"],
+    "goeritz": ["goeritz", TREFOIL_PLAT],
+    "slice-check": ["slice-check", TREFOIL_PLAT, "--twists", "2,2"],
+    "symunion": ["symunion", TREFOIL_PLAT, "--twists", "2,2"],
+    "pi1": ["pi1", TREFOIL_PLAT],
+    "cover-h1": ["cover-h1", T35_PLAT],
+    "cobordism": ["cobordism", T35_PLAT, "--twists", "2,-2,0"],
+    "groups": ["groups", "a5"],
+    "certify": ["certify", TREFOIL_PLAT, "--twists", "2,2"],
+    "render": ["render", "decker", TREFOIL_PLAT, "--resolution", "16"],
+    "corpus": ["corpus"],
+}
+
+
+def _run_in_process(argv) -> tuple[bytes, bytes, int]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --version exits from inside the parser
+            code = exc.code
+    return out.getvalue().encode(), err.getvalue().encode(), code
+
+
+def test_cli_builds_its_parser_once_per_process():
+    mixed = [VALID_INVOCATIONS[c] for c in ("validate", "det", "pi1", "goeritz", "symunion")] + [
+        ["det"],
+        ["render", "chord", TREFOIL_PLAT, "--resolution", "16"],
+        ["goeritz", TREFOIL_PLAT, "--out", "x"],
+        ["nonsense"],
+        ["symunion", TREFOIL_PLAT],
+    ]
+    cli.build_parser.cache_clear()
+    codes = [_run_in_process(argv)[2] for argv in mixed + mixed]
+    assert len(codes) == 20 and codes.count(3) == 10
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_cli_calls_in_one_process_answer_as_fresh_processes_do():
+    # a usage error and --version first, so every later call parses with a
+    # parser that has already raised and exited
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in [["det"], ["--version"]] + list(VALID_INVOCATIONS.values()):
+        proc = subprocess.run([sys.executable, "-m", "spunslice", *argv], capture_output=True, env=env)
+        assert _run_in_process(argv) == (proc.stdout, proc.stderr, proc.returncode), argv
 
 
 def test_cli_symunion_prints_the_doubled_plat(capsys):
@@ -181,6 +236,16 @@ def test_cli_resolution_above_4096_is_rejected_with_one_message(command, m, caps
     argv = SLICE_CURVE_COMMANDS.get(command, ["certify", TREFOIL_PLAT, "--twists", "2,2"])
     assert main(argv + ["--resolution", str(m)]) == 3
     assert capsys.readouterr() == ("", f"error: resolution {m} too large; at most 4096\n")
+
+
+@pytest.mark.parametrize("kind", ["chord", "plat", "pd"])
+def test_cli_render_without_a_grid_rejects_resolution(kind, tmp_path, capsys):
+    # only render decker builds a grid sphere, so only it reads --resolution
+    out_file = tmp_path / "out.svg"
+    argv = ["render", kind, T35_PLAT, "--resolution", "99999999", "--out", str(out_file)]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: render {kind} does not read --resolution\n")
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("command", sorted(SLICE_CURVE_COMMANDS))

@@ -1,6 +1,7 @@
 """The shared integer eliminator (groups.snf.eliminate_unit_pivots) against
 dense oracles: Bareiss on the full matrix and sympy (tests only), and
-against the per-entry Markowitz eliminator it replaced (tests/conftest.py).
+against the per-entry Markowitz eliminator it replaced (tests/conftest.py);
+abelianization's sparse rows against the dense exponent-sum matrix.
 
 Both determinant routes, the Alexander interpolation and the cover's first
 homology run through the same unit-pivot elimination, so each is checked
@@ -12,9 +13,18 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import TREFOIL, eliminate_unit_pivots_markowitz, join_components, lagrange_fraction
+from conftest import (
+    T35,
+    TREFOIL,
+    abelianized_matrix,
+    eliminate_unit_pivots_markowitz,
+    join_components,
+    ladder_plats,
+    lagrange_fraction,
+    t3_plat,
+)
 from spunslice import covers
 from spunslice.covers import (
     _bareiss,
@@ -35,6 +45,7 @@ from spunslice.diagrams import (
     wirtinger_relations,
 )
 from spunslice.groups import (
+    GroupPresentation,
     abelian_invariants,
     abelianization,
     branched_cover_presentation,
@@ -129,6 +140,37 @@ def test_abelian_invariants_match_sympy_smith_form(matrix):
     assert list(inv.divisors) == want
     assert inv.free_rank == len(matrix[0]) - len(want)
     assert elementary_divisors(matrix) == (tuple(want), len(want))
+
+
+@st.composite
+def presentations(draw):
+    """1-6 generators and up to 6 relators of up to 8 letters; empty and
+    repeated relators included."""
+    n = draw(st.integers(1, 6))
+    letter = st.integers(1, n).flatmap(lambda i: st.sampled_from([i, -i]))
+    relators = draw(st.lists(st.lists(letter, max_size=8).map(tuple), max_size=6))
+    if relators and draw(st.booleans()):
+        relators.append(draw(st.sampled_from(relators)))
+    return GroupPresentation(n, tuple(relators))
+
+
+def _dense_abelianization(pres):
+    return abelian_invariants(abelianized_matrix(pres), pres.n_generators)
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations())
+@example(GroupPresentation(1, ()))
+@example(GroupPresentation(3, ((), (1, 2, -1, -2), (1, 1, 2), (1, 1, 2), ())))
+def test_sparse_abelianization_matches_the_dense_route(pres):
+    assert abelianization(pres) == _dense_abelianization(pres)
+
+
+@pytest.mark.parametrize("name", ["T35", "T37", "10x150-0", "10x150-1"])
+def test_sparse_abelianization_of_branched_covers_matches_the_dense_route(name):
+    plat = {"T35": T35, "T37": t3_plat(7), **dict(ladder_plats())}[name]
+    pres = branched_cover_presentation(wirtinger(plat_to_pd(plat)))
+    assert abelianization(pres) == _dense_abelianization(pres)
 
 
 @pytest.mark.parametrize("ragged", [[[1, 2], [3]], [[1], [2, 3]]])

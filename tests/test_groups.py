@@ -22,6 +22,7 @@ from conftest import (
     T35,
     TREFOIL,
     UNKNOT,
+    commutator_subgroup_all_pairs,
     compile_schedule_rescan,
     generating_sequence_pairwise,
     hom_count_brute,
@@ -447,6 +448,17 @@ def test_closure_walk_matches_the_pairwise_closure(case):
     assert G._greedy_generators(range(G.order)) == light
     assert G._greedy_generators(sorted(range(G.order), key=lambda a: -G.element_orders[a])) == by_order
     assert _report_fields(structure_report(G)) == _report_fields(report)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
+def test_commutator_subgroup_from_generators_matches_all_pairs(name):
+    G = _closure_group(name)
+    for H in [G] + [Q for Q, _proj in G.proper_quotients]:
+        H = FiniteGroup(H.mult, name=H.name)  # nothing cached yet
+        assert H.commutator_subgroup == commutator_subgroup_all_pairs(H)
+        ref = FiniteGroup(H.mult, name=H.name)
+        ref.commutator_subgroup = commutator_subgroup_all_pairs(ref)
+        assert _report_fields(structure_report(H)) == _report_fields(structure_report(ref))
 
 
 class _CountedRows(tuple):
