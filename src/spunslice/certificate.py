@@ -309,17 +309,15 @@ def _check_homology_sphere(su, cfg: CertifyConfig):
 
 def _check_definite_cobordism(su, cfg: CertifyConfig):
     sd = surgery_description(su)
-    matrix = cobordism_linking_matrix(sd)
-    verdict = is_definite(matrix)
-    diagonal = [matrix[i][i] for i in range(len(matrix))]
-    unit = all(abs(d) == 1 for d in diagonal)
+    diagonal = cobordism_linking_matrix(sd)
+    verdict = is_definite(diagonal)
     evidence = {
         "bands": len(sd.bands),
         "framings": [b.framing for b in sd.bands],
         "linking-diagonal": diagonal,
         "definiteness": verdict,
     }
-    status = "checked" if unit and verdict in ("positive", "negative", "empty") else "failed"
+    status = "checked" if verdict in ("positive", "negative", "empty") else "failed"
     return status, evidence, None
 
 
@@ -568,18 +566,6 @@ def certify(plat: PlatWord, tv: TwistVector, config: CertifyConfig | None = None
 # serialization
 
 
-def _json_safe(value):
-    if isinstance(value, Mapping):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
-        return round(value, 6)
-    return str(value)
-
-
 def certificate_dict(cert: Certificate, include_timing: bool = False) -> dict:
     """A JSON-ready dict.  Timing is opt-in so the default bytes are
     deterministic for fixed input, configuration, and tool version."""
@@ -600,7 +586,7 @@ def certificate_dict(cert: Certificate, include_timing: bool = False) -> dict:
             "battery": list(cert.config.battery),
         },
         "premises": [
-            {"name": p.name, "status": p.status, "evidence": _json_safe(p.evidence)}
+            {"name": p.name, "status": p.status, "evidence": p.evidence}
             for p in cert.premises
         ],
         "case-basis": cert.case_basis,
@@ -627,7 +613,6 @@ def certificate_json(cert: Certificate, include_timing: bool = False) -> str:
 
 
 def _flat(value) -> str:
-    value = _json_safe(value)
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 

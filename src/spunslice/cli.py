@@ -217,10 +217,9 @@ def _cmd_cobordism(args) -> int:
             f"band bridge {band.bridge} framing {band.framing} "
             f"half-twists {band.half_twists} arcs {band.arcs[0]},{band.arcs[1]}"
         )
-    matrix = cobordism_linking_matrix(sd)
-    diag = [matrix[i][i] for i in range(len(matrix))]
-    print("linking-diagonal " + (",".join(str(d) for d in diag) if diag else "-"))
-    print(f"definiteness {is_definite(matrix)}")
+    diagonal = cobordism_linking_matrix(sd)
+    print("linking-diagonal " + (",".join(map(str, diagonal)) or "-"))
+    print(f"definiteness {is_definite(diagonal)}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Determinant invariants and surgery data from PD codes.
+"""Determinant invariants and surgery data from PD codes: the constructions.
 
 Two independent routes to the knot determinant are implemented:
 
@@ -9,7 +9,10 @@ Two independent routes to the knot determinant are implemented:
 
 Keeping both routes separate lets downstream checks compare them (and the
 order of the double branched cover's first homology) as genuinely distinct
-computations.
+computations.  Both build sparse integer rows and share only the minor with
+the last row and column deleted; its determinant, like all integer
+elimination, is `groups.snf.determinant`.  The surgery bands of the twist
+cobordism are read off the same diagrams; their form is diagonal.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagrams import PDCode, PlatError, SymmetricUnion, band_arcs, wirtinger_relations
-from .groups.finite import Perm
-from .groups.snf import eliminate_unit_pivots
+from .groups.snf import determinant
 
 # ---------------------------------------------------------------------------
 # faces of a PD diagram
@@ -85,48 +87,12 @@ def checkerboard(pd: PDCode):
     return face_of, color
 
 
-def _bareiss(matrix) -> int:
-    """Fraction-free Bareiss determinant of a dense square integer matrix."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    M = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
-def _int_det(rows: list[dict[int, int]], n: int) -> int:
-    """Signed determinant of an n x n integer matrix given as sparse rows
-    {col: nonzero value}, which are consumed: unit pivots first
-    (groups.snf.eliminate_unit_pivots), then Bareiss on the small core."""
-    red = eliminate_unit_pivots(rows, n)
-    row_order = Perm([r for r, _c, _p in red.pivots] + red.core_rows)
-    col_order = Perm([c for _r, c, _p in red.pivots] + red.core_cols)
-    sign = 1 if row_order.is_even == col_order.is_even else -1
-    for _r, _c, p in red.pivots:
-        sign *= p
-    return sign * _bareiss(red.core)
-
-
 def _minor_det(rows: list[dict[int, int]]) -> int:
     """Determinant of a square sparse matrix with its last row and column
     deleted; zero entries are dropped on the way."""
     last = max(len(rows) - 1, 0)
     minor = [{j: v for j, v in row.items() if v and j != last} for row in rows[:-1]]
-    return _int_det(minor, last)
+    return determinant(minor, last)
 
 
 @dataclass(frozen=True)
@@ -291,30 +257,20 @@ class SurgeryDescription:
 
     bands: tuple[SurgeryBand, ...]
 
-    def linking_matrix(self) -> list[list[int]]:
-        """Diagonal linking matrix of the band cores (entry -framing per band)."""
-        eps = [-b.framing for b in self.bands]
-        n = len(eps)
-        return [[eps[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+def cobordism_linking_matrix(sd: SurgeryDescription) -> list[int]:
+    """Intersection form of the twist-undoing cobordism, which is diagonal:
+    its diagonal, -framing per band."""
+    return [-b.framing for b in sd.bands]
 
 
-def cobordism_linking_matrix(sd: SurgeryDescription) -> list[list[int]]:
-    """Intersection pairing of the twist-undoing cobordism: diag(-framing)."""
-    return sd.linking_matrix()
-
-
-def is_definite(matrix: list[list[int]]) -> str:
-    """Classify a diagonal linking matrix: positive/negative/indefinite/empty."""
-    diag = [matrix[i][i] for i in range(len(matrix))]
-    for i, row in enumerate(matrix):
-        for j, v in enumerate(row):
-            if i != j and v != 0:
-                raise PlatError("linking matrix must be diagonal")
-    if not diag:
+def is_definite(diagonal: list[int]) -> str:
+    """Classify a diagonal form by its diagonal: positive/negative/indefinite/empty."""
+    if not diagonal:
         return "empty"
-    if all(d > 0 for d in diag):
+    if all(d > 0 for d in diagonal):
         return "positive"
-    if all(d < 0 for d in diag):
+    if all(d < 0 for d in diagonal):
         return "negative"
     return "indefinite"
 

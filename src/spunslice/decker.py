@@ -62,7 +62,6 @@ __all__ = [
     "SliceCurve",
     "check_winding",
     "criterion_report",
-    "side_map",
     "spin_plat",
     "symmetric_union_curve",
     "trace_double_curve",
@@ -523,25 +522,6 @@ def _side_masks(ds: DeckerSet, curve: SliceCurve) -> list[int]:
         side ^= crossed[region]
         masks.append(side)
     return masks
-
-
-def side_map(ds: DeckerSet, curve: SliceCurve) -> dict[tuple[int, int], int]:
-    """Side label (1 or 2) of each circle midpoint k+1/2.
-
-    The label is the parity of the curve edges crossed on any walk from the
-    anchor, which the Jordan curve theorem makes well defined; see the module
-    docstring.  Side 1 is the complement component containing the north
-    pole.  When the curve passes through the pole, the anchor is the
-    north-cap wedge just east of the curve's departure edge from the pole;
-    tying the anchor to the curve rather than to an absolute longitude keeps
-    the labels stable under global rotation.
-    """
-    masks = _side_masks(ds, curve)
-    return {
-        (c, k): 1 + (side >> k & 1)
-        for c, side in enumerate(masks, start=1)
-        for k in range(curve.m)
-    }
 
 
 def criterion_report(ds: DeckerSet, curve: SliceCurve) -> CriterionReport:

@@ -26,6 +26,7 @@ from spunslice.decker import (
     SliceCurve,
     _pairs,
     _route_region,
+    _side_masks,
     validate_curve,
 )
 from spunslice.diagrams import (
@@ -311,8 +312,30 @@ def icosian_as_q5(u) -> tuple:
     return tuple((Fraction(x, 4), Fraction(y, 4)) for x, y in u.q)
 
 
+# `decker`'s side test as a dict of labels, for comparison with the oracle
+# below; "the module docstring" is decker's.  The runtime reads the bit masks
+# (`decker._side_masks`) directly.
+def side_map(ds: DeckerSet, curve: SliceCurve) -> dict[tuple[int, int], int]:
+    """Side label (1 or 2) of each circle midpoint k+1/2.
+
+    The label is the parity of the curve edges crossed on any walk from the
+    anchor, which the Jordan curve theorem makes well defined; see the module
+    docstring.  Side 1 is the complement component containing the north
+    pole.  When the curve passes through the pole, the anchor is the
+    north-cap wedge just east of the curve's departure edge from the pole;
+    tying the anchor to the curve rather than to an absolute longitude keeps
+    the labels stable under global rotation.
+    """
+    masks = _side_masks(ds, curve)
+    return {
+        (c, k): 1 + (side >> k & 1)
+        for c, side in enumerate(masks, start=1)
+        for k in range(curve.m)
+    }
+
+
 # The side test's face-tuple flood fill, the reference for the even-odd
-# `decker.side_map`: it labels faces by the components it floods, so it
+# `side_map` above: it labels faces by the components it floods, so it
 # checks the parity rule rather than assuming the curve separates the sphere.
 # Faces are ("NT", k), ("ST", k), ("XF", circle, k) and ("Q", region, row,
 # k), and blocked edges a frozenset of vertex pairs.

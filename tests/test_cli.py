@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spunslice import certificate, cli, corpus, decker
+from spunslice import certificate, cli, corpus, decker, diagrams
 from spunslice.cli import main
 from spunslice.corpus import shipped_manifest_path
 from spunslice.diagrams import PlatWord, closure_components
@@ -67,6 +67,9 @@ CLI_PINS = {
         "band bridge 2 framing 1 half-twists -2 arcs 46,16\n"
         "linking-diagonal 1,-1\n"
         "definiteness indefinite\n",
+    ),
+    "cobordism-untwisted": (
+        ["cobordism", T35_PLAT, "--twists", "0,0,0"], 0, "linking-diagonal -\ndefiniteness empty\n",
     ),
 }
 
@@ -285,6 +288,42 @@ def test_cli_winding_above_2_18_longitudes_is_rejected_with_one_message(
     assert capsys.readouterr() == (
         "", f"error: twists wind {winding} longitudes at resolution {m}; at most 262144\n"
     )
+
+
+UNION_COMMANDS = {
+    "validate": ["validate"], "det": ["det"], "goeritz": ["goeritz"], "pi1": ["pi1"],
+    "cover-h1": ["cover-h1"], "symunion": ["symunion"], "cobordism": ["cobordism"],
+    "render-chord": ["render", "chord"], "render-plat": ["render", "plat"],
+    "render-pd": ["render", "pd"], "certify": ["certify"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNION_COMMANDS) + ["corpus"])
+def test_cli_twists_above_the_crossing_bound_are_rejected_with_one_message(
+    command, tmp_path, capsys, monkeypatch
+):
+    # t_1 adds 200,000 crossings and t_2 another 8, yet winds one longitude;
+    # the bound is checked before the union's first letter is built
+    def build_nothing(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(diagrams, "_pair_pass_right", build_nothing)
+    if command == "corpus":
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"big {TREFOIL_PLAT} 200000,2 9\n")
+        argv, where = ["corpus", str(manifest)], "manifest line 1 (big): "
+    else:
+        argv, where = UNION_COMMANDS[command] + [TREFOIL_PLAT, "--twists", "200000,2"], ""
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {where}twists add 200008 crossings; at most 16384\n")
+
+
+def test_cli_twists_at_the_crossing_bound_still_build(capsys):
+    assert diagrams.MAX_TWIST_CROSSINGS == 16384
+    assert main(["validate", TREFOIL_PLAT, "--twists", "4096,3072"]) == 0
+    assert capsys.readouterr() == ("strands 6 letters 16394 bridges 3 components 1\n", "")
+    assert main(["certify", T35_PLAT, "--twists", "1000,1000,1000"]) == 0
+    assert capsys.readouterr().out.endswith("verdict obstruction-premises-verified\n")
 
 
 def test_cli_large_twists_at_the_default_resolution_still_run(capsys):

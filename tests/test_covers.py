@@ -200,32 +200,32 @@ def test_trefoil_surgery_bands_are_frozen():
     assert [b.framing for b in sd.bands] == [-1, -1]
     assert [b.half_twists for b in sd.bands] == [2, 2]
     assert [b.arcs for b in sd.bands] == [(1, 4), (5, 3)]
-    assert sd.linking_matrix() == [[1, 0], [0, 1]]
-    assert is_definite(sd.linking_matrix()) == "positive"
+    assert cobordism_linking_matrix(sd) == [1, 1]
+    assert is_definite(cobordism_linking_matrix(sd)) == "positive"
 
 
 def test_mixed_signs_give_indefinite_form():
     sd = surgery_description(build_symmetric_union(TREFOIL, TwistVector((2, -2))))
     assert [b.framing for b in sd.bands] == [-1, 1]
-    assert is_definite(sd.linking_matrix()) == "indefinite"
+    assert is_definite(cobordism_linking_matrix(sd)) == "indefinite"
 
 
 def test_negative_twists_give_negative_definite_form():
     sd = surgery_description(build_symmetric_union(TREFOIL, TwistVector((-2, -4))))
-    assert is_definite(sd.linking_matrix()) == "negative"
+    assert is_definite(cobordism_linking_matrix(sd)) == "negative"
 
 
 def test_zero_twists_give_empty_surgery():
     sd = surgery_description(build_symmetric_union(TREFOIL, TwistVector((0, 0))))
     assert sd.bands == ()
-    assert is_definite(sd.linking_matrix()) == "empty"
+    assert is_definite(cobordism_linking_matrix(sd)) == "empty"
 
 
 def test_zero_entries_are_skipped():
     sd = surgery_description(build_symmetric_union(TREFOIL, TwistVector((2, 0))))
     assert len(sd.bands) == 1
     assert sd.bands[0].bridge == 1
-    assert is_definite(sd.linking_matrix()) == "positive"
+    assert is_definite(cobordism_linking_matrix(sd)) == "positive"
 
 
 def test_torus_union_surgery_is_frozen():
@@ -234,20 +234,14 @@ def test_torus_union_surgery_is_frozen():
     assert [b.bridge for b in sd.bands] == [1, 2, 3]
     assert [b.framing for b in sd.bands] == [-1, -1, -1]
     assert [b.arcs for b in sd.bands] == [(1, 33), (46, 16), (75, 3)]
-    assert sd.linking_matrix() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert cobordism_linking_matrix(sd) == sd.linking_matrix()
-
-
-def test_is_definite_rejects_nondiagonal_input():
-    with pytest.raises(PlatError, match="must be diagonal"):
-        is_definite([[1, 1], [1, 1]])
+    assert cobordism_linking_matrix(sd) == [1, 1, 1]
 
 
 def test_is_definite_on_explicit_matrices():
     assert is_definite([]) == "empty"
-    assert is_definite([[1]]) == "positive"
-    assert is_definite([[-1, 0], [0, -1]]) == "negative"
-    assert is_definite([[1, 0], [0, -1]]) == "indefinite"
+    assert is_definite([1]) == "positive"
+    assert is_definite([-1, -1]) == "negative"
+    assert is_definite([1, -1]) == "indefinite"
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +289,7 @@ def test_random_unions_square_the_determinant(plat, tv):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.sampled_from([-1, 1]), min_size=0, max_size=6))
 def test_definiteness_matches_sign_pattern(diag):
-    matrix = [[diag[i] if i == j else 0 for j in range(len(diag))] for i in range(len(diag))]
-    verdict = is_definite(matrix)
+    verdict = is_definite(diag)
     if not diag:
         assert verdict == "empty"
     elif all(d > 0 for d in diag):

@@ -21,6 +21,7 @@ from conftest import (
     parse_curve,
     parse_decker,
     rotate_curve,
+    side_map,
     spin_chord_diagram,
 )
 from spunslice import decker
@@ -32,7 +33,6 @@ from spunslice.decker import (
     SliceCurve,
     check_winding,
     criterion_report,
-    side_map,
     spin_plat,
     symmetric_union_curve,
     trace_double_curve,

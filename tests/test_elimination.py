@@ -25,11 +25,8 @@ from conftest import (
     lagrange_fraction,
     t3_plat,
 )
-from spunslice import covers
 from spunslice.covers import (
-    _bareiss,
     _fox_int_matrix,
-    _int_det,
     _newton_int,
     alexander_det,
     alexander_polynomial,
@@ -53,7 +50,7 @@ from spunslice.groups import (
     snf,
     wirtinger,
 )
-from spunslice.groups.snf import _divisors, eliminate_unit_pivots
+from spunslice.groups.snf import _bareiss, _divisors, determinant, eliminate_unit_pivots
 from test_covers import _seeded_knots_and_unions
 
 try:
@@ -96,7 +93,7 @@ def _sparse(matrix):
 def test_newton_interpolation_matches_the_fraction_oracle(plat):
     pd = plat_to_pd(plat)
     points = list(range(2, pd.n_crossings + 2))
-    values = [_int_det(_sparse(_fox_minor(pd, t)), pd.n_crossings - 1) for t in points]
+    values = [determinant(_sparse(_fox_minor(pd, t)), pd.n_crossings - 1) for t in points]
     assert _newton_int(points, values) == lagrange_fraction(points, values)
 
 
@@ -107,7 +104,7 @@ def test_newton_interpolation_rejects_non_integral_data():
 
 
 def _assert_dets_agree(matrix):
-    det = _int_det(_sparse(matrix), len(matrix))
+    det = determinant(_sparse(matrix), len(matrix))
     assert det == _bareiss(matrix)
     assert det == (sympy.Matrix(matrix).det() if matrix else 1)
 
@@ -186,8 +183,8 @@ def test_unit_pivots_leave_an_equivalent_core():
     red = eliminate_unit_pivots(_sparse([[1, 2], [3, 4]]), 2)
     assert red.pivots == ((0, 0, 1),)
     assert (red.core_rows, red.core_cols, red.core) == ([1], [1], [[-2]])
-    assert _int_det(_sparse([[1, 2], [3, 4]]), 2) == -2
-    assert _int_det(_sparse([[0, 1], [1, 0]]), 2) == -1
+    assert determinant(_sparse([[1, 2], [3, 4]]), 2) == -2
+    assert determinant(_sparse([[0, 1], [1, 0]]), 2) == -1
 
 
 # The 8-strand, 60-letter plat `8x60-2` of the benchmark's ladder (drawn with
@@ -244,7 +241,6 @@ def _under_both(compute):
     got = compute()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(snf, "eliminate_unit_pivots", eliminate_unit_pivots_markowitz)
-        mp.setattr(covers, "eliminate_unit_pivots", eliminate_unit_pivots_markowitz)
         want = compute()
     return got, want
 
@@ -289,7 +285,7 @@ def test_shortest_row_pivots_keep_the_oracles_determinant_and_divisors(case):
     got, want = _under_both(lambda: _divisors(dense))
     assert got == want
     if len(rows) == n:
-        got, want = _under_both(lambda: _int_det([dict(row) for row in rows], n))
+        got, want = _under_both(lambda: determinant([dict(row) for row in rows], n))
         assert got == want
 
 
@@ -298,7 +294,7 @@ def test_determinant_facts_plats_agree_under_both_eliminators():
         pd = plat_to_pd(plat)
         got, want = _under_both(lambda: (
             goeritz(pd).determinant,
-            [_int_det(_sparse(_fox_minor(pd, t)), pd.n_crossings - 1) for t in (-1, 3)],
+            [determinant(_sparse(_fox_minor(pd, t)), pd.n_crossings - 1) for t in (-1, 3)],
             abelianization(branched_cover_presentation(wirtinger(pd))),
         ))
         assert got == want
@@ -320,5 +316,5 @@ def test_a_long_twist_face_is_queued_once_per_pivot_that_hits_it(monkeypatch):
         heapq.heappush(queue, item)
 
     monkeypatch.setattr(snf, "heappush", counting_heappush)
-    assert abs(_int_det(minor, last)) == 9
+    assert abs(determinant(minor, last)) == 9
     assert 0 < pushes <= nonzeros

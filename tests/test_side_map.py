@@ -17,6 +17,7 @@ from conftest import (
     format_curve,
     ladder_plats,
     rotate_curve,
+    side_map,
     side_map_faces,
 )
 from test_decker import corrupted_one_chord
@@ -24,7 +25,6 @@ from spunslice.corpus import shipped_manifest_path
 from spunslice.decker import (
     SliceCurve,
     criterion_report,
-    side_map,
     spin_plat,
     symmetric_union_curve,
     trace_double_curve,

@@ -1,4 +1,5 @@
 """The runtime package imports nothing but the standard library and itself,
+integer elimination lives in `groups/snf.py` alone,
 `decker.__all__` names only what the rest of the runtime or the bench uses,
 every top-level function or method of the runtime has a caller outside
 its own body, and every entry point the traced bench wraps exists."""
@@ -35,6 +36,46 @@ def test_the_runtime_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names and name != "spunslice"
     ]
     assert foreign == []
+
+
+def _names_and_imports(path: Path):
+    """Every name, attribute, definition and imported name in the module,
+    and the dotted modules it imports from, relative imports resolved."""
+    package = ".".join(("spunslice",) + path.relative_to(PACKAGE).parent.parts)
+    names, modules = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            module = ".".join(filter(None, (base, node.module)))
+            names.update(alias.name for alias in node.names)
+            modules.update(f"{module}.{alias.name}" for alias in node.names)
+    return names, modules
+
+
+def test_integer_elimination_lives_in_snf_alone():
+    # the signed determinant is groups.snf.determinant: covers.py keeps the
+    # constructions, and no other module reaches into the eliminator or takes
+    # a sign from groups.finite's permutations
+    core = {"eliminate_unit_pivots", "_bareiss"}
+    snf = PACKAGE / "groups" / "snf.py"
+    assert core <= _names_and_imports(snf)[0]
+    outside = [
+        f"{path.relative_to(PACKAGE)}: {name}"
+        for path in sorted(PACKAGE.rglob("*.py")) if path != snf
+        for name in sorted(core & _names_and_imports(path)[0])
+    ]
+    assert outside == []
+    covers_imports = _names_and_imports(PACKAGE / "covers.py")[1]
+    assert "spunslice.groups.snf.determinant" in covers_imports
+    assert [m for m in covers_imports if m.startswith("spunslice.groups.finite")] == []
 
 
 def test_every_name_decker_exports_is_used_outside_the_module():
