@@ -143,10 +143,15 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_goeritz(args) -> int:
-    pd = plat_to_pd(_knot(args))
-    data = goeritz(pd)
-    for row in data.matrix:
-        print(" ".join(f"{v:4d}" for v in row))
+    data = goeritz(plat_to_pd(_knot(args)))
+    # one row at a time from the sparse rows, so memory stays linear; the
+    # zero cell is formatted once, as formatting dominates on large unions
+    zeros = [f"{0:4d}"] * data.shaded_faces
+    for row in data.rows:
+        cells = zeros.copy()
+        for j, v in row.items():
+            cells[j] = f"{v:4d}"
+        print(" ".join(cells))
     print(f"determinant {abs(data.determinant)}")
     return 0
 

@@ -101,12 +101,6 @@ class GoeritzData:
     determinant: int
     shaded_faces: int
 
-    @property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The full matrix, dense; built on each read."""
-        m = self.shaded_faces
-        return tuple(tuple(row.get(j, 0) for j in range(m)) for row in self.rows)
-
 
 def goeritz(pd: PDCode) -> GoeritzData:
     """Goeritz matrix of the diagram and the knot determinant from it.

@@ -104,6 +104,14 @@ class FiniteGroup:
         return tuple(classes)
 
     @cached_property
+    def conjugation(self) -> tuple[tuple[int, ...], ...]:
+        """`conjugation[a][b]` is a*b*a^-1; built on the first read."""
+        mult, inv = self.mult, self.inverse
+        return tuple(
+            tuple(mult[c][inv[a]] for c in row) for a, row in enumerate(mult)
+        )
+
+    @cached_property
     def class_index(self) -> tuple[int, ...]:
         idx = [0] * self.order
         for k, cls in enumerate(self.conjugacy_classes):

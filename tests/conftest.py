@@ -788,6 +788,13 @@ def parse_presentation(text: str) -> GroupPresentation:
     return GroupPresentation(ngen, tuple(relators), meridians)
 
 
+# The full Goeritz matrix, dense, from the sparse rows of `covers.goeritz`;
+# the `goeritz` command prints the same rows without building it.
+def goeritz_matrix(data) -> tuple[tuple[int, ...], ...]:
+    m = data.shaded_faces
+    return tuple(tuple(row.get(j, 0) for j in range(m)) for row in data.rows)
+
+
 # The dense relators x generators exponent-sum matrix, the reference for the
 # sparse rows that `groups.presentations.abelianization` hands the eliminator.
 def abelianized_matrix(pres: GroupPresentation) -> list[list[int]]:

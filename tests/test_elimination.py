@@ -20,6 +20,7 @@ from conftest import (
     TREFOIL,
     abelianized_matrix,
     eliminate_unit_pivots_markowitz,
+    goeritz_matrix,
     join_components,
     ladder_plats,
     lagrange_fraction,
@@ -76,7 +77,7 @@ def knot_plats(draw):
 
 
 def _goeritz_minor(pd):
-    return [list(row[:-1]) for row in goeritz(pd).matrix[:-1]]
+    return [list(row[:-1]) for row in goeritz_matrix(goeritz(pd))[:-1]]
 
 
 def _fox_minor(pd, t):

@@ -75,6 +75,7 @@ from spunslice.groups.finite import closure_elements
 from spunslice.groups import homcount
 from spunslice.groups.homcount import (
     DEFAULT_NODE_BUDGET,
+    HomCount,
     _choose_schedule,
     _compile_schedule,
     _modelled_cost,
@@ -484,6 +485,33 @@ def test_subgroup_closure_reads_each_reached_row_once(name):
 # homomorphism counting
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        partial(symmetric_group, 3),
+        partial(alternating_group, 4),
+        partial(symmetric_group, 4),
+        partial(alternating_group, 5),
+        sl2_f5,
+        # the binary icosahedral group from its coset table
+        lambda: FiniteGroup(
+            regular_representation(
+                todd_coxeter(
+                    GroupPresentation(2, ((1, 2, 1, 2, -1, -1, -1), (1, 1, 1, -2, -2, -2, -2, -2)))
+                )
+            )
+        ),
+    ],
+    ids=["S3", "A4", "S4", "A5", "SL2F5", "regular"],
+)
+def test_conjugation_table_matches_the_multiplication_table(make):
+    G = make()
+    mult, inv = G.mult, G.inverse
+    assert G.conjugation == tuple(
+        tuple(mult[mult[a][b]][inv[a]] for b in range(G.order)) for a in range(G.order)
+    )
+
+
 def test_trefoil_hom_counts_match_brute_force(trefoil_group):
     g = symmetric_group(3)
     pruned = hom_count(trefoil_group, g)
@@ -519,6 +547,46 @@ def test_hom_count_respects_its_node_budget(trefoil_group):
     hc = hom_count(trefoil_group, alternating_group(5), node_budget=10)
     assert hc.status == "inconclusive"
     assert hc.count is None
+    # an exhausted search reports one node past its budget
+    for budget in range(1, 51):
+        hc = hom_count(trefoil_group, alternating_group(5), node_budget=budget)
+        assert hc == HomCount("inconclusive", None, budget + 1)
+    assert hom_count(trefoil_group, alternating_group(5), node_budget=51) == HomCount("exact", 360, 51)
+
+
+def test_a_budget_crossed_after_checks_inside_a_block_counts_one_node_at_a_time(monkeypatch):
+    # nodes are added per block; the last block here derives twice, checks
+    # twice, derives once more and checks twice
+    pres = cobordism_presentation(build_symmetric_union(TREFOIL, TwistVector((2, 2))))
+    G = alternating_group(5)
+    assert hom_count(pres, G) == HomCount("exact", 360, 109)
+    _, blocks, _ = homcount._schedule(pres)
+    assert [step[0] for step in blocks[-1][1]] == [1, 1, 0, 0, 1, 0, 0]
+    before_derive, checks_before_crossing = homcount._before_derive, []
+
+    def recorded(steps, k):
+        prefix = before_derive(steps, k)
+        checks_before_crossing.append(sum(not step[0] for step in prefix))
+        return prefix
+
+    monkeypatch.setattr(homcount, "_before_derive", recorded)
+    for budget in range(109):
+        assert hom_count(pres, G, node_budget=budget) == HomCount("inconclusive", None, budget + 1)
+    assert 2 in checks_before_crossing
+
+
+def test_node_counts_on_the_t35_sweep_unions(battery):
+    # summed over the 27 unions with twists in {-2,0,2}^3, as recorded when
+    # nodes were still counted one derive at a time
+    unions = [
+        cobordism_presentation(build_symmetric_union(T35, TwistVector(tv)))
+        for tv in itertools.product((-2, 0, 2), repeat=3)
+    ]
+    sums = []
+    for G in battery:
+        counts = [hom_count(pres, G) for pres in unions]
+        sums.append((sum(hc.count for hc in counts), sum(hc.nodes for hc in counts)))
+    assert sums == [(162, 12_240), (324, 24_582), (648, 60_836), (28_980, 390_480)]
 
 
 @settings(max_examples=20, deadline=None)
