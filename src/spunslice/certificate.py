@@ -274,12 +274,12 @@ class Certificate:
 # ---------------------------------------------------------------------------
 # individual premise checks
 #
-# Each returns (status, evidence, payload) where payload carries data needed
-# by later premises.  status is "checked" / "failed" / "inconclusive".
+# Each returns (status, evidence); status is "checked" / "failed" /
+# "inconclusive".
 
 
-def _check_slice_criterion(plat: PlatWord, tv: TwistVector, cfg: CertifyConfig):
-    ds = spin_plat(plat, m=cfg.resolution)
+def _check_slice_criterion(plat: PlatWord, tv: TwistVector, resolution: int):
+    ds = spin_plat(plat, m=resolution)
     curve = symmetric_union_curve(ds, tv)
     rep = criterion_report(ds, curve)
     evidence = {
@@ -290,11 +290,10 @@ def _check_slice_criterion(plat: PlatWord, tv: TwistVector, cfg: CertifyConfig):
         "resolution": ds.m,
         "curve-vertices": len(curve.vertices),
     }
-    status = "checked" if rep.verdict != "fail" else "failed"
-    return status, evidence, None
+    return ("checked" if rep.verdict != "fail" else "failed"), evidence
 
 
-def _check_homology_sphere(su, cfg: CertifyConfig):
+def _check_homology_sphere(su):
     pd = plat_to_pd(su.knot)
     det_g = goeritz_determinant(pd)
     det_a = alexander_det(pd)
@@ -303,11 +302,10 @@ def _check_homology_sphere(su, cfg: CertifyConfig):
         "alexander-determinant": det_a,
         "crossings": pd.n_crossings,
     }
-    status = "checked" if det_g == 1 and det_a == 1 else "failed"
-    return status, evidence, None
+    return ("checked" if det_g == 1 and det_a == 1 else "failed"), evidence
 
 
-def _check_definite_cobordism(su, cfg: CertifyConfig):
+def _check_definite_cobordism(su):
     sd = surgery_description(su)
     diagonal = cobordism_linking_matrix(sd)
     verdict = is_definite(diagonal)
@@ -317,13 +315,12 @@ def _check_definite_cobordism(su, cfg: CertifyConfig):
         "linking-diagonal": diagonal,
         "definiteness": verdict,
     }
-    status = "checked" if verdict in ("positive", "negative", "empty") else "failed"
-    return status, evidence, None
+    return ("checked" if verdict in ("positive", "negative", "empty") else "failed"), evidence
 
 
-def _check_cobordism_collapse(su, base, battery, cfg: CertifyConfig):
+def _check_cobordism_collapse(su, base, battery, node_budget: int):
     cob = cobordism_presentation(su)
-    report = collapse_check(cob, base, battery, node_budget=cfg.node_budget)
+    report = collapse_check(cob, base, battery, node_budget=node_budget)
     evidence = {
         "verdict": report.verdict,
         "hom-counts": [
@@ -336,33 +333,32 @@ def _check_cobordism_collapse(su, base, battery, cfg: CertifyConfig):
         "distinguished": "failed",
         "inconclusive": "inconclusive",
     }[report.verdict]
-    return status, evidence, None
+    return status, evidence
 
 
-def _check_base_cover(base, cfg: CertifyConfig):
+def _base_cover(base, max_cosets: int):
+    """The base-cover premise's (status, evidence) and, when it is checked,
+    the order-120 cover group that the last two premises read."""
     pres = branched_cover_presentation(base)
     h1 = abelianization(pres)
-    enum = todd_coxeter(pres, (), max_cosets=cfg.max_cosets)
+    enum = todd_coxeter(pres, (), max_cosets=max_cosets)
     evidence: dict[str, object] = {
         "cover-h1": h1.describe(),
         "cosets-defined": enum.cosets_defined,
     }
     if not enum.complete:
         evidence["order"] = None
-        return "inconclusive", evidence, None
+        return ("inconclusive", evidence), None
     evidence["order"] = enum.index
     if enum.index != 120 or h1.order != 1:
-        return "failed", evidence, None
+        return ("failed", evidence), None
     cover = FiniteGroup(regular_representation(enum), name="coverG")
-    model = sl2_f5()
-    found = iso_check(cover, model) is not None
+    found = iso_check(cover, sl2_f5()) is not None
     evidence["iso-to-sl2f5"] = found
-    if not found:
-        return "failed", evidence, None
-    return "checked", evidence, cover
+    return ("checked" if found else "failed", evidence), cover
 
 
-def _check_quotient_structure(cover: FiniteGroup, cfg: CertifyConfig):
+def _check_quotient_structure(cover: FiniteGroup):
     rep = structure_report(cover)
     a5 = alternating_group(5)
     a5_rep = structure_report(a5)
@@ -389,11 +385,11 @@ def _check_quotient_structure(cover: FiniteGroup, cfg: CertifyConfig):
         and a5_rep.simple
         and a5_rep.involution_count == 15
     )
-    return ("checked" if ok else "failed"), evidence, (a5 if ok else None)
+    return ("checked" if ok else "failed"), evidence
 
 
-def _check_su2_cases(cover: FiniteGroup, a5: FiniteGroup, cfg: CertifyConfig):
-    verdict_a5 = su2_obstruction(a5)
+def _check_su2_cases(cover: FiniteGroup):
+    verdict_a5 = su2_obstruction(alternating_group(5))
     verdict_cover = su2_obstruction(cover)
     lemma = icosian_involution_lemma()
     quaternion_model = icosian_group()
@@ -411,7 +407,20 @@ def _check_su2_cases(cover: FiniteGroup, a5: FiniteGroup, cfg: CertifyConfig):
         and lemma
         and embeds
     )
-    return ("checked" if ok else "failed"), evidence, None
+    return ("checked" if ok else "failed"), evidence
+
+
+def _premise_results(plat, tv, su, base, battery, cfg: CertifyConfig):
+    """(status, evidence) of each machine premise, in CHECKED_PREMISES
+    order; each is computed only when the next one is asked for."""
+    yield _check_slice_criterion(plat, tv, cfg.resolution)
+    yield _check_homology_sphere(su)
+    yield _check_definite_cobordism(su)
+    yield _check_cobordism_collapse(su, base, battery, cfg.node_budget)
+    result, cover = _base_cover(base, cfg.max_cosets)
+    yield result
+    yield _check_quotient_structure(cover)
+    yield _check_su2_cases(cover)
 
 
 def _case_records() -> tuple[CaseRecord, ...]:
@@ -497,44 +506,22 @@ def certify(plat: PlatWord, tv: TwistVector, config: CertifyConfig | None = None
     except (PlatError, GroupError) as exc:
         raise CertifyError(str(exc)) from exc
 
-    base_group = wirtinger(plat_to_pd(plat))
+    # the base knot group is built before, and outside the timing of, the
+    # first premise
+    pending = _premise_results(plat, tv, su, wirtinger(plat_to_pd(plat)), battery, cfg)
     timing: dict[str, float] = {}
     results: dict[str, PremiseRecord] = {}
-    payloads: dict[str, object] = {}
     decided: str | None = None
-
-    def run(name: str, thunk):
-        nonlocal decided
+    for name in CHECKED_PREMISES:
         if decided is not None:
             results[name] = PremiseRecord(name, "skipped", {"reason": decided})
-            return
+            continue
         start = time.perf_counter()
-        status, evidence, payload = thunk()
+        status, evidence = next(pending)
         timing[name] = time.perf_counter() - start
         results[name] = PremiseRecord(name, status, evidence)
-        payloads[name] = payload
-        if status == "failed":
-            decided = f"failed: {name}"
-        elif status == "inconclusive":
-            decided = f"inconclusive: {name}"
-
-    run("slice-criterion", lambda: _check_slice_criterion(plat, tv, cfg))
-    run("homology-sphere", lambda: _check_homology_sphere(su, cfg))
-    run("definite-cobordism", lambda: _check_definite_cobordism(su, cfg))
-    run("cobordism-collapse", lambda: _check_cobordism_collapse(su, base_group, battery, cfg))
-    run("base-cover-binary-icosahedral", lambda: _check_base_cover(base_group, cfg))
-    run(
-        "quotient-structure",
-        lambda: _check_quotient_structure(payloads["base-cover-binary-icosahedral"], cfg),
-    )
-    run(
-        "su2-obstruction-cases",
-        lambda: _check_su2_cases(
-            payloads["base-cover-binary-icosahedral"],
-            payloads["quotient-structure"],
-            cfg,
-        ),
-    )
+        if status != "checked":  # "failed: <name>" or "inconclusive: <name>"
+            decided = f"{status}: {name}"
 
     for name in AXIOMS:
         results[name] = PremiseRecord(name, "axiom", dict(_AXIOM_EVIDENCE[name]))

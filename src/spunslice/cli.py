@@ -301,13 +301,22 @@ def _cmd_corpus(args) -> int:
 # parser assembly
 
 
+def _nonempty(text: str) -> str:
+    # an empty value would otherwise read as the flag left out
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 # the shared flags; each subcommand takes only the ones it reads
 _FLAGS = {
     "--twists": dict(help="comma-separated half-twist counts, one per bridge"),
-    "--battery": dict(help="comma-separated finite-group battery (default S3,A4,S4,A5)"),
+    "--battery": dict(
+        type=_nonempty, help="comma-separated finite-group battery (default S3,A4,S4,A5)"
+    ),
     "--max-cosets": dict(type=int, default=DEFAULT_MAX_COSETS, help="coset enumeration budget"),
     "--resolution": dict(type=int, default=DEFAULT_RESOLUTION, help="longitudes per latitude circle"),
-    "--out": dict(help="write primary output to this file"),
+    "--out": dict(type=_nonempty, help="write primary output to this file"),
 }
 
 

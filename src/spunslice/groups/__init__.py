@@ -22,10 +22,8 @@ from .toddcoxeter import (  # noqa: F401
     todd_coxeter,
 )
 from .finite import (  # noqa: F401
-    F5Mat,
     FiniteGroup,
     GroupError,
-    Perm,
     StructureReport,
     alternating_group,
     cyclic_group,
@@ -37,7 +35,6 @@ from .finite import (  # noqa: F401
     symmetric_group,
 )
 from .quaternions import (  # noqa: F401
-    Icosian,
     icosian_group,
     icosian_involution_lemma,
 )

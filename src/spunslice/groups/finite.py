@@ -1,9 +1,9 @@
 """Small finite groups with exhaustive structure analysis.
 
 Elements are canonical indices into a multiplication table.  Concrete
-groups come either from BFS closure of generator objects (permutations,
-2x2 matrices over the 5-element field, exact quaternions) or from a coset
-enumeration's regular representation.
+groups come either from BFS closure of generators -- tuples under a product
+function: permutations, 2x2 matrices over the 5-element field, exact
+quaternions -- or from a coset enumeration's regular representation.
 
 The subgroup generated by S is the orbit of the identity under right
 multiplication by S, reading each reached row once at S's columns.  In a
@@ -233,95 +233,51 @@ class FiniteGroup:
 # closure of concrete generators
 
 
-class Perm:
-    """A permutation of 0..n-1; (a*b) applies b first, then a."""
+def perm_mul(a: tuple, b: tuple) -> tuple:
+    """The permutation applying b first, then a, each the tuple of images."""
+    return tuple(map(a.__getitem__, b))
 
-    __slots__ = ("map",)
 
-    def __init__(self, mapping):
-        self.map = tuple(mapping)
-        if sorted(self.map) != list(range(len(self.map))):
-            raise GroupError(f"not a permutation: {mapping}")
+def cycles(n: int, *cycs) -> tuple:
+    """The permutation of 0..n-1 with the given cycles."""
+    m = list(range(n))
+    for cyc in cycs:
+        for i, x in enumerate(cyc):
+            m[x] = cyc[(i + 1) % len(cyc)]
+    return tuple(m)
 
-    @classmethod
-    def from_cycles(cls, n: int, *cycles):
-        m = list(range(n))
-        for cyc in cycles:
-            for i, x in enumerate(cyc):
-                m[x] = cyc[(i + 1) % len(cyc)]
-        return cls(m)
 
-    def __mul__(self, other):
-        return Perm(tuple(self.map[other.map[i]] for i in range(len(self.map))))
-
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.map == other.map
-
-    def __hash__(self):
-        return hash(self.map)
-
-    def key(self):
-        return self.map
-
-    def __repr__(self):
-        return "(" + " ".join(str(x) for x in self.map) + ")"
-
-    @property
-    def is_even(self) -> bool:
-        seen = [False] * len(self.map)
-        parity = 0
-        for i in range(len(self.map)):
-            if seen[i]:
-                continue
-            j, ln = i, 0
+def is_even(perm) -> bool:
+    """Whether a permutation of 0..n-1, given as its images, is even: a
+    product of n minus (number of cycles) transpositions."""
+    if sorted(perm) != list(range(len(perm))):
+        raise GroupError(f"not a permutation: {perm}")
+    seen = [False] * len(perm)
+    n_cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            n_cycles += 1
+            j = start
             while not seen[j]:
                 seen[j] = True
-                j = self.map[j]
-                ln += 1
-            parity ^= (ln - 1) & 1
-        return parity == 0
+                j = perm[j]
+    return (len(perm) - n_cycles) % 2 == 0
 
 
-class F5Mat:
-    """A 2x2 matrix over the 5-element field, stored row-major."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, entries):
-        self.v = tuple(x % 5 for x in entries)
-        if len(self.v) != 4:
-            raise GroupError("need 4 entries")
-
-    def det(self) -> int:
-        a, b, c, d = self.v
-        return (a * d - b * c) % 5
-
-    def __mul__(self, other):
-        a, b, c, d = self.v
-        e, f, g, h = other.v
-        return F5Mat((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
-
-    def __eq__(self, other):
-        return isinstance(other, F5Mat) and self.v == other.v
-
-    def __hash__(self):
-        return hash(self.v)
-
-    def key(self):
-        return self.v
-
-    def __repr__(self):
-        a, b, c, d = self.v
-        return f"[{a} {b}; {c} {d}]"
+def f5_mul(m: tuple, n: tuple) -> tuple:
+    """The product of 2x2 matrices over the 5-element field, each the
+    row-major tuple of its entries mod 5."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return ((a * e + b * g) % 5, (a * f + b * h) % 5, (c * e + d * g) % 5, (c * f + d * h) % 5)
 
 
-def closure_elements(generators, bound: int = CLOSURE_BOUND) -> list:
-    """Every product of the generator objects, sorted by key().
+def closure_elements(generators, mul, bound: int = CLOSURE_BOUND) -> list:
+    """Every product of the generators under mul, sorted.
 
     BFS under right multiplication by the generators; for a finite set of
-    invertible elements that already yields the generated group.  Elements
-    need *, ==, hash and a key() for canonical ordering.  Raises if the
-    closure exceeds the bound.
+    invertible elements that already yields the generated group.  Raises if
+    the closure exceeds the bound.
     """
     gens = list(generators)
     if not gens:
@@ -332,26 +288,26 @@ def closure_elements(generators, bound: int = CLOSURE_BOUND) -> list:
         nxt = []
         for a in frontier:
             for g in gens:
-                c = a * g
+                c = mul(a, g)
                 if c not in have:
                     if len(have) >= bound:
                         raise GroupError(f"closure exceeded bound {bound}")
                     have.add(c)
                     nxt.append(c)
         frontier = nxt
-    return sorted(have, key=lambda x: x.key())
+    return sorted(have)
 
 
-def group_closure(generators, bound: int = CLOSURE_BOUND, name: str = "") -> FiniteGroup:
-    """BFS closure of generator objects into a FiniteGroup."""
-    return table_group(closure_elements(generators, bound), name=name)
+def group_closure(generators, mul, bound: int = CLOSURE_BOUND, name: str = "") -> FiniteGroup:
+    """BFS closure of the generators under mul into a FiniteGroup."""
+    return table_group(closure_elements(generators, mul, bound), mul, name=name)
 
 
-def table_group(elems, name: str = "") -> FiniteGroup:
-    """The group of a multiplicatively closed list of element objects, in
-    list order; every table entry is one directly computed product."""
+def table_group(elems, mul, name: str = "") -> FiniteGroup:
+    """The group of a list of elements closed under mul, in list order;
+    every table entry is one directly computed product."""
     index = {x: i for i, x in enumerate(elems)}
-    table = [[index[a * b] for b in elems] for a in elems]
+    table = [[index[mul(a, b)] for b in elems] for a in elems]
     return FiniteGroup(table, name=name)
 
 
@@ -360,8 +316,8 @@ def symmetric_group(n: int) -> FiniteGroup:
     """S_n, built once per process for each n."""
     if n < 2:
         raise GroupError("need n >= 2")
-    gens = [Perm.from_cycles(n, (0, 1)), Perm.from_cycles(n, tuple(range(n)))]
-    return group_closure(gens, name=f"S{n}")
+    gens = [cycles(n, (0, 1)), cycles(n, tuple(range(n)))]
+    return group_closure(gens, perm_mul, name=f"S{n}")
 
 
 @cache
@@ -369,12 +325,9 @@ def alternating_group(n: int) -> FiniteGroup:
     """A_n, built once per process for each n."""
     if n < 3:
         raise GroupError("need n >= 3")
-    gens = [Perm.from_cycles(n, (0, 1, 2))]
-    if n % 2:
-        gens.append(Perm.from_cycles(n, tuple(range(n))))
-    else:
-        gens.append(Perm.from_cycles(n, tuple(range(1, n))))
-    return group_closure(gens, name=f"A{n}")
+    # an n-cycle is even for odd n; for even n take the (n-1)-cycle fixing 0
+    long_cycle = tuple(range(n)) if n % 2 else tuple(range(1, n))
+    return group_closure([cycles(n, (0, 1, 2)), cycles(n, long_cycle)], perm_mul, name=f"A{n}")
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -388,9 +341,9 @@ def cyclic_group(n: int) -> FiniteGroup:
 def sl2_f5() -> FiniteGroup:
     """SL2 over the 5-element field, by closure of the standard generators;
     built once per process."""
-    s = F5Mat((0, -1, 1, 0))
-    t = F5Mat((1, 1, 0, 1))
-    return group_closure([s, t], name="SL2F5")
+    s = (0, 4, 1, 0)  # [0 -1; 1 0]
+    t = (1, 1, 0, 1)
+    return group_closure([s, t], f5_mul, name="SL2F5")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
-from .finite import Perm
+from .finite import is_even
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,9 @@ def determinant(rows: list[dict[int, int]], n: int) -> int:
     Bareiss on the dense core, signed by the pivots and by the parity of the
     (pivot..., core...) row and column orders."""
     red = eliminate_unit_pivots(rows, n)
-    row_order = Perm([r for r, _c, _p in red.pivots] + red.core_rows)
-    col_order = Perm([c for _r, c, _p in red.pivots] + red.core_cols)
-    sign = 1 if row_order.is_even == col_order.is_even else -1
+    row_order = [r for r, _c, _p in red.pivots] + red.core_rows
+    col_order = [c for _r, c, _p in red.pivots] + red.core_cols
+    sign = 1 if is_even(row_order) == is_even(col_order) else -1
     for _r, _c, p in red.pivots:
         sign *= p
     return sign * _bareiss(red.core)

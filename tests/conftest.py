@@ -308,8 +308,8 @@ def unit_icosians_q5() -> set:
 
 
 def icosian_as_q5(u) -> tuple:
-    """An integer-coordinate Icosian in the oracle's Fraction form."""
-    return tuple((Fraction(x, 4), Fraction(y, 4)) for x, y in u.q)
+    """An integer-coordinate icosian in the oracle's Fraction form."""
+    return tuple((Fraction(x, 4), Fraction(y, 4)) for x, y in u)
 
 
 # `decker`'s side test as a dict of labels, for comparison with the oracle

@@ -3,8 +3,9 @@ subcommand, `python -m spunslice`, one parser per process answering as a
 fresh process does, one message for a bad twist vector from every twist
 command, the lower resolution bound of the slice-curve commands, the upper
 one and the band-winding bound they share with certify, and the 0-crossing
-unknot; unreadable files, bad or oversized batteries and shared flags that
-a command does not read, which are input errors; and fuzzed plat text,
+unknot; unreadable files, bad, oversized or empty batteries, an empty
+output path and shared flags that a command does not read, which are input
+errors; and fuzzed plat text,
 which never ends in exit 4."""
 
 import contextlib
@@ -505,6 +506,25 @@ def test_cli_certify_refuses_a_battery_group_above_the_order_bound(battery, caps
 def test_cli_certify_rejects_a_battery_order_written_with_a_superscript(capsys):
     assert main(["certify", TREFOIL_PLAT, "--twists", "2,2", "--battery", "S²"]) == 3
     assert capsys.readouterr() == ("", "error: unknown battery group 'S²'\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", TREFOIL_PLAT, "--twists", "2,2", "--battery", ""],
+        ["certify", TREFOIL_PLAT, "--twists", "2,2", "--out", ""],
+        ["symunion", TREFOIL_PLAT, "--twists", "2,2", "--out", ""],
+        ["render", "chord", TREFOIL_PLAT, "--out", ""],
+        ["render", "decker", TREFOIL_PLAT, "--out="],
+    ],
+    ids=["certify-battery", "certify-out", "symunion-out", "render-out", "render-out-equals"],
+)
+def test_cli_an_empty_battery_or_out_is_an_input_error(argv, monkeypatch, capsys):
+    # refused while parsing, before the plat file is read
+    monkeypatch.setattr(cli, "_load_plat", lambda path: pytest.fail("plat file read"))
+    assert main(argv) == 3
+    flag = "--battery" if "--battery" in argv else "--out"
+    assert capsys.readouterr() == ("", f"error: argument {flag}: must not be empty\n")
 
 
 # ---------------------------------------------------------------------------

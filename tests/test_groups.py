@@ -7,6 +7,7 @@ diagrammatic routes from test_covers.py.
 
 import dataclasses
 import gc
+import hashlib
 import itertools
 import time
 import weakref
@@ -48,7 +49,6 @@ from spunslice.groups import (
     FiniteGroup,
     GroupError,
     GroupPresentation,
-    Icosian,
     abelianization,
     alternating_group,
     branched_cover_presentation,
@@ -71,7 +71,7 @@ from spunslice.groups import (
     todd_coxeter,
     wirtinger,
 )
-from spunslice.groups.finite import closure_elements
+from spunslice.groups.finite import closure_elements, is_even
 from spunslice.groups import homcount
 from spunslice.groups.homcount import (
     DEFAULT_NODE_BUDGET,
@@ -80,7 +80,7 @@ from spunslice.groups.homcount import (
     _compile_schedule,
     _modelled_cost,
 )
-from spunslice.groups.quaternions import GENERATORS, _unit_icosians
+from spunslice.groups.quaternions import GENERATORS, _unit_icosians, icosian_mul
 
 
 @pytest.fixture(scope="module")
@@ -311,18 +311,62 @@ def test_integer_icosians_match_the_fraction_oracle():
     assert {icosian_as_q5(u) for u in units} == oracle
     for g in GENERATORS:
         for u in units:
-            assert icosian_as_q5(g * u) == quaternion_product_q5(icosian_as_q5(g), icosian_as_q5(u))
-            assert icosian_as_q5(u * g) == quaternion_product_q5(icosian_as_q5(u), icosian_as_q5(g))
-    # integer keys sort the elements exactly as their Fraction coordinates do
-    ordered = closure_elements(GENERATORS, bound=121)
+            assert icosian_as_q5(icosian_mul(g, u)) == quaternion_product_q5(icosian_as_q5(g), icosian_as_q5(u))
+            assert icosian_as_q5(icosian_mul(u, g)) == quaternion_product_q5(icosian_as_q5(u), icosian_as_q5(g))
+    # integer tuples sort the elements exactly as their Fraction coordinates do
+    ordered = closure_elements(GENERATORS, icosian_mul, bound=121)
     assert [icosian_as_q5(u) for u in ordered] == sorted(oracle)
-    assert repr(GENERATORS[1]) == "<1/4+1/4r5,-1/4+1/4r5,1/2,0>"
+    # (1/4+1/4r5, -1/4+1/4r5, 1/2, 0) in quarters of Z[sqrt5]
+    assert GENERATORS[1] == ((1, 1), (-1, 1), (2, 0), (0, 0))
+
+
+# the first 16 hex digits of sha256(repr(G.mult)); element order fixes the
+# class representatives the hom-count search tries, so this also guards node
+# counts
+TABLE_DIGESTS = {
+    "S3": (lambda: symmetric_group(3), "04734113c8f3b770"),
+    "A4": (lambda: alternating_group(4), "eec1bee1a3dfe2be"),
+    "S4": (lambda: symmetric_group(4), "cddada2addd38e2c"),
+    "A5": (lambda: alternating_group(5), "d648a03fc74c1cb8"),
+    "SL2F5": (sl2_f5, "343c6f49ffface7c"),
+    "2I": (icosian_group, "77b03a7df2e280ca"),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_DIGESTS)
+def test_group_tables_are_pinned(name):
+    make, digest = TABLE_DIGESTS[name]
+    G = make()
+    assert G.name == name
+    assert hashlib.sha256(repr(G.mult).encode()).hexdigest()[:16] == digest
+
+
+def _inversion_parity_is_even(perm) -> bool:
+    n = len(perm)
+    return sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0
+
+
+def test_is_even_matches_the_inversion_count_on_every_permutation_of_six():
+    for perm in itertools.permutations(range(6)):
+        assert is_even(perm) == _inversion_parity_is_even(perm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))))
+def test_is_even_matches_the_inversion_count(perm):
+    assert is_even(perm) == _inversion_parity_is_even(perm)
+
+
+@pytest.mark.parametrize("seq", [[0, 0], [1, 2], [0, 2, 1, 2], [-1, 0], [1]])
+def test_is_even_rejects_a_sequence_that_is_not_a_permutation(seq):
+    with pytest.raises(GroupError, match="not a permutation"):
+        is_even(seq)
 
 
 def test_icosian_product_checks_its_denominator():
-    quarter = Icosian((1, 0), (0, 0), (0, 0), (0, 0))  # 1/4, whose square is 1/16
+    quarter = ((1, 0), (0, 0), (0, 0), (0, 0))  # 1/4, whose square is 1/16
     with pytest.raises(GroupError, match="leaves"):
-        quarter * quarter
+        icosian_mul(quarter, quarter)
 
 
 # a Latin square with identity 0 whose product is not associative
