@@ -5,8 +5,8 @@ The schedule.  A relator in which exactly one position is unknown
 no unknown position is *checked*.  `_compile_schedule` runs this cascade
 and records it as blocks `(generator, steps)`: an opening block with
 generator 0, then one block per free choice.  When the cascade stalls,
-the free generator whose choice would derive the most others (its *gain*;
-the smallest on ties) is chosen next.  On Wirtinger-style presentations
+the free generator whose choice would determine the most generators (its
+*gain*, the size of its closure; the smallest on ties) is chosen next.  On Wirtinger-style presentations
 this collapses the search tree to a handful of genuinely free choices.  A
 presentation is compiled on its first count and the schedule is kept on
 the presentation object.
@@ -40,10 +40,23 @@ smallest ready relator (one unknown position) at or after the current
 position, and when none is left, a new pass from the smallest ready
 relator.  The checks one assignment unlocks follow it in relator order.
 A free candidate is scored by a worklist closure over the relators it
-touches; the closure of "derive when exactly one position is unknown" is
-monotone, so its size does not depend on the order of the worklist.  It
+touches: the generators that choosing it would determine.  The closure
 finds the generator at a relator's last unknown position among the
-relator's distinct generators, listed once per compile.
+relator's distinct generators.  Both lists, the relators of each generator
+and the generators of each relator, are built by `_relator_index` for the
+greedy compile, and once more for all of the lookahead's compiles.
+
+The dominance rule.  "Derive when exactly one position is unknown" is
+monotone (knowing more never blocks a derive) and its closure idempotent,
+so a closure's set does not depend on the order of the worklist, and if h
+is in the closure of c then the closure of h lies inside it: h gains no
+more than c.  `greedy` therefore walks the free generators in ascending
+order and skips each one that an earlier, smaller candidate's closure
+already contains.  A skipped h can tie c at best, and on ties the smaller
+c wins anyway, so the choice is the one of scoring every candidate.  On
+the T(3,5) knot and its 27 unions with twists in {-2,0,2}^3 this scores
+10,295 closures where scoring every free generator takes 15,658.  Only the
+lookahead's ranking of its first choices still scores every candidate.
 
 The search.  Each derive step is compiled into one word whose value is the
 derived image, and the images live in one signed table (`img[-g]` is the
@@ -101,24 +114,27 @@ class _Budget(Exception):
     pass
 
 
-def _relator_index(n: int, rels: list[tuple[int, ...]]) -> list[list[tuple[int, int]]]:
-    """For each generator, `(relator, multiplicity)` of the relators it
-    occurs in."""
+def _relator_index(n: int, rels: list[tuple[int, ...]]):
+    """`(occurs, gens)`: for each generator, `(relator, multiplicity)` of
+    the relators it occurs in; for each relator, its distinct generators in
+    order of first occurrence."""
     occurs: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    gens = []
     for ri, r in enumerate(rels):
-        for g, m in Counter(map(abs, r)).items():
+        counts = Counter(map(abs, r))
+        for g, m in counts.items():
             occurs[g].append((ri, m))
-    return occurs
+        gens.append(tuple(counts))
+    return occurs, gens
 
 
 class _Cascade:
     """One compile's state: the generators known, each relator's unknown
     positions, the blocks so far and the relators ready to derive."""
 
-    def __init__(self, n: int, rels: list[tuple[int, ...]], occurs):
-        self.rels, self.occurs = rels, occurs
-        # each relator's distinct generators, in order of first occurrence
-        self.gens = [tuple(dict.fromkeys(map(abs, r))) for r in rels]
+    def __init__(self, n: int, rels: list[tuple[int, ...]], index):
+        self.rels = rels
+        self.occurs, self.gens = index
         self.unknown = [len(r) for r in rels]
         self.done = [not r for r in rels]
         self.known = [False] * (n + 1)
@@ -140,8 +156,8 @@ class _Cascade:
             elif unknown[ri] == 1:
                 heappush(self.ahead if ri >= pos else self.behind, ri)
 
-    def gain(self, c: int) -> int:
-        """How many generators choosing c would determine, c included."""
+    def closure(self, c: int) -> set[int]:
+        """The generators choosing c would determine, c included."""
         gens, occurs, known, unknown, done = self.gens, self.occurs, self.known, self.unknown, self.done
         left: dict[int, int] = {}
         new = {c}
@@ -158,7 +174,7 @@ class _Cascade:
                             new.add(h)
                             work.append(h)
                             break
-        return len(new)
+        return new
 
     def run(self) -> list[int]:
         """Derive until the cascade stalls; the generators still free."""
@@ -177,9 +193,23 @@ class _Cascade:
             self.assign(g, ri + 1)
         return [g for g in range(1, len(known)) if not known[g]]
 
+    def greedy(self, free: list[int]) -> int:
+        """The free generator of largest gain, the smallest on ties.  A
+        generator in the closure of a smaller one is skipped unscored."""
+        best, most = 0, 0
+        covered: set[int] = set()
+        for c in free:
+            if c in covered:
+                continue
+            new = self.closure(c)
+            if len(new) > most:
+                best, most = c, len(new)
+            covered |= new
+        return best
+
     def ranked(self, free: list[int], k: int) -> list[int]:
         """The k free generators of largest gain, the smallest first on ties."""
-        return nlargest(k, free, key=lambda c: (self.gain(c), -c))
+        return nlargest(k, free, key=lambda c: (len(self.closure(c)), -c))
 
     def choose(self, g: int) -> None:
         self.blocks.append((g, []))
@@ -190,7 +220,7 @@ def _compile_schedule(
     n: int,
     rels: list[tuple[int, ...]],
     first: int | None = None,
-    occurs: list | None = None,
+    index: tuple | None = None,
     stop: float = math.inf,
 ):
     """Blocks `(generator, steps)`: the opening block (generator 0), then
@@ -198,7 +228,7 @@ def _compile_schedule(
     or `("check", relator)`.  `first`, when given, is the first free
     choice; every other choice is greedy.  None once the modelled cost of
     the blocks so far reaches `stop`."""
-    cascade = _Cascade(n, rels, _relator_index(n, rels) if occurs is None else occurs)
+    cascade = _Cascade(n, rels, _relator_index(n, rels) if index is None else index)
     while True:
         free = cascade.run()
         if _modelled_cost(cascade.blocks) >= stop:
@@ -208,7 +238,7 @@ def _compile_schedule(
         if first is not None and len(cascade.blocks) == 1:
             cascade.choose(first)
         else:
-            cascade.choose(cascade.ranked(free, 1)[0])
+            cascade.choose(cascade.greedy(free))
 
 
 def _modelled_cost(blocks) -> float:
@@ -239,11 +269,11 @@ def _choose_schedule(n: int, rels: list[tuple[int, ...]]):
     best = _modelled_cost(blocks)
     if best <= _LOOKAHEAD_COST * n:
         return blocks
-    occurs = _relator_index(n, rels)
-    cascade = _Cascade(n, rels, occurs)
+    index = _relator_index(n, rels)
+    cascade = _Cascade(n, rels, index)
     # the first of these is the greedy choice, already compiled
     for c in cascade.ranked(cascade.run(), _LOOKAHEAD_WIDTH)[1:]:
-        other = _compile_schedule(n, rels, c, occurs, best)
+        other = _compile_schedule(n, rels, c, index, best)
         if other is not None:
             blocks, best = other, _modelled_cost(other)
     return blocks

@@ -103,7 +103,9 @@ def icosian_group() -> FiniteGroup:
     return table_group(elems, icosian_mul, name="2I")
 
 
+@cache
 def icosian_involution_lemma() -> bool:
-    """x^2 = 1 and x != 1 forces x = -1 among the unit icosians."""
+    """x^2 = 1 and x != 1 forces x = -1 among the unit icosians; checked
+    once per process."""
     sols = [u for u in _unit_icosians() if icosian_mul(u, u) == ICOSIAN_ONE]
     return sorted(sols) == sorted((ICOSIAN_ONE, ICOSIAN_MINUS_ONE))

@@ -72,7 +72,7 @@ from spunslice.groups import (
     wirtinger,
 )
 from spunslice.groups.finite import closure_elements, is_even
-from spunslice.groups import homcount
+from spunslice.groups import homcount, quaternions
 from spunslice.groups.homcount import (
     DEFAULT_NODE_BUDGET,
     HomCount,
@@ -302,6 +302,21 @@ def test_unit_quaternion_model():
     assert len(icosian.involutions) == 1
     assert iso_check(icosian, sl2_f5()) is not None
     assert structure_report(icosian).class_sizes == structure_report(sl2_f5()).class_sizes
+
+
+def test_icosian_involution_lemma_builds_the_units_once_per_process(monkeypatch):
+    builds = []
+    build = quaternions._unit_icosians
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(quaternions, "_unit_icosians", counted)
+    icosian_involution_lemma.cache_clear()
+    assert icosian_involution_lemma() is True
+    assert icosian_involution_lemma() is True
+    assert len(builds) == 1
 
 
 def test_integer_icosians_match_the_fraction_oracle():
@@ -846,6 +861,68 @@ def test_untwisted_torus_cobordism_into_a5_takes_the_cheaper_first_choice():
     su = build_symmetric_union(T35, TwistVector((0, 0, 0)))
     hc = hom_count(cobordism_presentation(su), alternating_group(5))
     assert (hc.count, hc.nodes) == (5100, 66084)
+
+
+@cache
+def _t35_sweep_schedule_inputs():
+    # (n, relators) of the simplified T(3,5) knot group and its 27 unions
+    presentations = [wirtinger(plat_to_pd(T35))] + [
+        cobordism_presentation(build_symmetric_union(T35, TwistVector(tv)))
+        for tv in itertools.product((-2, 0, 2), repeat=3)
+    ]
+    return [(p.n_generators, list(p.relators)) for p in map(GroupPresentation.simplified, presentations)]
+
+
+def test_chosen_schedules_on_the_t35_sweep_are_pinned():
+    blocks = [_choose_schedule(n, list(rels)) for n, rels in _t35_sweep_schedule_inputs()]
+    digest = hashlib.sha256(repr(blocks).encode()).hexdigest()[:16]
+    assert digest == "309df75d48cbff76"
+
+
+def test_greedy_choices_on_the_t35_sweep_skip_a_third_of_the_closures(monkeypatch):
+    # scoring every free generator at every stall takes 15,658 closures here
+    closure = homcount._Cascade.closure
+    calls = []
+
+    def counted(self, c):
+        calls.append(c)
+        return closure(self, c)
+
+    monkeypatch.setattr(homcount._Cascade, "closure", counted)
+    for n, rels in _t35_sweep_schedule_inputs():
+        _choose_schedule(n, list(rels))
+    assert len(calls) <= 15_658 * 2 / 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(st.integers(-n, n).filter(lambda x: x != 0), max_size=7),
+                max_size=9,
+            ),
+        )
+    )
+)
+def test_greedy_choice_skips_only_dominated_generators(case):
+    # at every stall: the closure of c bounds the gain of each generator in
+    # it, so skipping those leaves the choice of scoring every candidate
+    n, relators = case
+    rels = [tuple(r) for r in relators]
+    greedy = homcount._Cascade.greedy
+
+    def checked(self, free):
+        gain = {c: len(self.closure(c)) for c in free}
+        for c in free:
+            assert all(gain[h] <= gain[c] for h in self.closure(c))
+        choice = greedy(self, free)
+        assert choice == self.ranked(free, 1)[0]
+        return choice
+
+    with mock.patch.object(homcount._Cascade, "greedy", checked):
+        _compile_schedule(n, rels)
 
 
 # ---------------------------------------------------------------------------
