@@ -15,15 +15,16 @@ that sphere as a finite grid:
   vertex per pole.
 
 A curve is a vertex-simple cycle built from horizontal steps (H), row
-steps within a region (V), circle crossings (X), and pole edges (P).  The
-row coordinate is purely radial bookkeeping: it lets several strands share
-a region and lets a strand wind full longitudes without touching itself.
+steps within a region (V), circle crossings (X), and pole edges (P).  Each
+annulus carries exactly the doubled curve's two strands, one descending and
+one ascending.  The row coordinate is purely radial bookkeeping: it lets the
+two strands share an annulus and wind full longitudes without touching.
 Crossing data -- which circle is crossed at which longitude -- is the only
 geometrically meaningful part and is what every check below consumes.  A
 curve classifies its edges once (`SliceCurve.edge_kinds`); validation,
 crossings and the side test all read that classification.  A band's winds
-are part of the route: the strands of its annulus are routed once, with the
-winds added to their displacement, so no built curve is routed again.
+are part of the route: the two strands of its annulus are routed once, with
+the winds added to their displacement, so no built curve is routed again.
 
 The side test: a vertex-simple cycle separates the sphere into exactly two
 faces.  A curve bounds a slice disc on one side of the identified surface
@@ -276,7 +277,7 @@ def validate_curve(ds: DeckerSet, curve: SliceCurve) -> None:
 # ---------------------------------------------------------------------------
 # region routing
 
-# A region's strands are rebuilt as "downward" paths: row 0 at the north
+# An annulus's two strands are routed as "downward" paths: row 0 at the north
 # boundary, last row at the south.  A descriptor is (top longitude, bottom
 # longitude, S) where S is the total signed eastward displacement the path
 # must accumulate (S == bottom - top mod M; each extra full wind adds M).
@@ -291,85 +292,39 @@ def _short_rep(delta: int, m: int) -> int:
 
 
 def _route_region(m: int, arcs: list[tuple[int, int, int]]):
-    """Route vertex-disjoint downward paths through one region.
+    """Route the doubled curve's two strands down one annulus.
 
-    Returns (rows, paths); paths[i] is a list of (row, longitude) for the
-    i-th descriptor.  All strands must wind the same way; this covers every
-    curve this package builds (doubled curves and their band winds).
+    arcs holds the descending and the ascending strand, both as downward
+    descriptors with the same extra winds; their entries, exits and short
+    walks lie in the disjoint sectors around the seam.  Returns (rows,
+    paths); paths[i] is a list of (row, longitude) for the i-th descriptor.
+    Without a full turn each strand walks its short path on row 1.  With
+    winds the strands leapfrog: on each row each one walks from where it
+    is to just short of where the other started that row.
     """
-    if not arcs:
-        return 1, []
-    tops = [a[0] for a in arcs]
-    bots = [a[1] for a in arcs]
-    if len(set(tops)) != len(tops) or len(set(bots)) != len(bots):
-        raise PlatError("strands enter or leave a region at a shared longitude")
-    for top, bot, s in arcs:
-        if (top + s) % m != bot % m:
-            raise PlatError("strand displacement does not reach its exit")
     if all(abs(s) <= m // 2 for _t, _b, s in arcs):
-        # no net winding: one walk row, each strand takes its short path
         paths = []
-        used: set[int] = set()
         for top, bot, s in arcs:
             step = 1 if s > 0 else -1
             walk = [(1, (top + step * i) % m) for i in range(abs(s) + 1)]
-            for _r, k in walk:
-                if k in used:
-                    raise PlatError(
-                        "cannot route region strands at this resolution"
-                    )
-                used.add(k)
             paths.append([(0, top)] + walk + [(2, bot)])
         return 3, paths
-    if not all(s > 0 for _t, _b, s in arcs) and not all(
-        s < 0 for _t, _b, s in arcs
-    ):
-        raise PlatError("winding strands in one region must wind the same way")
     sigma = 1 if arcs[0][2] > 0 else -1
-    pos = list(tops)
-    remaining = [abs(s) for _t, _b, s in arcs]
-    runs: list[list[list[int]]] = [[] for _ in arcs]  # per arc, per row
-    steps = 0
-    limit = 4 + sum(remaining)
-    while any(remaining):
-        if steps > limit:
-            raise PlatError("region routing failed to converge")
-        moved = False
-        row_runs: list[list[int]] = []
-        snapshot = list(pos)
-        for i in range(len(arcs)):
-            if len(arcs) == 1:
-                gap = m
-            else:
-                gap = min(
-                    (snapshot[j] - snapshot[i]) * sigma % m
-                    for j in range(len(arcs))
-                    if j != i
-                )
-            delta = min(remaining[i], max(gap - 1, 0))
-            run = [(pos[i] + sigma * t) % m for t in range(delta + 1)]
-            row_runs.append(run)
-            pos[i] = run[-1]
-            remaining[i] -= delta
-            if delta:
-                moved = True
-        if not moved:
-            raise PlatError("region routing deadlocked")
-        for i, run in enumerate(row_runs):
-            runs[i].append(run)
-        steps += 1
-    for i, (_top, bot, _s) in enumerate(arcs):
-        if pos[i] != bot % m:
-            raise PlatError("region routing internal mismatch")
-    rows = steps + 2
-    paths = []
-    for i, (top, bot, _s) in enumerate(arcs):
-        path = [(0, top)]
-        for r, run in enumerate(runs[i], start=1):
-            path.extend((r, k) for k in run)
-        path.append((rows - 1, bot))
-        paths.append(path)
-    return rows, paths
+    pos = [top for top, _b, _s in arcs]
+    left = [abs(s) for _t, _b, s in arcs]
+    paths = [[(0, top)] for top in pos]
+    row = 0
+    while left[0] or left[1]:
+        row += 1
+        gap = (pos[1] - pos[0]) * sigma % m
+        for i, room in enumerate((gap, m - gap)):
+            run = min(left[i], room - 1)
+            paths[i].extend((row, (pos[i] + sigma * t) % m) for t in range(run + 1))
+            pos[i] = (pos[i] + sigma * run) % m
+            left[i] -= run
+    for path, (_t, bot, _s) in zip(paths, arcs):
+        path.append((row + 1, bot))
+    return row + 2, paths
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +343,7 @@ def _build_trace(ds: DeckerSet, winds: dict[int, int]) -> SliceCurve:
     up = {c: OVER_OFFSET if ds.is_over(c) else UNDER_OFFSET for c in range(1, ds.l + 1)}
     down = {c: m - k for c, k in up.items()}
     rows = [2] + [3] * (ds.l - 1) + [2]
-    annulus_paths: dict[int, tuple[list, list]] = {}
+    annulus_paths: dict[int, list[list]] = {}
     for region in range(1, ds.l):
         wind = winds.get(region, 0) * m
         arcs = [
@@ -396,9 +351,7 @@ def _build_trace(ds: DeckerSet, winds: dict[int, int]) -> SliceCurve:
             # ascending strand, described as a downward path (reversed later)
             (up[region], up[region + 1], _short_rep(up[region + 1] - up[region], m) + wind),
         ]
-        nrows, paths = _route_region(m, arcs)
-        rows[region] = nrows
-        annulus_paths[region] = (paths[0], paths[1])
+        rows[region], annulus_paths[region] = _route_region(m, arcs)
 
     def region_vertices(region: int, path) -> list[tuple]:
         return [(region, r, k) for r, k in path]

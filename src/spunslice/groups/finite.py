@@ -89,19 +89,23 @@ class FiniteGroup:
             orders.append(k)
         return tuple(orders)
 
+    def orbits(self, acting, domain) -> list[tuple[int, set[int]]]:
+        """`(representative, orbit)` for each orbit of the elements acting
+        on domain by conjugation, representatives first in domain order."""
+        conj = self.conjugation
+        seen: set[int] = set()
+        out = []
+        for h in domain:
+            if h not in seen:
+                orbit = {conj[c][h] for c in acting}
+                seen |= orbit
+                out.append((h, orbit))
+        return out
+
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        seen = [False] * self.order
-        classes = []
-        for a in range(self.order):
-            if seen[a]:
-                continue
-            orbit = {self.mult[self.mult[g][a]][self.inverse[g]] for g in range(self.order)}
-            for x in orbit:
-                seen[x] = True
-            classes.append(tuple(sorted(orbit)))
-        classes.sort(key=lambda c: c[0])
-        return tuple(classes)
+        every = range(self.order)
+        return tuple(tuple(sorted(orbit)) for _h, orbit in self.orbits(every, every))
 
     @cached_property
     def conjugation(self) -> tuple[tuple[int, ...], ...]:
@@ -149,12 +153,10 @@ class FiniteGroup:
         return frozenset(have)
 
     def normal_closure(self, elements) -> frozenset[int]:
-        conj = {
-            self.mult[self.mult[g][a]][self.inverse[g]]
-            for a in elements
-            for g in range(self.order)
-        }
-        return self.subgroup_closure(conj)
+        classes, index = self.conjugacy_classes, self.class_index
+        return self.subgroup_closure(
+            {x for k in {index[a] for a in elements} for x in classes[k]}
+        )
 
     @cached_property
     def normal_subgroups(self) -> tuple[frozenset[int], ...]:
@@ -418,9 +420,10 @@ def su2_obstruction(G: FiniteGroup) -> str:
 def _hom_from_generators(G: FiniteGroup, H: FiniteGroup, gens, images):
     """Extend generator images to a map on all of G, or None if inconsistent.
 
-    BFS from the identity writes each element as a tree word in the
-    generators; the map is then verified on every (element, generator)
-    product, which suffices for multiplicativity.
+    A walk from the identity writes each element as a tree word in the
+    generators and checks every (element, generator) product it meets
+    against the image already set; the walk meets every such product once
+    it reaches all of G, which suffices for multiplicativity.
     """
     phi = [-1] * G.order
     phi[G.identity] = H.identity
@@ -433,12 +436,10 @@ def _hom_from_generators(G: FiniteGroup, H: FiniteGroup, gens, images):
             if phi[y] < 0:
                 phi[y] = fy
                 queue.append(y)
+            elif phi[y] != fy:
+                return None
     if min(phi) < 0:
         return None
-    for x in range(G.order):
-        for g, img in zip(gens, images):
-            if phi[G.mult[x][g]] != H.mult[phi[x]][img]:
-                return None
     return tuple(phi)
 
 

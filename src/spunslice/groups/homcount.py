@@ -316,14 +316,7 @@ def _centralizer_orbits(G: FiniteGroup, g: int, domain) -> list[tuple[int, int]]
     domain by conjugation, representatives first in domain order."""
     conj = G.conjugation
     cent = [c for c in range(G.order) if conj[c][g] == g]
-    seen: set[int] = set()
-    out = []
-    for h in domain:
-        if h not in seen:
-            orbit = {conj[c][h] for c in cent}
-            seen |= orbit
-            out.append((h, len(orbit)))
-    return out
+    return [(h, len(orbit)) for h, orbit in G.orbits(cent, domain)]
 
 
 def _schedule(pres: GroupPresentation) -> tuple[int, list, bool]:

@@ -25,7 +25,6 @@ from spunslice.decker import (
     DeckerSet,
     SliceCurve,
     _pairs,
-    _route_region,
     _side_masks,
     validate_curve,
 )
@@ -658,6 +657,92 @@ def parse_curve(text: str) -> tuple[DeckerSet, SliceCurve]:
     return ds, curve
 
 
+# The general region router: any number of strands, each checked to enter,
+# leave and wind consistently.  The runtime routes only the doubled
+# curve's two strands per annulus (`decker._route_region`); this is its
+# oracle and the router of `dehn_twist_annulus`.
+def route_region_oracle(m: int, arcs: list[tuple[int, int, int]]):
+    """Route vertex-disjoint downward paths through one region.
+
+    Returns (rows, paths); paths[i] is a list of (row, longitude) for the
+    i-th descriptor.  All strands must wind the same way; this covers every
+    curve this package builds (doubled curves and their band winds).
+    """
+    if not arcs:
+        return 1, []
+    tops = [a[0] for a in arcs]
+    bots = [a[1] for a in arcs]
+    if len(set(tops)) != len(tops) or len(set(bots)) != len(bots):
+        raise PlatError("strands enter or leave a region at a shared longitude")
+    for top, bot, s in arcs:
+        if (top + s) % m != bot % m:
+            raise PlatError("strand displacement does not reach its exit")
+    if all(abs(s) <= m // 2 for _t, _b, s in arcs):
+        # no net winding: one walk row, each strand takes its short path
+        paths = []
+        used: set[int] = set()
+        for top, bot, s in arcs:
+            step = 1 if s > 0 else -1
+            walk = [(1, (top + step * i) % m) for i in range(abs(s) + 1)]
+            for _r, k in walk:
+                if k in used:
+                    raise PlatError(
+                        "cannot route region strands at this resolution"
+                    )
+                used.add(k)
+            paths.append([(0, top)] + walk + [(2, bot)])
+        return 3, paths
+    if not all(s > 0 for _t, _b, s in arcs) and not all(
+        s < 0 for _t, _b, s in arcs
+    ):
+        raise PlatError("winding strands in one region must wind the same way")
+    sigma = 1 if arcs[0][2] > 0 else -1
+    pos = list(tops)
+    remaining = [abs(s) for _t, _b, s in arcs]
+    runs: list[list[list[int]]] = [[] for _ in arcs]  # per arc, per row
+    steps = 0
+    limit = 4 + sum(remaining)
+    while any(remaining):
+        if steps > limit:
+            raise PlatError("region routing failed to converge")
+        moved = False
+        row_runs: list[list[int]] = []
+        snapshot = list(pos)
+        for i in range(len(arcs)):
+            if len(arcs) == 1:
+                gap = m
+            else:
+                gap = min(
+                    (snapshot[j] - snapshot[i]) * sigma % m
+                    for j in range(len(arcs))
+                    if j != i
+                )
+            delta = min(remaining[i], max(gap - 1, 0))
+            run = [(pos[i] + sigma * t) % m for t in range(delta + 1)]
+            row_runs.append(run)
+            pos[i] = run[-1]
+            remaining[i] -= delta
+            if delta:
+                moved = True
+        if not moved:
+            raise PlatError("region routing deadlocked")
+        for i, run in enumerate(row_runs):
+            runs[i].append(run)
+        steps += 1
+    for i, (_top, bot, _s) in enumerate(arcs):
+        if pos[i] != bot % m:
+            raise PlatError("region routing internal mismatch")
+    rows = steps + 2
+    paths = []
+    for i, (top, bot, _s) in enumerate(arcs):
+        path = [(0, top)]
+        for r, run in enumerate(runs[i], start=1):
+            path.extend((r, k) for k in run)
+        path.append((rows - 1, bot))
+        paths.append(path)
+    return rows, paths
+
+
 # The Dehn twist that re-routes one annulus of a built curve: the oracle for
 # `symmetric_union_curve`, which routes each band's winds in the same pass
 # that routes the doubled curve.
@@ -731,7 +816,7 @@ def dehn_twist_annulus(
         else:
             arcs.append((exit_k, entry_k, -s + n * m))
         directions.append(down)
-    nrows, paths = _route_region(m, arcs)
+    nrows, paths = route_region_oracle(m, arcs)
     new_rows = list(curve.rows)
     new_rows[region] = nrows
     out: list[tuple] = []
@@ -1307,3 +1392,45 @@ def commutator_subgroup_all_pairs(G) -> frozenset[int]:
         for b in range(G.order)
     }
     return G.subgroup_closure(comms)
+
+
+def normal_closure_all_conjugates(G, elements) -> frozenset[int]:
+    """<g a g^-1 for every a in elements and every g in G>."""
+    return G.subgroup_closure(
+        {G.mult[G.mult[g][a]][G.inverse[g]] for a in elements for g in range(G.order)}
+    )
+
+
+def hom_extension_oracle(G, H, gens, images):
+    """The homomorphism G -> H taking gens[i] to images[i], or None.
+
+    Each element is sent to the product of the images along one shortest
+    word in the generators; the map is kept only when it hits every image
+    and respects every product x*y of G.
+    """
+    word = {G.identity: ()}
+    frontier = [G.identity]
+    while frontier:
+        reached = []
+        for x in frontier:
+            for i, g in enumerate(gens):
+                y = G.mult[x][g]
+                if y not in word:
+                    word[y] = word[x] + (i,)
+                    reached.append(y)
+        frontier = reached
+    if len(word) < G.order:
+        return None
+    phi = []
+    for x in range(G.order):
+        acc = H.identity
+        for i in word[x]:
+            acc = H.mult[acc][images[i]]
+        phi.append(acc)
+    if any(phi[g] != img for g, img in zip(gens, images)):
+        return None
+    for x in range(G.order):
+        for y in range(G.order):
+            if phi[G.mult[x][y]] != H.mult[phi[x]][phi[y]]:
+                return None
+    return tuple(phi)

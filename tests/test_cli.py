@@ -75,6 +75,17 @@ CLI_PINS = {
     "cobordism-untwisted": (
         ["cobordism", T35_PLAT, "--twists", "0,0,0"], 0, "linking-diagonal -\ndefiniteness empty\n",
     ),
+    "slice-check-untwisted": (
+        ["slice-check", T35_PLAT], 0,
+        "circles 56 resolution 24 curve-vertices 520\nforward True reverse False\nverdict pass-forward\n",
+    ),
+    "groups-sl2f5": (
+        ["groups", "sl2f5"], 0,
+        "group sl2f5: order 120; 9 conjugacy classes [1, 1, 12, 12, 12, 12, 20, 20, 30]; "
+        "center 2; 1 involutions; normal subgroup orders [1, 2, 120]; not simple; perfect; "
+        "proper nontrivial quotients: order 60\n"
+        "  su2 embeds-possible\n",
+    ),
 }
 
 
@@ -198,10 +209,32 @@ def test_cli_symunion_prints_the_doubled_plat(capsys):
     assert capsys.readouterr().out.startswith("strands 6\n")
 
 
-@pytest.mark.parametrize("command", ["symunion", "cobordism"])
+@pytest.mark.parametrize("command", ["symunion", "cobordism", "certify"])
 def test_cli_twist_commands_need_twists(command, capsys):
     assert main([command, TREFOIL_PLAT]) == 3
     assert capsys.readouterr().err == f"error: {command} requires --twists\n"
+
+
+def test_cli_groups_lists_the_choices_for_an_unknown_name(capsys):
+    assert main(["groups", "a5", "psl27"]) == 3
+    assert capsys.readouterr().err == "error: unknown group 'psl27' (choices: sl2f5, a5, icosian)\n"
+
+
+@pytest.mark.parametrize(
+    "command, route, stdout",
+    [
+        ("det", "alexander_det", "checkerboard 3 fox 4\nMISMATCH between determinant routes\n"),
+        (
+            "cover-h1", "goeritz_determinant",
+            "cover-h1 Z/3\ncover-h1-order 3\ndeterminant 4\n"
+            "MISMATCH between cover homology and determinant\n",
+        ),
+    ],
+)
+def test_cli_determinant_routes_that_disagree_exit_one(command, route, stdout, monkeypatch, capsys):
+    monkeypatch.setattr(cli, route, lambda pd: 4)
+    assert main([command, TREFOIL_PLAT]) == 1
+    assert capsys.readouterr().out == stdout
 
 
 TWIST_COMMANDS = {

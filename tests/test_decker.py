@@ -1,5 +1,6 @@
 """Doubled spun-surface diagrams and the separating-curve criterion."""
 
+import hashlib
 import itertools
 import random
 from unittest import mock
@@ -21,6 +22,7 @@ from conftest import (
     parse_curve,
     parse_decker,
     rotate_curve,
+    route_region_oracle,
     side_map,
     spin_chord_diagram,
 )
@@ -29,7 +31,9 @@ from spunslice.diagrams import PlatError, PlatWord, TwistVector, chord_diagram_o
 from spunslice.decker import (
     MAX_WINDING,
     NORTH,
+    OVER_OFFSET,
     SOUTH,
+    UNDER_OFFSET,
     SliceCurve,
     check_winding,
     criterion_report,
@@ -285,6 +289,35 @@ def test_each_annulus_is_routed_once_whatever_the_twists(tv):
     with mock.patch.object(decker, "_route_region", counting):
         symmetric_union_curve(ds, TwistVector(tv))
     assert len(calls) == ds.l - 1
+
+
+@settings(max_examples=200, deadline=None)
+@example(16, OVER_OFFSET, UNDER_OFFSET, -8)
+@example(4096, UNDER_OFFSET, OVER_OFFSET, 8)
+@example(17, UNDER_OFFSET, UNDER_OFFSET, 0)
+@given(
+    st.integers(16, 4096),
+    st.sampled_from([OVER_OFFSET, UNDER_OFFSET]),
+    st.sampled_from([OVER_OFFSET, UNDER_OFFSET]),
+    st.integers(-8, 8),
+)
+def test_two_strand_router_equals_the_general_router(m, top, bottom, winds):
+    # the descending and the ascending strand of one annulus, as the
+    # doubled curve describes them
+    arcs = [
+        (m - top, m - bottom, decker._short_rep(top - bottom, m) + winds * m),
+        (top, bottom, decker._short_rep(bottom - top, m) + winds * m),
+    ]
+    assert decker._route_region(m, arcs) == route_region_oracle(m, arcs)
+
+
+def test_t35_sweep_and_long_twist_curves_are_pinned():
+    # the first 16 hex digits of sha256(repr([(rows, vertices) ...]))
+    ds = spin_plat(T35)
+    tvs = list(itertools.product((-2, 0, 2), repeat=3)) + [(1000, 1000, 1000)]
+    curves = [symmetric_union_curve(ds, TwistVector(tv)) for tv in tvs]
+    digest = hashlib.sha256(repr([(c.rows, c.vertices) for c in curves]).encode()).hexdigest()
+    assert digest[:16] == "f33498a47643d9c5"
 
 
 def test_slice_curve_winding_is_bounded_before_any_routing():

@@ -27,8 +27,10 @@ from conftest import (
     compile_schedule_rescan,
     generating_sequence_pairwise,
     hom_count_brute,
+    hom_extension_oracle,
     icosian_as_q5,
     light_generators_walk,
+    normal_closure_all_conjugates,
     parse_presentation,
     quaternion_product_q5,
     sl2_f5_matrix_count,
@@ -37,12 +39,14 @@ from conftest import (
     unit_icosians_q5,
 )
 from spunslice.certificate import CertifyConfig
+from spunslice.corpus import shipped_manifest_path
 from spunslice.diagrams import (
     PlatError,
     PlatWord,
     TwistVector,
     build_symmetric_union,
     closure_components,
+    parse_plat,
     plat_to_pd,
 )
 from spunslice.groups import (
@@ -71,7 +75,7 @@ from spunslice.groups import (
     todd_coxeter,
     wirtinger,
 )
-from spunslice.groups.finite import closure_elements, is_even
+from spunslice.groups.finite import _hom_from_generators, closure_elements, is_even
 from spunslice.groups import homcount, quaternions
 from spunslice.groups.homcount import (
     DEFAULT_NODE_BUDGET,
@@ -184,6 +188,20 @@ def test_square_knot_branched_cover_homology():
     ab = abelianization(branched_cover_presentation(wirtinger(plat_to_pd(sq))))
     assert ab.torsion == (3, 3)
     assert ab.order == 9
+
+
+# the first 16 hex digits of sha256(repr([(n_generators, relators) ...])) of
+# the branched-cover presentations of the shipped knotted plats; relator
+# order fixes the Todd-Coxeter run and with it `cosets-defined`
+COVER_PRESENTATIONS_DIGEST = "c314e39c7d2f0429"
+
+
+def test_branched_cover_presentations_of_the_shipped_plats_are_pinned():
+    plats = shipped_manifest_path().parent / "plats"
+    knots = [parse_plat((plats / f"{name}.plat").read_text()) for name in ("figure8", "k5_2", "t25", "t35", "trefoil")]
+    covers = [branched_cover_presentation(wirtinger(plat_to_pd(knot))) for knot in knots]
+    digest = hashlib.sha256(repr([(p.n_generators, p.relators) for p in covers]).encode()).hexdigest()
+    assert digest[:16] == COVER_PRESENTATIONS_DIGEST
 
 
 def test_third_determinant_route_matches_the_other_two():
@@ -519,6 +537,33 @@ def test_commutator_subgroup_from_generators_matches_all_pairs(name):
         ref = FiniteGroup(H.mult, name=H.name)
         ref.commutator_subgroup = commutator_subgroup_all_pairs(ref)
         assert _report_fields(structure_report(H)) == _report_fields(structure_report(ref))
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
+def test_classes_and_normal_closures_match_all_conjugates(name):
+    G = _closure_group(name)
+    every = range(G.order)
+    orbits = {tuple(sorted({G.mult[G.mult[g][a]][G.inverse[g]] for g in every})) for a in every}
+    assert G.conjugacy_classes == tuple(sorted(orbits))
+    for a in every:
+        assert G.normal_closure({a}) == normal_closure_all_conjugates(G, {a})
+    pair = G._greedy_generators(every)[:2]
+    assert G.normal_closure(pair) == normal_closure_all_conjugates(G, pair)
+
+
+@pytest.mark.parametrize("make", [lambda: symmetric_group(3), lambda: alternating_group(4)], ids=["S3", "A4"])
+def test_hom_from_generators_is_none_exactly_when_some_product_breaks(make):
+    G = make()
+    # a generating pair plus their product, so the images must also agree
+    # with each other
+    a, b = G._greedy_generators(range(G.order))
+    gens = [a, b, G.mult[a][b]]
+    found = 0
+    for images in itertools.product(range(G.order), repeat=3):
+        phi = _hom_from_generators(G, G, gens, images)
+        assert phi == hom_extension_oracle(G, G, gens, images), images
+        found += phi is not None
+    assert 0 < found < G.order**2
 
 
 class _CountedRows(tuple):

@@ -140,6 +140,10 @@ def test_certificate_text_output(failed_cert):
     assert "  goeritz-determinant 9" in lines
 
 
+def test_certify_takes_a_plain_tuple_as_its_twist_vector():
+    assert certificate_json(certify(T35, (2, 2, 2))) == certificate_json(certify(T35, TwistVector((2, 2, 2))))
+
+
 def test_mixed_twists_fail_the_definiteness_premise():
     cert = certify(T35, TwistVector((2, -2, 2)))
     assert cert.verdict == "failed: definite-cobordism"
