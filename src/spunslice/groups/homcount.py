@@ -43,8 +43,8 @@ A free candidate is scored by a worklist closure over the relators it
 touches: the generators that choosing it would determine.  The closure
 finds the generator at a relator's last unknown position among the
 relator's distinct generators.  Both lists, the relators of each generator
-and the generators of each relator, are built by `_relator_index` for the
-greedy compile, and once more for all of the lookahead's compiles.
+and the generators of each relator, are built by `_relator_index` once per
+`_choose_schedule`, for the greedy compile and all of the lookahead's.
 
 The dominance rule.  "Derive when exactly one position is unknown" is
 monotone (knowing more never blocks a derive) and its closure idempotent,
@@ -265,11 +265,11 @@ def _choose_schedule(n: int, rels: list[tuple[int, ...]]):
     `_LOOKAHEAD_COST` per generator: then the cheapest of the schedules
     that open with one of the `_LOOKAHEAD_WIDTH` first choices of largest
     gain, the greedy one on ties."""
-    blocks = _compile_schedule(n, rels)
+    index = _relator_index(n, rels)
+    blocks = _compile_schedule(n, rels, index=index)
     best = _modelled_cost(blocks)
     if best <= _LOOKAHEAD_COST * n:
         return blocks
-    index = _relator_index(n, rels)
     cascade = _Cascade(n, rels, index)
     # the first of these is the greedy choice, already compiled
     for c in cascade.ranked(cascade.run(), _LOOKAHEAD_WIDTH)[1:]:

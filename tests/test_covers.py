@@ -20,7 +20,9 @@ from conftest import (
     TREFOIL,
     goeritz_matrix,
     join_components,
+    ladder_plats,
 )
+from spunslice.corpus import shipped_manifest_path
 from spunslice.covers import (
     alexander_det,
     alexander_polynomial,
@@ -37,6 +39,7 @@ from spunslice.diagrams import (
     TwistVector,
     build_symmetric_union,
     closure_components,
+    parse_plat,
     plat_to_pd,
 )
 
@@ -306,3 +309,20 @@ def test_definiteness_matches_sign_pattern(diag):
         assert verdict == "negative"
     else:
         assert verdict == "indefinite"
+
+
+def test_even_union_determinant_is_the_square_on_both_routes():
+    # |det(K u K*(tv))| = det(K)^2 for even tv, on the knotted shipped plats
+    # and the 6/40 and 8/60 ladder plats, four seeded twist vectors each
+    plats = shipped_manifest_path().parent / "plats"
+    knots = [parse_plat(p.read_text()) for p in sorted(plats.glob("*.plat")) if p.stem != "unknot"]
+    knots += [plat for name, plat in ladder_plats() if not name.startswith("10x")]
+    assert len(knots) == 15
+    rng = random.Random(26)
+    for plat in knots:
+        det = goeritz_determinant(plat_to_pd(plat))
+        assert det > 1 or plat == T35
+        for _ in range(4):
+            tv = TwistVector(tuple(rng.choice(range(-6, 7, 2)) for _ in range(plat.strands // 2)))
+            pd = plat_to_pd(build_symmetric_union(plat, tv).knot)
+            assert goeritz_determinant(pd) == alexander_det(pd) == det * det, (plat, tv)

@@ -75,7 +75,7 @@ from spunslice.groups import (
     todd_coxeter,
     wirtinger,
 )
-from spunslice.groups.finite import _hom_from_generators, closure_elements, is_even
+from spunslice.groups.finite import _hom_from_generators, closure_elements, is_even, table_group
 from spunslice.groups import homcount, quaternions
 from spunslice.groups.homcount import (
     DEFAULT_NODE_BUDGET,
@@ -270,6 +270,45 @@ def test_branched_torus_cover_is_the_binary_icosahedral_group():
     cover = FiniteGroup(regular_representation(r), name="coverG")
     assert iso_check(cover, sl2_f5()) is not None
     assert structure_report(cover).perfect
+
+
+def _orbifold_presentation(plat: PlatWord) -> GroupPresentation:
+    """The Wirtinger presentation plus x_i^2 for every meridian, built
+    without Reidemeister-Schreier: its meridians map onto Z/2 with the
+    branched double cover's group as kernel."""
+    w = wirtinger(plat_to_pd(plat))
+    n = w.n_generators
+    return GroupPresentation(n, w.relators + tuple((i, i) for i in range(1, n + 1)))
+
+
+def test_t35_cover_order_by_the_orbifold_route():
+    # index 240 over the index-2 subgroup of the words x_1 x_i leaves the
+    # order-120 cover group; its table, read off the regular representation,
+    # is SL(2,5), as the premise finds through the rewritten presentation
+    orb = _orbifold_presentation(T35)
+    r = todd_coxeter(orb, max_cosets=100_000)
+    assert r.complete and r.index == 240
+    kernel = tuple((1, i) for i in range(1, orb.n_generators + 1))
+    assert todd_coxeter(orb, kernel, max_cosets=100_000).index == 2
+    mult = regular_representation(r)
+    # coset 0 is the identity and the element x_i the coset it reaches
+    x = [r.table[0][2 * i - 2] for i in range(1, orb.n_generators + 1)]
+
+    def mul(a: int, b: int) -> int:
+        return mult[a][b]
+
+    elems = closure_elements([mul(x[0], xi) for xi in x], mul)
+    assert len(elems) == 120
+    assert iso_check(table_group(elems, mul), sl2_f5()) is not None
+    cover = branched_cover_presentation(wirtinger(plat_to_pd(T35)))
+    assert todd_coxeter(cover, max_cosets=100_000).index == len(elems)
+
+
+def test_t37_orbifold_and_cover_both_run_out_of_budget():
+    cover = branched_cover_presentation(wirtinger(plat_to_pd(t3_plat(7))))
+    for pres in (_orbifold_presentation(t3_plat(7)), cover):
+        r = todd_coxeter(pres, max_cosets=20_000)
+        assert (r.status, r.cosets_defined) == ("inconclusive", 20_000)
 
 
 # ---------------------------------------------------------------------------
@@ -822,9 +861,9 @@ def test_lookahead_candidates_match_the_rescanning_oracle_on_knots(monkeypatch):
     compile_schedule = homcount._compile_schedule
     calls = []
 
-    def recorded(n, rels, *args):
+    def recorded(n, rels, *args, **kwargs):
         calls.append(args)
-        return compile_schedule(n, rels, *args)
+        return compile_schedule(n, rels, *args, **kwargs)
 
     monkeypatch.setattr(homcount, "_compile_schedule", recorded)
     looked_ahead = 0
@@ -1031,9 +1070,9 @@ def test_collapse_check_compiles_each_presentation_once(monkeypatch, battery):
     compiles, counts = [], []
     compile_schedule, count = homcount._compile_schedule, homcount.hom_count
 
-    def counted_compile(n, rels):
+    def counted_compile(n, rels, **kwargs):
         compiles.append(n)
-        return compile_schedule(n, rels)
+        return compile_schedule(n, rels, **kwargs)
 
     def counted_count(pres, G, **kwargs):
         counts.append(G.name)

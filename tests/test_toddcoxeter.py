@@ -1,4 +1,4 @@
-"""The flat-table Todd-Coxeter enumerator against the list-of-lists
+"""The sparse-row Todd-Coxeter enumerator against the list-of-lists
 reference `todd_coxeter_lists` in conftest, on narrow and on wide, sparse
 tables; the bytes its table costs; and where its coset budget binds."""
 
@@ -74,6 +74,23 @@ def test_the_union_find_costs_no_buffer_of_its_own():
     finally:
         tracemalloc.stop()
     assert peak <= 4.3 * cells
+
+
+@pytest.mark.parametrize("q", [7, 11])
+def test_a_defined_coset_costs_at_most_400_bytes(q):
+    # a live coset's dict holds only its defined entries, so the cost barely
+    # grows with the cover's width: 265 and 285 bytes per coset on CPython
+    # 3.11 for the 79- and 127-generator covers, where a flat 4-byte table
+    # of 2n columns takes 668 and 1,074
+    pres = branched_cover_presentation(wirtinger(plat_to_pd(t3_plat(q))))
+    tracemalloc.start()
+    try:
+        r = todd_coxeter(pres, max_cosets=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.status == "inconclusive" and r.cosets_defined == 20_000
+    assert peak <= 400 * r.cosets_defined
 
 
 def test_the_trivial_group_has_one_coset():
