@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .covers import (
     alexander_det,
@@ -204,8 +203,7 @@ def battery_group(name: str) -> FiniteGroup:
 DEFAULT_BATTERY = ("S3", "A4", "S4", "A5")
 
 
-@dataclass(frozen=True)
-class CertifyConfig:
+class CertifyConfig(NamedTuple):
     """Tunable search limits and the finite-quotient battery."""
 
     resolution: int = DEFAULT_RESOLUTION
@@ -217,8 +215,7 @@ class CertifyConfig:
         return [battery_group(n) for n in self.battery]
 
 
-@dataclass(frozen=True)
-class PremiseRecord:
+class PremiseRecord(NamedTuple):
     """One premise of the argument.
 
     status is "checked" (machine-verified, green), "axiom" (cited input),
@@ -229,11 +226,10 @@ class PremiseRecord:
 
     name: str
     status: str
-    evidence: Mapping[str, object] = field(default_factory=dict)
+    evidence: Mapping[str, object] = {}  # shared when defaulted: read, never written
 
 
-@dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(NamedTuple):
     """One branch of the case analysis on the image group."""
 
     name: str
@@ -243,8 +239,7 @@ class CaseRecord:
     status: str  # "closed" when the branch ends in a contradiction
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     schema: int
     tool_version: str
     plat: PlatWord

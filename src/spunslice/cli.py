@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-import traceback
 from pathlib import Path
 
 from . import __version__
@@ -396,6 +395,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a bug, not a verdict: never exit 1 for it
+        import traceback  # only a bug reaches here, so a run never pays its import
+
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 4

@@ -15,8 +15,8 @@ and blank lines are ignored.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .covers import alexander_det, goeritz_determinant
 from .diagrams import PlatError, TwistVector, build_symmetric_union, parse_plat, plat_to_pd
@@ -26,8 +26,7 @@ class CorpusError(ValueError):
     """Manifest or row input problem (CLI exit code 3)."""
 
 
-@dataclass(frozen=True)
-class CorpusRow:
+class CorpusRow(NamedTuple):
     name: str
     plat_file: str
     twists: tuple[int, ...] | None
@@ -40,8 +39,7 @@ class CorpusRow:
         return self.goeritz == self.expected and self.alexander == self.expected
 
 
-@dataclass(frozen=True)
-class CorpusReport:
+class CorpusReport(NamedTuple):
     manifest: str
     rows: tuple[CorpusRow, ...]
 

@@ -17,7 +17,7 @@ cobordism are read off the same diagrams; their form is diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagrams import PDCode, PlatError, SymmetricUnion, band_arcs, wirtinger_relations
 from .groups.snf import determinant
@@ -95,8 +95,7 @@ def _minor_det(rows: list[dict[int, int]]) -> int:
     return determinant(minor, last)
 
 
-@dataclass(frozen=True)
-class GoeritzData:
+class GoeritzData(NamedTuple):
     rows: tuple[dict[int, int], ...]  # full (undeleted) matrix as sparse rows
     determinant: int
     shaded_faces: int
@@ -237,16 +236,14 @@ def alexander_det(pd: PDCode) -> int:
 # the cobordism surgery description
 
 
-@dataclass(frozen=True)
-class SurgeryBand:
+class SurgeryBand(NamedTuple):
     bridge: int
     framing: int  # -sign(t_j): positive half-twists give framing -1 bands
     half_twists: int
     arcs: tuple[int, int]  # the two strand meridians the band circle encircles
 
 
-@dataclass(frozen=True)
-class SurgeryDescription:
+class SurgeryDescription(NamedTuple):
     """Band data of the ribbon-move cobordism attached to a twisted double."""
 
     bands: tuple[SurgeryBand, ...]

@@ -46,13 +46,14 @@ sides by XOR; the wedges take theirs from the pole edges the curve uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .diagrams import (
     ChordDiagram,
     PlatError,
     PlatWord,
+    Record,
     TwistVector,
     bridge_regions,
     chord_diagram_of_tangle,
@@ -98,8 +99,7 @@ UNDER_OFFSET = 6
 # decker sets
 
 
-@dataclass(frozen=True)
-class DeckerSet:
+class DeckerSet(Record):
     """Latitude-circle pairing data of a spun knotted arc.
 
     pairs[i] = (over_circle, under_circle, sign), circles numbered 1..L in
@@ -110,30 +110,34 @@ class DeckerSet:
     swept by its arc; the first cap carries the cut and has no annulus.
     """
 
-    n: int
-    l: int
-    m: int
-    pairs: tuple[tuple[int, int, int], ...]
-    bridge_annuli: tuple[int | None, ...] | None = None
+    _fields = ("n", "l", "m", "pairs", "bridge_annuli")
 
-    def __post_init__(self):
-        if self.l != 2 * self.n or len(self.pairs) != self.n:
+    def __init__(
+        self,
+        n: int,
+        l: int,
+        m: int,
+        pairs: tuple[tuple[int, int, int], ...],
+        bridge_annuli: tuple[int | None, ...] | None = None,
+    ):
+        if l != 2 * n or len(pairs) != n:
             raise PlatError("decker set needs 2n circles in n pairs")
-        if self.m < MIN_RESOLUTION:
+        if m < MIN_RESOLUTION:
             raise PlatError(
-                f"resolution {self.m} too small for the doubled curve; "
+                f"resolution {m} too small for the doubled curve; "
                 f"need at least {MIN_RESOLUTION}"
             )
-        if self.m > MAX_RESOLUTION:
-            raise PlatError(f"resolution {self.m} too large; at most {MAX_RESOLUTION}")
-        seen = sorted(c for over, under, _s in self.pairs for c in (over, under))
-        if seen != list(range(1, self.l + 1)):
+        if m > MAX_RESOLUTION:
+            raise PlatError(f"resolution {m} too large; at most {MAX_RESOLUTION}")
+        seen = sorted(c for over, under, _s in pairs for c in (over, under))
+        if seen != list(range(1, l + 1)):
             raise PlatError("pairs must partition circles 1..L")
-        for over, under, sign in self.pairs:
+        for over, under, sign in pairs:
             if over == under:
                 raise PlatError("a circle cannot pair with itself")
             if sign not in (-1, 1):
                 raise PlatError("pair sign must be +1 or -1")
+        self.n, self.l, self.m, self.pairs, self.bridge_annuli = n, l, m, pairs, bridge_annuli
 
     @cached_property
     def _roles(self) -> dict[int, tuple[int, bool]]:
@@ -171,8 +175,7 @@ def spin_plat(plat: PlatWord, m: int = DEFAULT_RESOLUTION) -> DeckerSet:
 # curves
 
 
-@dataclass(frozen=True)
-class SliceCurve:
+class SliceCurve(Record):
     """A vertex-simple cycle on the grid sphere.
 
     vertices lists the cycle in order; the edge from the last vertex back
@@ -181,16 +184,14 @@ class SliceCurve:
     boundary, row rows-1 its south boundary).
     """
 
-    l: int
-    m: int
-    rows: tuple[int, ...]
-    vertices: tuple[tuple, ...]
+    _fields = ("l", "m", "rows", "vertices")
 
-    def __post_init__(self):
-        if len(self.rows) != self.l + 1:
+    def __init__(self, l: int, m: int, rows: tuple[int, ...], vertices: tuple[tuple, ...]):
+        if len(rows) != l + 1:
             raise PlatError("need one row count per region")
-        if any(r < 1 for r in self.rows):
+        if any(r < 1 for r in rows):
             raise PlatError("every region needs at least one row")
+        self.l, self.m, self.rows, self.vertices = l, m, rows, vertices
 
     def edges(self):
         verts = self.vertices
@@ -443,8 +444,7 @@ def symmetric_union_curve(ds: DeckerSet, tv: TwistVector) -> SliceCurve:
 # two-colouring and the slice criterion
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     """Outcome of the side test: which inclusion directions hold."""
 
     verdict: str  # pass-forward | pass-reverse | fail

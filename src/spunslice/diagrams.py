@@ -26,8 +26,8 @@ Conventions used throughout:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 
 class PlatError(ValueError):
@@ -38,22 +38,46 @@ class PlatError(ValueError):
 # core value types
 
 
-@dataclass(frozen=True)
-class PlatWord:
+class Record:
+    """Equality, hash and repr by the fields named in `_fields`, as a
+    NamedTuple has them, for a record that validates or normalizes its
+    fields, keeps a per-object cache or is weakly referenced, none of which
+    a NamedTuple allows.  Unlike a tuple it equals only records of its
+    class."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class PlatWord(Record):
     """A braid word on an even number of strands, read top to bottom."""
 
-    strands: int
-    word: tuple[tuple[int, int], ...]
+    _fields = ("strands", "word")
 
-    def __post_init__(self):
-        if self.strands < 2 or self.strands % 2:
+    def __init__(self, strands: int, word: tuple[tuple[int, int], ...]):
+        if strands < 2 or strands % 2:
             raise PlatError("strand count must be even and >= 2")
-        for k, s in self.word:
-            if not 1 <= k <= self.strands - 1:
-                raise PlatError(f"generator index {k} out of range 1..{self.strands - 1}")
+        for k, s in word:
+            if not 1 <= k <= strands - 1:
+                raise PlatError(f"generator index {k} out of range 1..{strands - 1}")
             if s not in (-1, 1):
                 raise PlatError(f"letter sign must be +1 or -1, got {s}")
-        object.__setattr__(self, "word", tuple((int(k), int(s)) for k, s in self.word))
+        self.strands = strands
+        self.word = tuple((int(k), int(s)) for k, s in word)
 
     @property
     def bridges(self) -> int:
@@ -63,8 +87,7 @@ class PlatWord:
         return len(self.word)
 
 
-@dataclass(frozen=True)
-class PDCode:
+class PDCode(NamedTuple):
     """Planar diagram code: crossings as (a, b, c, d, sign) tuples.
 
     Edge labels run 1..2n and each label occurs exactly twice across all
@@ -145,34 +168,31 @@ def wirtinger_relations(pd: PDCode):
     return len(set(classes)), arc, relations
 
 
-@dataclass(frozen=True)
-class ChordDiagram:
+class ChordDiagram(Record):
     """Chord diagram of a (1,1)-tangle: marked points 1..2n on an interval.
 
     chords[i] = (a, b) where a is the endpoint at which the tangle core
     passes over and b where it passes under; signs[i] is the crossing sign.
     """
 
-    n: int
-    chords: tuple[tuple[int, int], ...]
-    signs: tuple[int, ...]
+    _fields = ("n", "chords", "signs")
 
-    def __post_init__(self):
-        seen = sorted(p for ch in self.chords for p in ch)
-        if seen != list(range(1, 2 * self.n + 1)):
+    def __init__(self, n: int, chords: tuple[tuple[int, int], ...], signs: tuple[int, ...]):
+        seen = sorted(p for ch in chords for p in ch)
+        if seen != list(range(1, 2 * n + 1)):
             raise PlatError("chord endpoints must partition 1..2n")
-        if len(self.signs) != self.n:
+        if len(signs) != n:
             raise PlatError("need one sign per chord")
+        self.n, self.chords, self.signs = n, chords, signs
 
 
-@dataclass(frozen=True)
-class TwistVector:
+class TwistVector(Record):
     """Integer half-twist counts, one per bridge (top cap) of a plat."""
 
-    entries: tuple[int, ...]
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(t) for t in self.entries))
+    def __init__(self, entries: tuple[int, ...]):
+        self.entries = tuple(int(t) for t in entries)
 
     def validate(self, bridges: int) -> None:
         """Raise PlatError unless there is one entry per bridge, all even.
@@ -197,8 +217,7 @@ class TwistVector:
 # validation
 
 
-@dataclass(frozen=True)
-class PlatDiagram:
+class PlatDiagram(NamedTuple):
     """A validated plat word plus its strand permutation and component count."""
 
     plat: PlatWord
@@ -240,18 +259,20 @@ _DIAG = {"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}
 _CCW = ("NE", "NW", "SW", "SE")  # counterclockwise port order at a crossing
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """Edge labels of a plat diagram in traversal order, and its PD code.
 
     Edge 1 runs through top cap 1.  Passage t along the knot enters its
     crossing on edge t and leaves it on edge t+1, where edge 2n+1 is edge 1.
     """
 
-    port_label: dict  # (crossing, port) -> label of the edge at that port
-    cap_label: dict  # top cap j -> label of the edge through it
-    chords: tuple  # (over entry time, under entry time) per crossing
-    pd: PDCode
+    _fields = ("port_label", "cap_label", "chords", "pd")
+
+    def __init__(self, port_label: dict, cap_label: dict, chords: tuple, pd: PDCode):
+        self.port_label = port_label  # (crossing, port) -> label of the edge at that port
+        self.cap_label = cap_label  # top cap j -> label of the edge through it
+        self.chords = chords  # (over entry time, under entry time) per crossing
+        self.pd = pd
 
 
 def _sweep(plat: PlatWord) -> Embedding:
@@ -316,8 +337,7 @@ def build_embedding(plat: PlatWord) -> Embedding:
     emb = plat.__dict__.get("_embedding")
     if emb is None:
         validate_plat(plat)
-        emb = _sweep(plat)
-        object.__setattr__(plat, "_embedding", emb)
+        emb = plat._embedding = _sweep(plat)
     return emb
 
 
@@ -358,8 +378,7 @@ def bridge_regions(plat: PlatWord) -> dict[int, int | None]:
 # symmetric unions (twisted mirror doubles)
 
 
-@dataclass(frozen=True)
-class BandSite:
+class BandSite(NamedTuple):
     """Where band j's twist region lives in the doubled diagram.
 
     letter_index points at the first twist letter in the twisted word (or
@@ -376,8 +395,7 @@ class BandSite:
     half_twists: int
 
 
-@dataclass(frozen=True)
-class SymmetricUnion:
+class SymmetricUnion(NamedTuple):
     """Result of doubling a plat with per-bridge twist regions."""
 
     base: PlatWord

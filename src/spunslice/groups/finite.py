@@ -13,9 +13,9 @@ positive word in S and the orbit is all of <S>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
+from typing import NamedTuple
 
 from ..diagrams import PlatError
 
@@ -352,8 +352,7 @@ def sl2_f5() -> FiniteGroup:
 # structure report
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     order: int
     class_sizes: tuple[int, ...]
     center_order: int

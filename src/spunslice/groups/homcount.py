@@ -87,8 +87,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from heapq import heappop, heappush, nlargest
+from typing import NamedTuple
 
 from .finite import FiniteGroup
 from .presentations import GroupPresentation, invert
@@ -99,8 +99,7 @@ _LOOKAHEAD_COST = 2_000
 _LOOKAHEAD_WIDTH = 8
 
 
-@dataclass(frozen=True)
-class HomCount:
+class HomCount(NamedTuple):
     status: str  # "exact" | "inconclusive"
     count: int | None
     nodes: int
@@ -332,8 +331,7 @@ def _schedule(pres: GroupPresentation) -> tuple[int, list, bool]:
             (g, *_search_block(steps))
             for g, steps in (_choose_schedule(n, list(simple.relators)) if n else ())
         ]
-        got = (n, blocks, simple.meridians == frozenset(range(1, n + 1)))
-        object.__setattr__(pres, "_hom_schedule", got)
+        got = pres._hom_schedule = (n, blocks, simple.meridians == frozenset(range(1, n + 1)))
     return got
 
 
@@ -429,8 +427,7 @@ def hom_count(
 # collapse evidence
 
 
-@dataclass(frozen=True)
-class CollapseReport:
+class CollapseReport(NamedTuple):
     verdict: str  # "consistent-collapse" | "distinguished" | "inconclusive"
     rows: tuple[tuple[str, int | None, int | None], ...]
 

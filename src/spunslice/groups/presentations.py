@@ -9,9 +9,7 @@ rewriting below relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..diagrams import PDCode, PlatError, SymmetricUnion, band_arcs, wirtinger_relations
+from ..diagrams import PDCode, PlatError, Record, SymmetricUnion, band_arcs, wirtinger_relations
 from .snf import AbelianInvariants, invariants_of_rows
 
 Word = tuple[int, ...]
@@ -31,22 +29,22 @@ def free_reduce(word: Word) -> Word:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(Record):
     """<x_1..x_n | relators>, optionally with meridian-marked generators."""
 
-    n_generators: int
-    relators: tuple[Word, ...]
-    meridians: frozenset[int] = field(default_factory=frozenset)
+    _fields = ("n_generators", "relators", "meridians")
 
-    def __post_init__(self):
-        for r in self.relators:
+    def __init__(
+        self, n_generators: int, relators: tuple[Word, ...], meridians: frozenset[int] = frozenset()
+    ):
+        for r in relators:
             for x in r:
-                if x == 0 or abs(x) > self.n_generators:
+                if x == 0 or abs(x) > n_generators:
                     raise ValueError(f"relator letter {x} out of range")
-        for m in self.meridians:
-            if not 1 <= m <= self.n_generators:
+        for m in meridians:
+            if not 1 <= m <= n_generators:
                 raise ValueError(f"meridian index {m} out of range")
+        self.n_generators, self.relators, self.meridians = n_generators, relators, meridians
 
     def simplified(self) -> "GroupPresentation":
         """Free reduction plus removal of empty/duplicate relators."""

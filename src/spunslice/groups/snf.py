@@ -13,15 +13,13 @@ normal form."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .finite import is_even
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(NamedTuple):
     """Invariant factors (including trivial 1s) plus free rank."""
 
     divisors: tuple[int, ...]

@@ -25,15 +25,14 @@ inconclusive result instead of running forever.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .presentations import GroupPresentation, Word
 
 DEFAULT_MAX_COSETS = 2_000_000
 
 
-@dataclass(frozen=True)
-class CosetResult:
+class CosetResult(NamedTuple):
     status: str  # "complete" | "inconclusive"
     index: int | None
     table: tuple[tuple[int, ...], ...] | None  # rows: cosets, cols: 2n letters

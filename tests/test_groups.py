@@ -5,7 +5,6 @@ via subgroup rewriting plus Smith normal form must agree with the two
 diagrammatic routes from test_covers.py.
 """
 
-import dataclasses
 import gc
 import hashlib
 import itertools
@@ -530,7 +529,7 @@ def _closure_group(name: str) -> FiniteGroup:
 
 def _report_fields(rep):
     """The report with each quotient replaced by its order."""
-    return dataclasses.replace(rep, quotients=tuple(q.order for q, _ in rep.quotients))
+    return rep._replace(quotients=tuple(q.order for q, _ in rep.quotients))
 
 
 @cache

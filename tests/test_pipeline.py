@@ -2,7 +2,9 @@
 
 import contextlib
 import io
+import itertools
 import json
+import random
 import re
 import time
 import xml.dom.minidom
@@ -158,6 +160,41 @@ def test_mixed_twists_fail_the_definiteness_premise():
         "definiteness": "indefinite",
     }
     assert cert.premise("cobordism-collapse").status == "skipped"
+
+
+# The verdict of T(3,5) depends only on the sign pattern of the twist
+# vector: the cobordism presentation adds one relator per nonzero twist and
+# the linking form is the diagonal of -sign(t_j).  Sign patterns over "-0+".
+SIGN_CLASS_VERDICTS = {
+    "obstruction-premises-verified": {"---", "--0", "0--", "0-0", "0+0", "0++", "++0", "+++"},
+    "failed: cobordism-collapse": {"-0-", "-00", "00-", "000", "00+", "+00", "+0+"},
+    "failed: definite-cobordism": {
+        "--+", "-0+", "-+-", "-+0", "-++", "0-+", "0+-", "+--", "+-0", "+-+", "+0-", "++-",
+    },
+}
+
+
+def _sign_class(tv) -> str:
+    return "".join("-0+"[(t > 0) - (t < 0) + 1] for t in tv)
+
+
+def _sign_class_verdict(tv) -> str:
+    (verdict,) = [v for v, signs in SIGN_CLASS_VERDICTS.items() if _sign_class(tv) in signs]
+    return verdict
+
+
+def test_t35_verdicts_over_the_27_sign_classes():
+    assert [len(signs) for signs in SIGN_CLASS_VERDICTS.values()] == [8, 7, 12]
+    for tv in itertools.product((-2, 0, 2), repeat=3):
+        assert certify(T35, TwistVector(tv)).verdict == _sign_class_verdict(tv), tv
+
+
+def test_large_even_twists_get_the_verdict_of_their_sign_class():
+    r = random.Random(19)
+    vectors = [tuple(r.choice((-1, 0, 1)) * r.randrange(2, 65, 2) for _ in range(3)) for _ in range(6)]
+    assert len({_sign_class_verdict(tv) for tv in vectors}) == 3
+    for tv in vectors:
+        assert certify(T35, TwistVector(tv)).verdict == _sign_class_verdict(tv), tv
 
 
 def test_collapse_budget_exhaustion_is_inconclusive():

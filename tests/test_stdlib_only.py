@@ -1,5 +1,6 @@
 """The runtime package imports nothing but the standard library and itself,
-integer elimination lives in `groups/snf.py` alone,
+and neither `dataclasses` nor, at import, `traceback`; integer elimination
+lives in `groups/snf.py` alone,
 `decker.__all__` names only what the rest of the runtime or the bench uses,
 every top-level function or method of the runtime has a caller outside
 its own body, and every entry point the traced bench wraps exists."""
@@ -7,6 +8,7 @@ its own body, and every entry point the traced bench wraps exists."""
 import ast
 import importlib.util
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,6 +38,28 @@ def test_the_runtime_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names and name != "spunslice"
     ]
     assert foreign == []
+
+
+def test_no_runtime_module_imports_dataclasses():
+    # an @dataclass execs generated source in every process that imports
+    # its module; records are NamedTuples or `diagrams.Record` classes
+    offenders = [
+        str(path.relative_to(PACKAGE))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if "dataclasses" in _imported_top_level_modules(path)
+    ]
+    assert offenders == []
+
+
+def test_importing_the_package_and_cli_leaves_dataclasses_and_traceback_unloaded():
+    # -S: no site hooks, so only the package's own imports count
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+        "import spunslice, spunslice.cli; "
+        "print(sorted({'dataclasses', 'traceback'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _names_and_imports(path: Path):

@@ -32,7 +32,7 @@ def presentations(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(presentations(), st.sampled_from((1, 5, 50, 2000)))
-def test_flat_table_matches_the_list_table(case, budget):
+def test_sparse_rows_match_the_list_table(case, budget):
     pres, subgroup = case
     assert todd_coxeter(pres, subgroup, budget) == todd_coxeter_lists(pres, subgroup, budget)
 
@@ -46,8 +46,9 @@ def test_t35_cover_enumeration_matches_the_list_table():
 
 
 def test_coset_table_costs_at_most_five_bytes_per_cell():
-    # 4 bytes per cell in the flat table; one Python list per coset takes
-    # 8.8 bytes per cell here and fails
+    # the sparse rows hold only the defined entries and peak at 1.7 bytes
+    # per cell here; one Python list per coset takes 8.8 bytes per cell and
+    # fails
     pres = branched_cover_presentation(wirtinger(plat_to_pd(t3_plat(7))))
     cells = 20_000 * 2 * pres.n_generators
     assert cells == 20_000 * 158
@@ -62,9 +63,9 @@ def test_coset_table_costs_at_most_five_bytes_per_cell():
 
 
 def test_the_union_find_costs_no_buffer_of_its_own():
-    # the union-find lives in the dead rows, so past the 4 bytes per cell only
-    # the table's own growth slack remains; a separate parent list of Python
-    # ints takes 4.43 bytes per cell here and fails
+    # the union-find is one array('i') of forwarding pointers, 4 bytes per
+    # coset, beside the sparse rows; the whole enumeration peaks at 1.7
+    # bytes per cell here
     pres = branched_cover_presentation(wirtinger(plat_to_pd(t3_plat(7))))
     cells = 20_000 * 2 * pres.n_generators
     tracemalloc.start()
