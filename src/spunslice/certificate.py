@@ -29,6 +29,7 @@ import json
 import time
 from typing import Mapping, NamedTuple
 
+from . import __version__
 from .covers import (
     alexander_det,
     cobordism_linking_matrix,
@@ -53,28 +54,26 @@ from .diagrams import (
     plat_to_pd,
     validate_plat,
 )
-from .groups import (
+from .groups.finite import (
     FiniteGroup,
     GroupError,
-    abelianization,
     alternating_group,
-    branched_cover_presentation,
-    cobordism_presentation,
-    collapse_check,
     cyclic_group,
-    icosian_group,
-    icosian_involution_lemma,
     iso_check,
-    regular_representation,
     sl2_f5,
     structure_report,
     su2_obstruction,
     symmetric_group,
-    todd_coxeter,
+)
+from .groups.homcount import DEFAULT_NODE_BUDGET, collapse_check
+from .groups.presentations import (
+    abelianization,
+    branched_cover_presentation,
+    cobordism_presentation,
     wirtinger,
 )
-from .groups.homcount import DEFAULT_NODE_BUDGET
-from .groups.toddcoxeter import DEFAULT_MAX_COSETS
+from .groups.quaternions import icosian_group, icosian_involution_lemma
+from .groups.toddcoxeter import DEFAULT_MAX_COSETS, regular_representation, todd_coxeter
 
 SCHEMA_VERSION = 1
 
@@ -481,8 +480,6 @@ def certify(plat: PlatWord, tv: TwistVector, config: CertifyConfig | None = None
     skipped once the verdict is decided.  Invalid input raises
     CertifyError instead of producing a certificate.
     """
-    from . import __version__
-
     cfg = config or CertifyConfig()
     if cfg.resolution > MAX_RESOLUTION:
         raise CertifyError(f"resolution {cfg.resolution} too large; at most {MAX_RESOLUTION}")

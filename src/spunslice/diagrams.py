@@ -217,14 +217,6 @@ class TwistVector(Record):
 # validation
 
 
-class PlatDiagram(NamedTuple):
-    """A validated plat word plus its strand permutation and component count."""
-
-    plat: PlatWord
-    permutation: tuple[int, ...]  # permutation[c-1] = column where top-column c exits
-    components: int
-
-
 def strand_permutation(plat: PlatWord) -> tuple[int, ...]:
     pos = list(range(plat.strands))  # pos[i] = current column (0-based) of strand i
     col = list(range(plat.strands))  # inverse
@@ -244,12 +236,11 @@ def closure_components(plat: PlatWord) -> int:
     return max(_classes(2 * n, chain(strands, caps))) + 1
 
 
-def validate_plat(plat: PlatWord) -> PlatDiagram:
+def validate_plat(plat: PlatWord) -> None:
     """Check the closure is a knot; reject links naming the component count."""
     comps = closure_components(plat)
     if comps != 1:
         raise PlatError(f"plat closure has {comps} components, expected a knot (1)")
-    return PlatDiagram(plat, strand_permutation(plat), comps)
 
 
 # ---------------------------------------------------------------------------

@@ -44,26 +44,25 @@ from spunslice.diagrams import (
     build_symmetric_union,
     plat_to_pd,
 )
-from spunslice.groups import (
+from spunslice.groups.finite import (
     FiniteGroup,
-    abelianization,
     alternating_group,
-    branched_cover_presentation,
-    cobordism_presentation,
-    collapse_check,
     cyclic_group,
-    hom_count,
-    icosian_group,
-    icosian_involution_lemma,
     iso_check,
-    regular_representation,
     sl2_f5,
     structure_report,
     su2_obstruction,
     symmetric_group,
-    todd_coxeter,
+)
+from spunslice.groups.homcount import collapse_check, hom_count
+from spunslice.groups.presentations import (
+    abelianization,
+    branched_cover_presentation,
+    cobordism_presentation,
     wirtinger,
 )
+from spunslice.groups.quaternions import icosian_group, icosian_involution_lemma
+from spunslice.groups.toddcoxeter import regular_representation, todd_coxeter
 
 
 def _report(number, name, t0, budget):

@@ -27,6 +27,7 @@ from spunslice.diagrams import (
     format_plat,
     parse_plat,
     plat_to_pd,
+    strand_permutation,
     validate_plat,
 )
 from spunslice.covers import goeritz_determinant
@@ -37,9 +38,9 @@ from spunslice.covers import goeritz_determinant
 # ---------------------------------------------------------------------------
 
 def test_trefoil_validates_as_knot():
-    diag = validate_plat(TREFOIL)
-    assert diag.components == 1
-    assert diag.permutation == (1, 3, 2, 4)
+    validate_plat(TREFOIL)
+    assert closure_components(TREFOIL) == 1
+    assert strand_permutation(TREFOIL) == (1, 3, 2, 4)
     assert TREFOIL.bridges == 2
 
 
@@ -50,8 +51,8 @@ def test_empty_word_on_four_strands_is_a_two_component_link():
 
 
 def test_unknot_and_kink_validate():
-    assert validate_plat(UNKNOT).components == 1
-    assert validate_plat(KINK).components == 1
+    assert validate_plat(UNKNOT) is None and closure_components(UNKNOT) == 1
+    assert validate_plat(KINK) is None and closure_components(KINK) == 1
 
 
 def test_odd_strand_count_rejected():
@@ -178,7 +179,7 @@ def test_symmetric_union_of_trefoil_is_frozen():
     assert [s.half_twists for s in sites] == [2, 2]
     assert sites[0].columns == (1, 2)
     assert sites[1].columns == (4, 5)
-    assert validate_plat(su.knot).components == 1
+    assert validate_plat(su.knot) is None and closure_components(su.knot) == 1
 
 
 def test_symmetric_union_zero_twists_is_the_untwisted_diagram():
@@ -251,8 +252,8 @@ def test_random_plats_round_trip(plat):
     assert mirror(mirror(plat)) == plat
     if closure_components(plat) != 1:
         return
-    diag = validate_plat(plat)
-    assert diag.components == 1
+    validate_plat(plat)
+    assert closure_components(plat) == 1
     pd = plat_to_pd(plat)
     pd.validate()
     assert pd.n_crossings == len(plat.word)

@@ -42,16 +42,21 @@ from spunslice.diagrams import (
     plat_to_pd,
     wirtinger_relations,
 )
-from spunslice.groups import (
+from spunslice.groups import snf
+from spunslice.groups.presentations import (
     GroupPresentation,
-    abelian_invariants,
     abelianization,
     branched_cover_presentation,
-    elementary_divisors,
-    snf,
     wirtinger,
 )
-from spunslice.groups.snf import _bareiss, _divisors, determinant, eliminate_unit_pivots
+from spunslice.groups.snf import (
+    _bareiss,
+    _divisors,
+    abelian_invariants,
+    determinant,
+    elementary_divisors,
+    eliminate_unit_pivots,
+)
 from test_covers import _seeded_knots_and_unions
 
 try:

@@ -8,6 +8,7 @@ diagrammatic routes from test_covers.py.
 import gc
 import hashlib
 import itertools
+import random
 import time
 import weakref
 from functools import cache, partial
@@ -43,47 +44,56 @@ from spunslice.diagrams import (
     PlatError,
     PlatWord,
     TwistVector,
+    build_embedding,
     build_symmetric_union,
     closure_components,
     parse_plat,
     plat_to_pd,
+    wirtinger_relations,
 )
-from spunslice.groups import (
+from spunslice.groups import homcount, quaternions
+from spunslice.groups.finite import (
     FiniteGroup,
     GroupError,
-    GroupPresentation,
-    abelianization,
+    _hom_from_generators,
     alternating_group,
-    branched_cover_presentation,
-    cobordism_presentation,
-    collapse_check,
+    closure_elements,
     cyclic_group,
-    elementary_divisors,
-    format_presentation,
-    hom_count,
-    icosian_group,
-    icosian_involution_lemma,
+    is_even,
     iso_check,
-    regular_representation,
-    reidemeister_schreier_index2,
     sl2_f5,
-    smith_normal_form,
     structure_report,
     su2_obstruction,
     symmetric_group,
-    todd_coxeter,
-    wirtinger,
+    table_group,
 )
-from spunslice.groups.finite import _hom_from_generators, closure_elements, is_even, table_group
-from spunslice.groups import homcount, quaternions
 from spunslice.groups.homcount import (
     DEFAULT_NODE_BUDGET,
     HomCount,
     _choose_schedule,
     _compile_schedule,
     _modelled_cost,
+    collapse_check,
+    hom_count,
 )
-from spunslice.groups.quaternions import GENERATORS, _unit_icosians, icosian_mul
+from spunslice.groups.presentations import (
+    GroupPresentation,
+    abelianization,
+    branched_cover_presentation,
+    cobordism_presentation,
+    format_presentation,
+    reidemeister_schreier_index2,
+    wirtinger,
+)
+from spunslice.groups.quaternions import (
+    GENERATORS,
+    _unit_icosians,
+    icosian_group,
+    icosian_involution_lemma,
+    icosian_mul,
+)
+from spunslice.groups.snf import elementary_divisors, smith_normal_form
+from spunslice.groups.toddcoxeter import regular_representation, todd_coxeter
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +318,38 @@ def test_t37_orbifold_and_cover_both_run_out_of_budget():
     for pres in (_orbifold_presentation(t3_plat(7)), cover):
         r = todd_coxeter(pres, max_cosets=20_000)
         assert (r.status, r.cosets_defined) == ("inconclusive", 20_000)
+
+
+def _twisted_band_presentation(su) -> GroupPresentation:
+    """The cobordism group read off the twisted union, without band_arcs:
+    its Wirtinger presentation plus x_a x_b^-1 for each twisted band, a and
+    b the arcs at the NW and NE ports of the band's first twist letter."""
+    emb = build_embedding(su.knot)
+    _n, arc, _relations = wirtinger_relations(emb.pd)
+    w = wirtinger(emb.pd)
+
+    def arc_at(site, port: str) -> int:
+        return arc[emb.port_label[site.letter_index, port]] + 1
+
+    bands = tuple((arc_at(site, "NW"), -arc_at(site, "NE")) for site in su.sites if site.half_twists != 0)
+    return GroupPresentation(w.n_generators, w.relators + bands)
+
+
+def test_the_cobordism_group_depends_only_on_the_twist_support(battery):
+    # the runtime adds its band relators to the untwisted union; the twisted
+    # union with its bands identified must have the same hom counts
+    plats = shipped_manifest_path().parent / "plats"
+    knots = [parse_plat(p.read_text()) for p in sorted(plats.glob("*.plat")) if p.stem != "unknot"]
+    assert len(knots) == 5
+    rng = random.Random(28)
+    for plat in knots:
+        for _ in range(6):
+            tv = TwistVector(tuple(rng.choice(range(-4, 7, 2)) for _ in range(plat.bridges)))
+            su = build_symmetric_union(plat, tv)
+            runtime, oracle = cobordism_presentation(su), _twisted_band_presentation(su)
+            for G in battery:
+                a, b = hom_count(runtime, G), hom_count(oracle, G)
+                assert a.exact and b.exact and a.count == b.count, (plat, tv, G.name)
 
 
 # ---------------------------------------------------------------------------

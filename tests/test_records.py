@@ -9,8 +9,9 @@ from conftest import TREFOIL
 from spunslice.certificate import certificate_dict, certify
 from spunslice.decker import DeckerSet, SliceCurve
 from spunslice.diagrams import ChordDiagram, PlatError, PlatWord, TwistVector, build_embedding
-from spunslice.groups import GroupPresentation, hom_count, symmetric_group
-from spunslice.groups.homcount import _schedule
+from spunslice.groups.finite import symmetric_group
+from spunslice.groups.homcount import _schedule, hom_count
+from spunslice.groups.presentations import GroupPresentation
 
 
 @pytest.mark.parametrize("args, error, message", [

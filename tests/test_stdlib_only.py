@@ -3,7 +3,9 @@ and neither `dataclasses` nor, at import, `traceback`; integer elimination
 lives in `groups/snf.py` alone,
 `decker.__all__` names only what the rest of the runtime or the bench uses,
 every top-level function or method of the runtime has a caller outside
-its own body, and every entry point the traced bench wraps exists."""
+its own body, every entry point the traced bench wraps exists, the package
+files import nothing, and importing the cli loads every module the bench
+reads but not `render`."""
 
 import ast
 import importlib.util
@@ -176,3 +178,55 @@ def test_every_entry_point_the_traced_bench_wraps_exists():
         if attr not in vars(owner)
     ]
     assert missing == []
+
+
+def _fresh(statement: str, expression: str):
+    """The value of a literal expression after the statement, in a fresh
+    interpreter; -S: no site hooks, so only the package's own imports count."""
+    code = f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); {statement}; print({expression})"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    return ast.literal_eval(out.stdout)
+
+
+_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'spunslice')"
+
+
+def test_the_package_files_import_nothing():
+    # every name is imported from the module that defines it, so importing
+    # one module runs no other through a package facade
+    for init in (PACKAGE / "__init__.py", PACKAGE / "groups" / "__init__.py"):
+        tree = ast.parse(init.read_text(), filename=str(init))
+        assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(tree)), init
+
+
+def test_importing_diagrams_loads_no_other_module_of_the_package():
+    assert _fresh("import spunslice.diagrams", _LOADED) == ["spunslice", "spunslice.diagrams"]
+
+
+def test_importing_the_cli_leaves_render_unloaded():
+    assert "spunslice.render" not in _fresh("import spunslice, spunslice.cli", _LOADED)
+
+
+def test_the_cli_import_loads_every_module_the_bench_reads():
+    # the worker imports only spunslice and spunslice.cli and then reads the
+    # other modules as attributes; spans.install wraps only the modules
+    # already in sys.modules when it runs, so each module _targets() names
+    # must be loaded by the cli import, or its traced layer would read 0
+    spans = ast.parse((PERFBENCH / "spans.py").read_text())
+    targets = next(n for n in spans.body if isinstance(n, ast.FunctionDef) and n.name == "_targets")
+    wrapped = sorted(
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(targets) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    )
+    assert "spunslice.groups.homcount" in wrapped
+    read = sorted(set(re.findall(r"\bss((?:\.\w+)+)", (PERFBENCH / "worker.py").read_text())))
+    assert ".groups.presentations.cobordism_presentation" in read
+    # an attribute chain the worker reads that the cli import left unbound
+    # raises AttributeError, and the child exits nonzero
+    statement = (
+        "import functools, spunslice, spunslice.cli; "
+        f"[functools.reduce(getattr, chain.split('.')[1:], spunslice) for chain in {read!r}]"
+    )
+    loaded = _fresh(statement, _LOADED)
+    assert [m for m in wrapped if m not in loaded] == []

@@ -9,12 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import T35, t3_plat, todd_coxeter_lists
 from spunslice.diagrams import plat_to_pd
-from spunslice.groups import (
-    GroupPresentation,
-    branched_cover_presentation,
-    todd_coxeter,
-    wirtinger,
-)
+from spunslice.groups.presentations import GroupPresentation, branched_cover_presentation, wirtinger
+from spunslice.groups.toddcoxeter import todd_coxeter
 
 
 @st.composite
@@ -62,7 +58,7 @@ def test_coset_table_costs_at_most_five_bytes_per_cell():
     assert peak <= 5 * cells
 
 
-def test_the_union_find_costs_no_buffer_of_its_own():
+def test_the_t37_enumeration_to_20000_cosets_peaks_at_most_4_3_bytes_per_cell():
     # the union-find is one array('i') of forwarding pointers, 4 bytes per
     # coset, beside the sparse rows; the whole enumeration peaks at 1.7
     # bytes per cell here
