@@ -38,7 +38,13 @@ from spunslice.diagrams import (
     validate_plat,
 )
 from spunslice.groups.finite import GroupError
-from spunslice.groups.presentations import GroupPresentation, Word
+from spunslice.groups.homcount import (
+    DEFAULT_NODE_BUDGET,
+    HomCount,
+    _centralizer_orbits,
+    _choose_schedule,
+)
+from spunslice.groups.presentations import GroupPresentation, Word, invert
 from spunslice.groups.snf import UnitReduction
 from spunslice.groups.toddcoxeter import DEFAULT_MAX_COSETS, CosetResult
 
@@ -226,6 +232,119 @@ def compile_schedule_rescan(n: int, rels: list, first: int | None = None) -> lis
             g = max(free, key=lambda c: (cascade(assigned | {c}, list(consumed)), -c))
         blocks.append((g, []))
         assigned.add(g)
+
+
+class _ReferenceBudget(Exception):
+    pass
+
+
+def _reference_block(steps) -> tuple[list[tuple], int]:
+    # (kind, g, a, b): kind 1 derives g as img[a]*img[b]*img[a]^-1, kind 2
+    # as the word a, and kind 0 checks the word a with b derives before it
+    out = []
+    derives = 0
+    for step in steps:
+        if step[0] == "check":
+            out.append((0, 0, step[1], derives))
+            continue
+        _, g, prefix, suffix, eps = step
+        word = invert(prefix) + invert(suffix) if eps > 0 else suffix + prefix
+        if len(word) == 3 and word[2] == -word[0]:
+            out.append((1, g, word[0], word[1]))
+        else:
+            out.append((2, g, word, 0))
+        derives += 1
+    return out, derives
+
+
+def hom_count_reference(pres, G, node_budget: int = DEFAULT_NODE_BUDGET) -> HomCount:
+    """`hom_count` on the package's schedule and pruning with a plain step
+    runner: every check is multiplied out from the identity and every
+    derive writes the inverse of its image.  `hom_count` must return the
+    same status, count and nodes under every node budget."""
+    simple = pres.simplified()
+    n = simple.n_generators
+    if n == 0:
+        return HomCount("exact", 1, 0)
+    blocks = [
+        (g, *_reference_block(steps)) for g, steps in _choose_schedule(n, list(simple.relators))
+    ]
+    all_meridian = simple.meridians == frozenset(range(1, n + 1))
+    mult, conj, inv, ident = G.mult, G.conjugation, G.inverse, G.identity
+    img = [ident] * (2 * n + 1)
+    nodes = 0
+
+    def run(steps, derives) -> bool:
+        nonlocal nodes
+        crossing = max(node_budget - nodes, 0) + 1
+        if derives >= crossing:
+            # the steps before the crossing derive
+            k = crossing
+            for i, step in enumerate(steps):
+                if step[0]:
+                    k -= 1
+                    if not k:
+                        steps = steps[:i]
+                        break
+        for kind, g, a, b in steps:
+            if kind == 1:
+                acc = conj[img[a]][img[b]]
+            else:
+                acc = ident
+                for x in a:
+                    acc = mult[acc][img[x]]
+                if not kind:
+                    if acc != ident:
+                        nodes += b
+                        return False
+                    continue
+            img[g] = acc
+            img[-g] = inv[acc]
+        if derives >= crossing:
+            nodes += crossing
+            raise _ReferenceBudget
+        nodes += derives
+        return True
+
+    try:
+        _, steps, derives = blocks[0]
+        if not run(steps, derives):
+            return HomCount("exact", 0, nodes)
+        if len(blocks) == 1:
+            return HomCount("exact", 1, nodes)
+        total = 0
+        stack = [iter([(cls[0], len(cls)) for cls in G.conjugacy_classes])]
+        weights = [1]
+        while stack:
+            item = next(stack[-1], None)
+            if item is None:
+                stack.pop()
+                weights.pop()
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise _ReferenceBudget
+            depth = len(stack)
+            g, steps, derives = blocks[depth]
+            cand, w = item
+            img[g] = cand
+            img[-g] = inv[cand]
+            if not run(steps, derives):
+                continue
+            w *= weights[-1]
+            if depth + 1 == len(blocks):
+                total += w
+                continue
+            if depth == 1:
+                domain = G.conjugacy_classes[G.class_index[cand]] if all_meridian else range(G.order)
+                unweighted = [(h, 1) for h in domain]
+                stack.append(iter(_centralizer_orbits(G, cand, domain)))
+            else:
+                stack.append(iter(unweighted))
+            weights.append(w)
+    except _ReferenceBudget:
+        return HomCount("inconclusive", None, nodes)
+    return HomCount("exact", total, nodes)
 
 
 def lagrange_fraction(points, values) -> list:

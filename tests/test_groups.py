@@ -27,6 +27,7 @@ from conftest import (
     compile_schedule_rescan,
     generating_sequence_pairwise,
     hom_count_brute,
+    hom_count_reference,
     hom_extension_oracle,
     icosian_as_q5,
     light_generators_walk,
@@ -745,7 +746,7 @@ def test_a_budget_crossed_after_checks_inside_a_block_counts_one_node_at_a_time(
     G = alternating_group(5)
     assert hom_count(pres, G) == HomCount("exact", 360, 109)
     _, blocks, _ = homcount._schedule(pres)
-    assert [step[0] for step in blocks[-1][1]] == [1, 1, 0, 0, 1, 0, 0]
+    assert [step[0] for step in blocks[-1][1]] == [2, 2, 0, 0, 2, 0, 0]
     before_derive, checks_before_crossing = homcount._before_derive, []
 
     def recorded(steps, k):
@@ -771,6 +772,69 @@ def test_node_counts_on_the_t35_sweep_unions(battery):
         counts = [hom_count(pres, G) for pres in unions]
         sums.append((sum(hc.count for hc in counts), sum(hc.nodes for hc in counts)))
     assert sums == [(162, 12_240), (324, 24_582), (648, 60_836), (28_980, 390_480)]
+
+
+@st.composite
+def _searched_presentations(draw):
+    # relators x y x^-1 z (one-lookup derives and checks) mixed with other
+    # words, negative letters included so that some inverses are read
+    n = draw(st.integers(1, 5))
+    letter = st.integers(-n, n).filter(bool)
+    conjugate = st.tuples(letter, letter, letter).map(lambda t: (t[0], t[1], -t[0], t[2]))
+    other = st.lists(letter, min_size=1, max_size=5).map(tuple)
+    relators = draw(st.lists(st.one_of(conjugate, other), max_size=6))
+    meridians = frozenset(range(1, n + 1)) if draw(st.booleans()) else frozenset()
+    return GroupPresentation(n, tuple(relators), meridians)
+
+
+def test_hom_count_matches_the_reference_step_runner():
+    # the reference multiplies out every check and writes every inverse;
+    # a search capped at `cap` nodes draws its budget up to the cap instead
+    cap = 20_000
+    kinds = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _searched_presentations(),
+        st.sampled_from([symmetric_group(3), alternating_group(4), alternating_group(5)]),
+        st.integers(0, 10**6),
+    )
+    # every step kind: derives 1 to 4, a one-lookup check and a word check
+    @example(
+        GroupPresentation(4, ((3,), (-4,), (3, 2, -3, -1), (-3, 2, 3, -4), (3, 1, -3, -3), (-2,))),
+        alternating_group(4),
+        10**6,
+    )
+    def check(pres, G, draw):
+        full = hom_count_reference(pres, G, node_budget=cap)
+        budget = draw % (full.nodes + 2)
+        assert hom_count(pres, G, node_budget=budget) == hom_count_reference(pres, G, budget)
+        _, blocks, _ = homcount._schedule(pres)
+        kinds.update(step[0] or ("check", bool(step[3])) for _, steps, _ in blocks for step in steps)
+
+    check()
+    assert kinds == {1, 2, 3, 4, ("check", True), ("check", False)}
+
+
+def test_t35_sweep_schedules_check_in_one_lookup_and_skip_only_unread_inverses():
+    # the T(3,5) knot and its 27 unions with twists in {-2,0,2}^3
+    checks, skipped, written = 0, 0, 0
+    for n, rels in _t35_sweep_schedule_inputs():
+        _, blocks, _ = homcount._schedule(GroupPresentation(n, tuple(rels)))
+        steps = [step for _, block, _ in blocks for step in block]
+        read = set()
+        for kind, g, a, b, c in steps:
+            read.update((a, b, c) if not kind and b else (a, b) if kind in (1, 2) else a)
+        for kind, g, a, b, c in steps:
+            if not kind:
+                checks += 1
+                assert b
+            elif kind in (1, 3):
+                skipped += 1
+                assert -g not in read
+            else:
+                written += 1
+    assert (checks, skipped, written) == (156, 1_556, 422)
 
 
 @settings(max_examples=20, deadline=None)

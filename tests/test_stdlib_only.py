@@ -105,14 +105,13 @@ def test_integer_elimination_lives_in_snf_alone():
 
 
 def test_every_name_decker_exports_is_used_outside_the_module():
-    # a re-export from the package's __init__ is not a use; helpers that
-    # only tests call belong in tests/conftest.py
+    # helpers that only tests call belong in tests/conftest.py
     assert (PERFBENCH / "spans.py").is_file()
     texts = [
         path.read_text()
         for path in sorted(PACKAGE.rglob("*.py")) + sorted(PERFBENCH.rglob("*.py"))
         + sorted(PERFBENCH.rglob("*.md"))
-        if path not in (PACKAGE / "decker.py", PACKAGE / "__init__.py")
+        if path != PACKAGE / "decker.py"
     ]
     unused = [
         name for name in decker.__all__
