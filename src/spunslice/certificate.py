@@ -79,29 +79,14 @@ SCHEMA_VERSION = 1
 
 VERDICT_VERIFIED = "obstruction-premises-verified"
 
-#: Machine-checked premises, in execution order.
-CHECKED_PREMISES = (
-    "slice-criterion",
-    "homology-sphere",
-    "definite-cobordism",
-    "cobordism-collapse",
-    "base-cover-binary-icosahedral",
-    "quotient-structure",
-    "su2-obstruction-cases",
-)
-
-#: Cited inputs.  This list is part of the certificate format: every
-#: certificate carries exactly these four axiom records, and any change to
-#: the list is a breaking format change.
-AXIOMS = (
-    "slice-criterion-geometric-conclusion",
-    "taubes-definite-filling",
-    "daemi-su2-obstruction",
-    "amalgam-normal-form",
-)
-
-_AXIOM_EVIDENCE = {
-    "slice-criterion-geometric-conclusion": {
+#: The argument in record order: each machine premise (None) where it runs,
+#: in execution order, and each cited axiom (its evidence) at the point of
+#: the argument where it is consumed.  This table is part of the certificate
+#: format: every certificate carries exactly these records in this order, and
+#: any change to it is a breaking format change.
+_ARGUMENT = (
+    ("slice-criterion", None),
+    ("slice-criterion-geometric-conclusion", {
         "statement": (
             "a separating curve on the doubled spun-sphere diagram whose "
             "double points satisfy the one-sided containment test is "
@@ -110,8 +95,12 @@ _AXIOM_EVIDENCE = {
             "double cover of the sphere, an integer homology 4-sphere"
         ),
         "reference": "geometric input; stated without machine proof",
-    },
-    "taubes-definite-filling": {
+    }),
+    ("homology-sphere", None),
+    ("definite-cobordism", None),
+    ("cobordism-collapse", None),
+    ("base-cover-binary-icosahedral", None),
+    ("taubes-definite-filling", {
         "statement": (
             "an integer homology 3-sphere bounding a simply connected "
             "4-manifold with a nonstandard definite intersection form "
@@ -119,8 +108,8 @@ _AXIOM_EVIDENCE = {
             "sum with its own mirror"
         ),
         "reference": "Taubes, J. Differential Geom. 25 (1987) 363-430",
-    },
-    "daemi-su2-obstruction": {
+    }),
+    ("daemi-su2-obstruction", {
         "statement": (
             "any definite 4-manifold bounded by that connected sum carries "
             "a nontrivial SU(2) representation of its fundamental group "
@@ -130,32 +119,22 @@ _AXIOM_EVIDENCE = {
             "Daemi, Chern-Simons functional and the homology cobordism "
             "group, Duke Math. J. 169 (2020)"
         ),
-    },
-    "amalgam-normal-form": {
+    }),
+    ("quotient-structure", None),
+    ("su2-obstruction-cases", None),
+    ("amalgam-normal-form", {
         "statement": (
             "in a free product amalgamated over injective edge maps the "
             "factors embed into the amalgam, so an amalgam of nontrivial "
             "factors is nontrivial"
         ),
         "reference": "Lyndon & Schupp, Combinatorial Group Theory, ch. IV",
-    },
-}
-
-#: Display order of premise records: machine checks interleaved with the
-#: axioms at the point of the argument where each axiom is consumed.
-RECORD_ORDER = (
-    "slice-criterion",
-    "slice-criterion-geometric-conclusion",
-    "homology-sphere",
-    "definite-cobordism",
-    "cobordism-collapse",
-    "base-cover-binary-icosahedral",
-    "taubes-definite-filling",
-    "daemi-su2-obstruction",
-    "quotient-structure",
-    "su2-obstruction-cases",
-    "amalgam-normal-form",
+    }),
 )
+
+RECORD_ORDER = tuple(name for name, _ in _ARGUMENT)
+CHECKED_PREMISES = tuple(name for name, axiom in _ARGUMENT if axiom is None)
+AXIOMS = tuple(name for name, axiom in _ARGUMENT if axiom is not None)
 
 
 class CertifyError(ValueError):
@@ -225,7 +204,7 @@ class PremiseRecord(NamedTuple):
 
     name: str
     status: str
-    evidence: Mapping[str, object] = {}  # shared when defaulted: read, never written
+    evidence: Mapping[str, object]
 
 
 class CaseRecord(NamedTuple):
@@ -257,12 +236,6 @@ class Certificate(NamedTuple):
         if self.verdict.startswith("failed:"):
             return 1
         return 2
-
-    def premise(self, name: str) -> PremiseRecord:
-        for rec in self.premises:
-            if rec.name == name:
-                return rec
-        raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +378,8 @@ def _check_su2_cases(cover: FiniteGroup):
 
 
 def _premise_results(plat, tv, su, base, battery, cfg: CertifyConfig):
-    """(status, evidence) of each machine premise, in CHECKED_PREMISES
-    order; each is computed only when the next one is asked for."""
+    """(status, evidence) of each machine premise, in the table's order;
+    each is computed only when the next one is asked for."""
     yield _check_slice_criterion(plat, tv, cfg.resolution)
     yield _check_homology_sphere(su)
     yield _check_definite_cobordism(su)
@@ -417,53 +390,54 @@ def _premise_results(plat, tv, su, base, battery, cfg: CertifyConfig):
     yield _check_su2_cases(cover)
 
 
-def _case_records() -> tuple[CaseRecord, ...]:
-    return (
-        CaseRecord(
-            name="case-1-trivial-image",
-            hypothesis=(
-                "the cobordism group maps to the trivial group inside a "
-                "complementary homology ball's filling"
-            ),
-            resolution=(
-                "that filling is then a definite manifold with trivial "
-                "fundamental group (the image normally generates it), so "
-                "it carries no nontrivial representation at all, against "
-                "the representation the cited obstruction guarantees"
-            ),
-            relies_on=("definite-cobordism", "daemi-su2-obstruction"),
-            status="closed",
+#: The case analysis that a verified certificate carries, made exhaustive by
+#: the quotient-structure premise.
+_CASES = (
+    CaseRecord(
+        name="case-1-trivial-image",
+        hypothesis=(
+            "the cobordism group maps to the trivial group inside a "
+            "complementary homology ball's filling"
         ),
-        CaseRecord(
-            name="case-2-simple-image",
-            hypothesis="the image is the order-60 simple quotient",
-            resolution=(
-                "the machine checks show that quotient is simple with 15 "
-                "involutions, hence admits no nontrivial unit-quaternion "
-                "representation; a representation extending nontrivially "
-                "from the boundary would restrict nontrivially to the "
-                "image, a contradiction"
-            ),
-            relies_on=(
-                "quotient-structure",
-                "su2-obstruction-cases",
-                "daemi-su2-obstruction",
-            ),
-            status="closed",
+        resolution=(
+            "that filling is then a definite manifold with trivial "
+            "fundamental group (the image normally generates it), so "
+            "it carries no nontrivial representation at all, against "
+            "the representation the cited obstruction guarantees"
         ),
-        CaseRecord(
-            name="case-3-full-image",
-            hypothesis="both images are the full order-120 cover group",
-            resolution=(
-                "both legs of the two fillings' pushout are then injective, "
-                "so the pushout is nontrivial by the amalgam normal form; "
-                "but gluing both complementary balls rebuilds a simply "
-                "connected space, a contradiction"
-            ),
-            relies_on=("quotient-structure", "amalgam-normal-form"),
-            status="closed",
+        relies_on=("definite-cobordism", "daemi-su2-obstruction"),
+        status="closed",
+    ),
+    CaseRecord(
+        name="case-2-simple-image",
+        hypothesis="the image is the order-60 simple quotient",
+        resolution=(
+            "the machine checks show that quotient is simple with 15 "
+            "involutions, hence admits no nontrivial unit-quaternion "
+            "representation; a representation extending nontrivially "
+            "from the boundary would restrict nontrivially to the "
+            "image, a contradiction"
         ),
-    )
+        relies_on=(
+            "quotient-structure",
+            "su2-obstruction-cases",
+            "daemi-su2-obstruction",
+        ),
+        status="closed",
+    ),
+    CaseRecord(
+        name="case-3-full-image",
+        hypothesis="both images are the full order-120 cover group",
+        resolution=(
+            "both legs of the two fillings' pushout are then injective, "
+            "so the pushout is nontrivial by the amalgam normal form; "
+            "but gluing both complementary balls rebuilds a simply "
+            "connected space, a contradiction"
+        ),
+        relies_on=("quotient-structure", "amalgam-normal-form"),
+        status="closed",
+    ),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -502,30 +476,25 @@ def certify(plat: PlatWord, tv: TwistVector, config: CertifyConfig | None = None
     # first premise
     pending = _premise_results(plat, tv, su, wirtinger(plat_to_pd(plat)), battery, cfg)
     timing: dict[str, float] = {}
-    results: dict[str, PremiseRecord] = {}
+    premises: list[PremiseRecord] = []
     decided: str | None = None
-    for name in CHECKED_PREMISES:
-        if decided is not None:
-            results[name] = PremiseRecord(name, "skipped", {"reason": decided})
-            continue
-        start = time.perf_counter()
-        status, evidence = next(pending)
-        timing[name] = time.perf_counter() - start
-        results[name] = PremiseRecord(name, status, evidence)
-        if status != "checked":  # "failed: <name>" or "inconclusive: <name>"
-            decided = f"{status}: {name}"
-
-    for name in AXIOMS:
-        results[name] = PremiseRecord(name, "axiom", dict(_AXIOM_EVIDENCE[name]))
+    for name, axiom in _ARGUMENT:
+        if axiom is not None:  # a copy, so no certificate shares the table's dict
+            premises.append(PremiseRecord(name, "axiom", dict(axiom)))
+        elif decided is not None:
+            premises.append(PremiseRecord(name, "skipped", {"reason": decided}))
+        else:
+            start = time.perf_counter()
+            status, evidence = next(pending)
+            timing[name] = time.perf_counter() - start
+            premises.append(PremiseRecord(name, status, evidence))
+            if status != "checked":  # "failed: <name>" or "inconclusive: <name>"
+                decided = f"{status}: {name}"
 
     if decided is None:
-        verdict = VERDICT_VERIFIED
-        cases = _case_records()
-        case_basis = "quotient-structure"
+        verdict, cases, case_basis = VERDICT_VERIFIED, _CASES, "quotient-structure"
     else:
-        verdict = decided
-        cases = ()
-        case_basis = ""
+        verdict, cases, case_basis = decided, (), ""
 
     return Certificate(
         schema=SCHEMA_VERSION,
@@ -533,7 +502,7 @@ def certify(plat: PlatWord, tv: TwistVector, config: CertifyConfig | None = None
         plat=plat,
         tv=tv,
         config=cfg,
-        premises=tuple(results[name] for name in RECORD_ORDER),
+        premises=tuple(premises),
         cases=cases,
         case_basis=case_basis,
         verdict=verdict,

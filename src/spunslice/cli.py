@@ -120,8 +120,7 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_validate(args) -> int:
-    plat = _knot(args)
-    validate_plat(plat)
+    plat = _knot(args)  # validated by _load_plat, or for a union by build_symmetric_union
     print(f"strands {plat.strands} letters {len(plat.word)} bridges {plat.strands // 2} components 1")
     return 0
 

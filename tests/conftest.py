@@ -126,6 +126,14 @@ ALEX_AT_3 = {
 }
 
 
+def premise(cert, name: str):
+    """The premise record of `cert` named `name`."""
+    for rec in cert.premises:
+        if rec.name == name:
+            return rec
+    raise KeyError(name)
+
+
 def sl2_f5_matrix_count() -> int:
     """Independent count of all determinant-1 matrices over F_5."""
     return sum(

@@ -5,8 +5,8 @@ command, the lower resolution bound of the slice-curve commands, the upper
 one and the band-winding bound they share with certify, and the 0-crossing
 unknot; unreadable files, bad, oversized or empty batteries, an empty
 output path and shared flags that a command does not read, which are input
-errors; and fuzzed plat text,
-which never ends in exit 4."""
+errors; help and version, which leave through argparse's exit 0; and
+fuzzed plat text, manifests and argv, which never end in exit 4."""
 
 import contextlib
 import hashlib
@@ -59,6 +59,10 @@ def test_cli_certify_reproduces_the_golden_certificate(name, argv, rc, tmp_path,
 # ---------------------------------------------------------------------------
 
 CLI_PINS = {
+    "validate": (["validate", TREFOIL_PLAT], 0, "strands 4 letters 3 bridges 2 components 1\n"),
+    "validate-union": (
+        ["validate", TREFOIL_PLAT, "--twists", "2,2"], 0, "strands 6 letters 20 bridges 3 components 1\n",
+    ),
     "goeritz": (["goeritz", TREFOIL_PLAT], 0, "   3   -3\n  -3    3\ndeterminant 3\n"),
     "pi1": (
         ["pi1", TREFOIL_PLAT], 0,
@@ -720,3 +724,108 @@ def test_cli_manifest_text_fuzz_exits_with_a_result_or_one_input_error(text):
     assert code in (0, 1, 3), err.getvalue()
     # one error line for an input error, none for a result
     assert err.getvalue().count("error:") == (code == 3)
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every command exits with a result, an input error or its help
+# ---------------------------------------------------------------------------
+
+_INFO_FLAGS = ["-h", "--help", "--version"]
+
+
+@pytest.mark.parametrize("argv", [[flag] for flag in _INFO_FLAGS] + [[c, "-h"] for c in sorted(READ_FLAGS)])
+def test_cli_help_and_version_leave_through_argparse_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out and err == ""
+
+
+_ARGV_BRIDGES = {"trefoil": 2, "unknot": 1, "figure8": 2}  # shipped plats small enough for any twist
+_EDGE_VALUES = [
+    "", "0", "-1", "9" * 20,
+    "1,2", "2,,2", "2,2,2", "2",  # odd, empty-entry and wrong-length twists
+    "15", "16", "4096", "4097",  # resolutions at and past both bounds
+    "Nope", "S3,Q8",  # unknown battery groups
+    ".", "missing/file",  # a directory and a missing path, in the draw's working directory
+]
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A valid argv of one of the twelve commands, with even twists of at
+    most 8, mutated one to three times: a flag dropped, repeated or moved
+    (before the command too), a flag's or a positional's value replaced
+    from the edge pool, or -h, --help or --version put anywhere."""
+    command = draw(st.sampled_from(sorted(READ_FLAGS)))
+    name = draw(st.sampled_from(sorted(_ARGV_BRIDGES)))
+    plat = str(PLATS / f"{name}.plat")
+    kind = draw(st.sampled_from(["chord", "decker", "plat", "pd"]))
+    positionals = {
+        "groups": draw(st.lists(st.sampled_from(["sl2f5", "a5", "icosian"]), max_size=2)),
+        "corpus": draw(st.sampled_from([[], [str(shipped_manifest_path())]])),
+        "render": [kind, plat],
+    }.get(command, [plat])
+    valid = {
+        "--twists": ",".join(str(2 * draw(st.integers(-4, 4))) for _ in range(_ARGV_BRIDGES[name])),
+        "--battery": ",".join(draw(st.lists(st.sampled_from(["S3", "A4", "S4", "A5"]), min_size=1, max_size=2))),
+        "--max-cosets": "1000",
+        "--resolution": draw(st.sampled_from(["16", "24", "32"])),
+        "--out": "out",
+    }
+    needed = {"--twists"} if command in ("symunion", "cobordism", "certify") else set()
+    # an item is (flag, value, joined); the command's flag is "", a positional's None
+    items = [("", command, False)] + [(None, value, False) for value in positionals]
+    for flag in READ_FLAGS[command]:
+        if flag in needed or draw(st.booleans()):
+            if not (flag == "--resolution" and command == "render" and kind != "decker"):
+                value = valid[flag]
+                items.append((flag, value, value.startswith("-") or draw(st.booleans())))
+    if command == "certify" and draw(st.booleans()):
+        items.append(("--timing", None, False))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "repeat", "move", "edge", "info"]))
+        if op == "edge":
+            slots = [i for i, (flag, value, _) in enumerate(items) if flag != "" and value is not None]
+            if slots:
+                i = draw(st.sampled_from(slots))
+                flag, _, joined = items[i]
+                items[i] = (flag, draw(st.sampled_from(_EDGE_VALUES)), joined)
+        elif op == "info":
+            items.insert(draw(st.integers(0, len(items))), (draw(st.sampled_from(_INFO_FLAGS)), None, False))
+        else:
+            flags = [i for i, (flag, _, _) in enumerate(items) if flag]
+            if flags:
+                i = draw(st.sampled_from(flags))
+                item = items[i] if op == "repeat" else items.pop(i)
+                if op != "drop":
+                    items.insert(draw(st.integers(0, len(items))), item)
+    argv = []
+    for flag, value, joined in items:
+        if not flag:
+            argv.append(value)
+        elif value is None:
+            argv.append(flag)
+        else:
+            argv.extend([f"{flag}={value}"] if joined else [flag, value])
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+@example(["certify", TREFOIL_PLAT, "--twists", "2,2", "--out", "."])
+@example(["--twists=-2,2", "validate", TREFOIL_PLAT, "--help"])
+def test_cli_argv_fuzz_exits_with_a_result_an_input_error_or_help(argv):
+    # in a fresh directory, which relative paths and what --out writes stay in
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                # only help and version leave through argparse's exit
+                assert exc.code == 0 and set(argv) & set(_INFO_FLAGS), argv
+                code = 0
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "internal error" not in err.getvalue()

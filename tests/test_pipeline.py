@@ -12,7 +12,7 @@ import xml.dom.minidom
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import T35, TREFOIL, TWO_COMPONENT, format_decker
+from conftest import T35, TREFOIL, TWO_COMPONENT, format_decker, premise
 from spunslice.certificate import (
     AXIOMS,
     CHECKED_PREMISES,
@@ -76,12 +76,12 @@ def test_failed_certificate_stops_at_first_red_premise(failed_cert):
     assert cert.exit_code == 1
     assert [p.name for p in cert.premises] == list(RECORD_ORDER)
 
-    assert cert.premise("slice-criterion").status == "checked"
-    ev = cert.premise("slice-criterion").evidence
+    assert premise(cert, "slice-criterion").status == "checked"
+    ev = premise(cert, "slice-criterion").evidence
     assert ev["verdict"] == "pass-forward"
     assert ev["double-point-circles"] == 6
 
-    hs = cert.premise("homology-sphere")
+    hs = premise(cert, "homology-sphere")
     assert hs.status == "failed"
     assert hs.evidence == {
         "alexander-determinant": 9,
@@ -96,7 +96,7 @@ def test_failed_certificate_stops_at_first_red_premise(failed_cert):
         "quotient-structure",
         "su2-obstruction-cases",
     ):
-        rec = cert.premise(name)
+        rec = premise(cert, name)
         assert rec.status == "skipped"
         assert rec.evidence == {"reason": "failed: homology-sphere"}
 
@@ -114,6 +114,16 @@ def test_certificate_serialization_is_deterministic(failed_cert):
     again = certify(TREFOIL, TwistVector((2, 2)))
     assert certificate_json(failed_cert) == certificate_json(again)
     assert format_certificate(failed_cert) == format_certificate(again)
+
+
+def test_axiom_evidence_is_copied_for_each_certificate():
+    # the argument table holds each axiom's evidence dict; a certificate that
+    # shared it would let one caller's edit reach every later certificate
+    cert = certify(TREFOIL, TwistVector((2, 2)))
+    before = certificate_json(cert)
+    for name in AXIOMS:
+        premise(cert, name).evidence["statement"] = "edited"
+    assert certificate_json(certify(TREFOIL, TwistVector((2, 2)))) == before
 
 
 def test_certificate_json_shape(failed_cert):
@@ -150,8 +160,8 @@ def test_mixed_twists_fail_the_definiteness_premise():
     cert = certify(T35, TwistVector((2, -2, 2)))
     assert cert.verdict == "failed: definite-cobordism"
     assert cert.exit_code == 1
-    assert cert.premise("homology-sphere").status == "checked"
-    rec = cert.premise("definite-cobordism")
+    assert premise(cert, "homology-sphere").status == "checked"
+    rec = premise(cert, "definite-cobordism")
     assert rec.status == "failed"
     assert rec.evidence == {
         "bands": 3,
@@ -159,7 +169,7 @@ def test_mixed_twists_fail_the_definiteness_premise():
         "linking-diagonal": [1, -1, 1],
         "definiteness": "indefinite",
     }
-    assert cert.premise("cobordism-collapse").status == "skipped"
+    assert premise(cert, "cobordism-collapse").status == "skipped"
 
 
 # The verdict of T(3,5) depends only on the sign pattern of the twist
@@ -201,10 +211,10 @@ def test_collapse_budget_exhaustion_is_inconclusive():
     cert = certify(T35, TwistVector((2, 2, 2)), CertifyConfig(node_budget=100))
     assert cert.verdict == "inconclusive: cobordism-collapse"
     assert cert.exit_code == 2
-    rec = cert.premise("cobordism-collapse")
+    rec = premise(cert, "cobordism-collapse")
     assert rec.status == "inconclusive"
     assert rec.evidence["verdict"] == "inconclusive"
-    assert cert.premise("base-cover-binary-icosahedral").evidence == {
+    assert premise(cert, "base-cover-binary-icosahedral").evidence == {
         "reason": "inconclusive: cobordism-collapse"
     }
 
@@ -213,7 +223,7 @@ def test_coset_budget_exhaustion_is_inconclusive():
     cert = certify(T35, TwistVector((2, 2, 2)), CertifyConfig(max_cosets=50))
     assert cert.verdict == "inconclusive: base-cover-binary-icosahedral"
     assert cert.exit_code == 2
-    rec = cert.premise("base-cover-binary-icosahedral")
+    rec = premise(cert, "base-cover-binary-icosahedral")
     assert rec.status == "inconclusive"
     assert rec.evidence == {"cover-h1": "0", "cosets-defined": 50, "order": None}
 
