@@ -31,7 +31,7 @@ from typing import Mapping, NamedTuple
 
 from . import __version__
 from .covers import (
-    alexander_det,
+    bridge_fox_det,
     cobordism_linking_matrix,
     goeritz_determinant,
     is_definite,
@@ -263,7 +263,7 @@ def _check_slice_criterion(plat: PlatWord, tv: TwistVector, resolution: int):
 def _check_homology_sphere(su):
     pd = plat_to_pd(su.knot)
     det_g = goeritz_determinant(pd)
-    det_a = alexander_det(pd)
+    det_a = bridge_fox_det(su.knot)
     evidence = {
         "goeritz-determinant": det_g,
         "alexander-determinant": det_a,

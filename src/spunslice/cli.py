@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .certificate import (
 )
 from .corpus import CorpusError, corpus_run, format_corpus_report, shipped_manifest_path
 from .covers import (
-    alexander_det,
+    bridge_fox_det,
     cobordism_linking_matrix,
     goeritz,
     goeritz_determinant,
@@ -77,6 +78,10 @@ class CliInputError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # `--twists -2,2` reads as `--twists=-2,2`
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
+
     def error(self, message):  # usage problems are input errors (exit 3)
         raise CliInputError(message)
 
@@ -126,9 +131,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    pd = plat_to_pd(_knot(args))
-    det_g = goeritz_determinant(pd)
-    det_a = alexander_det(pd)
+    knot = _knot(args)
+    det_g = goeritz_determinant(plat_to_pd(knot))
+    det_a = bridge_fox_det(knot)
     print(f"checkerboard {det_g} fox {det_a}")
     if det_g != det_a:
         print("MISMATCH between determinant routes")

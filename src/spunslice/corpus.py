@@ -18,7 +18,7 @@ import importlib.resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .covers import alexander_det, goeritz_determinant
+from .covers import bridge_fox_det, goeritz_determinant
 from .diagrams import PlatError, TwistVector, build_symmetric_union, parse_plat, plat_to_pd
 
 
@@ -109,9 +109,8 @@ def corpus_run(manifest_path: str | Path) -> CorpusReport:
                 knot = plat
             else:
                 knot = build_symmetric_union(plat, TwistVector(twists)).knot
-            pd = plat_to_pd(knot)
-            det_g = goeritz_determinant(pd)
-            det_a = alexander_det(pd)
+            det_g = goeritz_determinant(plat_to_pd(knot))
+            det_a = bridge_fox_det(knot)
         except PlatError as exc:
             raise CorpusError(f"manifest line {ln} ({name}): {exc}") from exc
         rows.append(CorpusRow(name, plat_file, twists, expected, det_g, det_a))

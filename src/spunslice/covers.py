@@ -1,25 +1,24 @@
-"""Determinant invariants and surgery data from PD codes: the constructions.
+"""Determinant invariants and surgery data: the constructions.
 
 Two independent routes to the knot determinant are implemented:
 
-* a Goeritz matrix built from a checkerboard coloring of the diagram's
-  faces, and
-* the Alexander polynomial (via Fox derivatives of a Wirtinger
-  presentation) evaluated at t = -1.
+* a Goeritz matrix built from a checkerboard coloring of the PD's faces, and
+* Fox colorings of the plat word, the Fox Jacobian at t = -1 of its bridge
+  presentation, which never builds the PD code.
 
-Keeping both routes separate lets downstream checks compare them (and the
-order of the double branched cover's first homology) as genuinely distinct
-computations.  Both build sparse integer rows and share only the minor with
-the last row and column deleted; its determinant, like all integer
-elimination, is `groups.snf.determinant`.  The surgery bands of the twist
-cobordism are read off the same diagrams; their form is diagonal.
+They share only the plat word, so a fault in the PD sweep reaches Goeritz
+alone and the checks comparing the routes (and the order of the double
+branched cover's first homology) see it.  Each ends in a sparse integer
+minor whose determinant is `groups.snf.determinant`.  Fox calculus on the
+PD (`alexander_det`, `alexander_polynomial`) serves the bench and tests
+only.  The twist cobordism's surgery bands have a diagonal form.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diagrams import PDCode, PlatError, SymmetricUnion, band_arcs, wirtinger_relations
+from .diagrams import PDCode, PlatError, PlatWord, SymmetricUnion, band_arcs, wirtinger_relations
 from .groups.snf import determinant
 
 # ---------------------------------------------------------------------------
@@ -230,6 +229,26 @@ def alexander_det(pd: PDCode) -> int:
     """
     _ngen, _arc, relations = wirtinger_relations(pd)
     return abs(_minor_det(_fox_int_matrix(relations, -1)))
+
+
+def bridge_fox_det(plat: PlatWord) -> int:
+    """|Delta(-1)| by Fox colorings of the plat's b-bridge presentation
+    (Przytycki, Banach Center Publ. 42, 1998): a column's color is a linear
+    form in the top-cap colors but the last, a crossing colors its outgoing
+    under-strand 2 * over - incoming under, and bottom cap i gives the row
+    x_{2i-1} - x_{2i}.  These b - 1 rows are the Fox Jacobian at t = -1."""
+    b, cols = plat.bridges, []
+    for j in range(b - 1):  # every column's coefficient of top-cap color j
+        x = [0] * (2 * b + 1)
+        x[2 * j + 1] = x[2 * j + 2] = 1
+        for k, s in plat.word:
+            if s == 1:
+                x[k], x[k + 1] = 2 * x[k] - x[k + 1], x[k]
+            else:
+                x[k], x[k + 1] = x[k + 1], 2 * x[k + 1] - x[k]
+        cols.append(x)
+    caps = [[x[2 * i + 1] - x[2 * i + 2] for x in cols] for i in range(b - 1)]
+    return abs(determinant([{j: v for j, v in enumerate(row) if v} for row in caps], b - 1))
 
 
 # ---------------------------------------------------------------------------

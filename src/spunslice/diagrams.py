@@ -41,9 +41,8 @@ class PlatError(ValueError):
 class Record:
     """Equality, hash and repr by the fields named in `_fields`, as a
     NamedTuple has them, for a record that validates or normalizes its
-    fields, keeps a per-object cache or is weakly referenced, none of which
-    a NamedTuple allows.  Unlike a tuple it equals only records of its
-    class."""
+    fields or keeps a per-object cache, neither of which a NamedTuple
+    allows.  Unlike a tuple it equals only records of its class."""
 
     _fields: tuple[str, ...] = ()
 

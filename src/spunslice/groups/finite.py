@@ -108,6 +108,17 @@ class FiniteGroup:
         return tuple(tuple(sorted(orbit)) for _h, orbit in self.orbits(every, every))
 
     @cached_property
+    def centralizer_orbits(self) -> dict[tuple[int, bool], tuple[tuple[int, int], ...]]:
+        """`[g, whole]`: `(representative, orbit size)` per orbit of C_G(g) on g's
+        class (on G when whole), for each class representative g, in domain order."""
+        conj, every, table = self.conjugation, range(self.order), {}
+        for cls in self.conjugacy_classes:
+            cent = [c for c in every if conj[c][cls[0]] == cls[0]]
+            for whole, domain in ((False, cls), (True, every)):
+                table[cls[0], whole] = tuple((h, len(o)) for h, o in self.orbits(cent, domain))
+        return table
+
+    @cached_property
     def conjugation(self) -> tuple[tuple[int, ...], ...]:
         """`conjugation[a][b]` is a*b*a^-1; built on the first read."""
         mult, inv = self.mult, self.inverse

@@ -329,14 +329,6 @@ def _before_derive(steps, k: int) -> list[tuple]:
                 return steps[:i]
 
 
-def _centralizer_orbits(G: FiniteGroup, g: int, domain) -> list[tuple[int, int]]:
-    """`(representative, orbit size)` for each orbit of C_G(g) acting on
-    domain by conjugation, representatives first in domain order."""
-    conj = G.conjugation
-    cent = [c for c in range(G.order) if conj[c][g] == g]
-    return [(h, len(orbit)) for h, orbit in G.orbits(cent, domain)]
-
-
 def _schedule(pres: GroupPresentation) -> tuple[int, list, bool]:
     """`(n, blocks (g, search steps, derives), all meridian)` of the
     simplified presentation.  Compiled on the first count and kept on the
@@ -451,7 +443,7 @@ def hom_count(
             if depth == 1:
                 domain = G.conjugacy_classes[G.class_index[cand]] if all_meridian else range(G.order)
                 unweighted = [(h, 1) for h in domain]
-                stack.append(iter(_centralizer_orbits(G, cand, domain)))
+                stack.append(iter(G.centralizer_orbits[cand, not all_meridian]))
             else:
                 stack.append(iter(unweighted))
             weights.append(w)

@@ -17,6 +17,7 @@ from fractions import Fraction
 from dataclasses import dataclass, field
 from itertools import permutations, product
 
+from spunslice import diagrams
 from spunslice.decker import (
     DEFAULT_RESOLUTION,
     NORTH,
@@ -30,6 +31,7 @@ from spunslice.decker import (
 )
 from spunslice.diagrams import (
     ChordDiagram,
+    Embedding,
     PDCode,
     PlatError,
     PlatWord,
@@ -41,7 +43,6 @@ from spunslice.groups.finite import GroupError
 from spunslice.groups.homcount import (
     DEFAULT_NODE_BUDGET,
     HomCount,
-    _centralizer_orbits,
     _choose_schedule,
 )
 from spunslice.groups.presentations import GroupPresentation, Word, invert
@@ -81,6 +82,31 @@ def join_components(strands: int, word: list, sign: int) -> tuple:
             if closure_components(PlatWord(strands, tuple(word) + ((k, sign),))) < comps
         ))
     return tuple(word)
+
+
+def fault_the_pd_sweep(monkeypatch) -> None:
+    """A PD-sweep fault: from here on every embedding the sweep builds has
+    its first PD tuple rotated one slot and its sign negated, which swaps
+    that crossing's over and under strands."""
+    sweep = diagrams._sweep
+
+    def faulted(plat):
+        emb = sweep(plat)
+        (a, b, c, d, s), *rest = emb.pd.crossings
+        return Embedding(emb.port_label, emb.cap_label, emb.chords, PDCode(((b, c, d, a, -s), *rest)))
+
+    monkeypatch.setattr(diagrams, "_sweep", faulted)
+
+
+def seeded_knot_plat(seed: int, strands: int, letters: int) -> PlatWord:
+    """A random knot plat from random.Random(seed), redrawing words whose
+    closure is a link."""
+    rng = random.Random(seed)
+    while True:
+        word = tuple((rng.randint(1, strands - 1), rng.choice((1, -1))) for _ in range(letters))
+        plat = PlatWord(strands, word)
+        if closure_components(plat) == 1:
+            return plat
 
 
 def ladder_plats() -> list[tuple[str, PlatWord]]:
@@ -346,13 +372,22 @@ def hom_count_reference(pres, G, node_budget: int = DEFAULT_NODE_BUDGET) -> HomC
             if depth == 1:
                 domain = G.conjugacy_classes[G.class_index[cand]] if all_meridian else range(G.order)
                 unweighted = [(h, 1) for h in domain]
-                stack.append(iter(_centralizer_orbits(G, cand, domain)))
+                stack.append(iter(centralizer_orbits(G, cand, domain)))
             else:
                 stack.append(iter(unweighted))
             weights.append(w)
     except _ReferenceBudget:
         return HomCount("inconclusive", None, nodes)
     return HomCount("exact", total, nodes)
+
+
+def centralizer_orbits(G, g: int, domain) -> list[tuple[int, int]]:
+    """`(representative, orbit size)` for each orbit of C_G(g) acting on
+    domain by conjugation, representatives first in domain order, computed
+    afresh on each call: the oracle of `FiniteGroup.centralizer_orbits`."""
+    conj = G.conjugation
+    cent = [c for c in range(G.order) if conj[c][g] == g]
+    return [(h, len(orbit)) for h, orbit in G.orbits(cent, domain)]
 
 
 def lagrange_fraction(points, values) -> list:

@@ -1,12 +1,13 @@
 """Command-line runs pinned byte for byte: golden certificates, every
-subcommand, `python -m spunslice`, one parser per process answering as a
-fresh process does, one message for a bad twist vector from every twist
-command, the lower resolution bound of the slice-curve commands, the upper
-one and the band-winding bound they share with certify, and the 0-crossing
-unknot; unreadable files, bad, oversized or empty batteries, an empty
-output path and shared flags that a command does not read, which are input
-errors; help and version, which leave through argparse's exit 0; and
-fuzzed plat text, manifests and argv, which never end in exit 4."""
+subcommand, `det` under a PD-sweep fault, `python -m spunslice`, one
+parser per process answering as a fresh process does, one message for a
+bad twist vector from every twist command, the lower resolution bound of
+the slice-curve commands, the upper one and the band-winding bound they
+share with certify, and the 0-crossing unknot; unreadable files, bad,
+oversized or empty batteries, an empty output path and shared flags that
+a command does not read, which are input errors; help and version, which
+leave through argparse's exit 0; and fuzzed plat text, manifests and
+argv, which never end in exit 4."""
 
 import contextlib
 import hashlib
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import goeritz_matrix
+from conftest import fault_the_pd_sweep, goeritz_matrix
 from spunslice import certificate, cli, corpus, decker, diagrams
 from spunslice.cli import main
 from spunslice.covers import goeritz
@@ -62,6 +63,9 @@ CLI_PINS = {
     "validate": (["validate", TREFOIL_PLAT], 0, "strands 4 letters 3 bridges 2 components 1\n"),
     "validate-union": (
         ["validate", TREFOIL_PLAT, "--twists", "2,2"], 0, "strands 6 letters 20 bridges 3 components 1\n",
+    ),
+    "det-negative-first-twist": (
+        ["det", TREFOIL_PLAT, "--twists", "-2,2"], 0, "checkerboard 9 fox 9\ndeterminant 9\n",
     ),
     "goeritz": (["goeritz", TREFOIL_PLAT], 0, "   3   -3\n  -3    3\ndeterminant 3\n"),
     "pi1": (
@@ -227,7 +231,7 @@ def test_cli_groups_lists_the_choices_for_an_unknown_name(capsys):
 @pytest.mark.parametrize(
     "command, route, stdout",
     [
-        ("det", "alexander_det", "checkerboard 3 fox 4\nMISMATCH between determinant routes\n"),
+        ("det", "bridge_fox_det", "checkerboard 3 fox 4\nMISMATCH between determinant routes\n"),
         (
             "cover-h1", "goeritz_determinant",
             "cover-h1 Z/3\ncover-h1-order 3\ndeterminant 4\n"
@@ -236,9 +240,16 @@ def test_cli_groups_lists_the_choices_for_an_unknown_name(capsys):
     ],
 )
 def test_cli_determinant_routes_that_disagree_exit_one(command, route, stdout, monkeypatch, capsys):
-    monkeypatch.setattr(cli, route, lambda pd: 4)
+    monkeypatch.setattr(cli, route, lambda diagram: 4)
     assert main([command, TREFOIL_PLAT]) == 1
     assert capsys.readouterr().out == stdout
+
+
+def test_cli_det_sees_a_pd_sweep_fault(monkeypatch, capsys):
+    # the checkerboard route reads the faulted PD, the Fox route the plat word
+    fault_the_pd_sweep(monkeypatch)
+    assert main(["det", TREFOIL_PLAT]) == 1
+    assert capsys.readouterr().out == "checkerboard 1 fox 3\nMISMATCH between determinant routes\n"
 
 
 TWIST_COMMANDS = {

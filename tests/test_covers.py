@@ -2,7 +2,9 @@
 
 Every determinant is checked along two independent routes (checkerboard
 form and Fox calculus); a third route through the cover's fundamental
-group lives in test_groups.py.
+group lives in test_groups.py.  Fox calculus runs on the PD's Wirtinger
+presentation (`alexander_det`) and on the plat's bridge presentation
+(`bridge_fox_det`, the route the commands use), which never reads the PD.
 """
 
 import hashlib
@@ -18,14 +20,17 @@ from conftest import (
     FIG8,
     T35,
     TREFOIL,
+    fault_the_pd_sweep,
     goeritz_matrix,
     join_components,
     ladder_plats,
+    seeded_knot_plat,
 )
 from spunslice.corpus import shipped_manifest_path
 from spunslice.covers import (
     alexander_det,
     alexander_polynomial,
+    bridge_fox_det,
     cobordism_linking_matrix,
     goeritz,
     goeritz_determinant,
@@ -326,3 +331,43 @@ def test_even_union_determinant_is_the_square_on_both_routes():
             tv = TwistVector(tuple(rng.choice(range(-6, 7, 2)) for _ in range(plat.strands // 2)))
             pd = plat_to_pd(build_symmetric_union(plat, tv).knot)
             assert goeritz_determinant(pd) == alexander_det(pd) == det * det, (plat, tv)
+
+
+# ---------------------------------------------------------------------------
+# Fox calculus on the plat word
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(DETERMINANTS))
+def test_bridge_fox_det_matches_the_determinant_table(name):
+    plat, expected = DETERMINANTS[name]
+    assert bridge_fox_det(plat) == expected
+
+
+@st.composite
+def seeded_knots_with_twists(draw):
+    strands = draw(st.sampled_from((6, 8, 10, 12)))
+    plat = seeded_knot_plat(draw(st.integers(0, 2**32)), strands, draw(st.integers(strands, 25 * strands)))
+    tv = draw(st.lists(st.sampled_from(range(-4, 7, 2)), min_size=strands // 2, max_size=strands // 2))
+    return plat, TwistVector(tv)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seeded_knots_with_twists())
+def test_the_plat_route_agrees_with_both_pd_routes(case):
+    plat, tv = case
+    for knot in (plat, build_symmetric_union(plat, tv).knot):
+        pd = plat_to_pd(knot)
+        assert bridge_fox_det(knot) == alexander_det(pd) == goeritz_determinant(pd), (knot, tv)
+
+
+@pytest.mark.parametrize(
+    "name, faulted, true", [("trefoil", 1, 3), ("figure8", 1, 5), ("t35", 3, 1), ("k5_2", 3, 7)]
+)
+def test_a_pd_sweep_fault_splits_the_determinant_routes(name, faulted, true, monkeypatch):
+    # both PD routes read the faulted code and agree on a wrong value; the
+    # plat route reads only the word, so it keeps the true one
+    fault_the_pd_sweep(monkeypatch)
+    plat = parse_plat((shipped_manifest_path().parent / "plats" / f"{name}.plat").read_text())
+    pd = plat_to_pd(plat)
+    assert goeritz_determinant(pd) == alexander_det(pd) == faulted
+    assert bridge_fox_det(plat) == true

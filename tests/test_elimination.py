@@ -9,7 +9,6 @@ here against a computation that does not use it.
 """
 
 import heapq
-import random
 import time
 
 import pytest
@@ -24,6 +23,7 @@ from conftest import (
     join_components,
     ladder_plats,
     lagrange_fraction,
+    seeded_knot_plat,
     t3_plat,
 )
 from spunslice.covers import (
@@ -38,7 +38,6 @@ from spunslice.diagrams import (
     PlatWord,
     TwistVector,
     build_symmetric_union,
-    closure_components,
     plat_to_pd,
     wirtinger_relations,
 )
@@ -207,18 +206,9 @@ LADDER_8X60_2 = PlatWord(8, (
 ))
 
 
-def _seeded_knot_plat(seed, strands, letters):
-    rng = random.Random(seed)
-    while True:
-        word = tuple((rng.randint(1, strands - 1), rng.choice((1, -1))) for _ in range(letters))
-        plat = PlatWord(strands, word)
-        if closure_components(plat) == 1:
-            return plat
-
-
 def test_large_plats_agree_on_every_route_within_budget():
     t0 = time.monotonic()
-    for plat in (LADDER_8X60_2, _seeded_knot_plat(0, 12, 300)):
+    for plat in (LADDER_8X60_2, seeded_knot_plat(0, 12, 300)):
         pd = plat_to_pd(plat)
         det = goeritz(pd).determinant
         assert alexander_det(pd) == det
@@ -231,7 +221,7 @@ def test_large_plats_agree_on_every_route_within_budget():
 
 def test_alexander_polynomial_of_a_150_crossing_knot_within_budget():
     t0 = time.monotonic()
-    pd = plat_to_pd(_seeded_knot_plat(0, 10, 150))
+    pd = plat_to_pd(seeded_knot_plat(0, 10, 150))
     coeffs = alexander_polynomial(pd)
     assert abs(sum(c * (-1) ** k for k, c in enumerate(coeffs))) == alexander_det(pd)
     assert time.monotonic() - t0 < 10.0

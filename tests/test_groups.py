@@ -23,6 +23,7 @@ from conftest import (
     T35,
     TREFOIL,
     UNKNOT,
+    centralizer_orbits,
     commutator_subgroup_all_pairs,
     compile_schedule_rescan,
     generating_sequence_pairwise,
@@ -39,7 +40,7 @@ from conftest import (
     t3_plat,
     unit_icosians_q5,
 )
-from spunslice.certificate import CertifyConfig
+from spunslice.certificate import CertifyConfig, battery_group
 from spunslice.corpus import shipped_manifest_path
 from spunslice.diagrams import (
     PlatError,
@@ -872,6 +873,20 @@ def test_pruned_and_brute_hom_counts_agree_on_up_to_four_generators(case, g):
     n, relators = case
     pres = GroupPresentation(n, tuple(tuple(r) for r in relators))
     assert hom_count(pres, g).count == hom_count_brute(pres, g)
+
+
+@pytest.mark.parametrize("name", ["S3", "A4", "S4", "A5", "C4", "SL2F5"])
+def test_the_centralizer_orbit_table_matches_the_per_call_orbits(name):
+    # kept once per group, for each class representative and for both
+    # domains, the class and the whole group
+    G = battery_group(name)
+    every = range(G.order)
+    want = {}
+    for cls in G.conjugacy_classes:
+        want[cls[0], False] = tuple(centralizer_orbits(G, cls[0], cls))
+        want[cls[0], True] = tuple(centralizer_orbits(G, cls[0], every))
+    assert G.centralizer_orbits == want
+    assert G.centralizer_orbits is G.centralizer_orbits
 
 
 @st.composite
