@@ -228,11 +228,21 @@ def strand_permutation(plat: PlatWord) -> tuple[int, ...]:
 
 
 def closure_components(plat: PlatWord) -> int:
-    # top columns are 0..n-1 and bottom columns n..2n-1; strands and caps join them
+    # A cap pair that no letter touches closes up on its own and is only
+    # counted, so memory follows the word; the touched pairs, renumbered in
+    # order, have top columns 0..n-1 and bottom columns n..2n-1 to join.
+    pairs = sorted({p for k in {k for k, _s in plat.word} for p in ((k + 1) // 2, k // 2 + 1)})
+    untouched = plat.bridges - len(pairs)
+    if not pairs:
+        return untouched
+    if untouched:
+        rank = {p: m for m, p in enumerate(pairs)}
+        word = tuple((2 * rank[(k + 1) // 2] + 2 - k % 2, s) for k, s in plat.word)
+        plat = PlatWord(2 * len(pairs), word)
     n = plat.strands
     strands = ((c, n + p - 1) for c, p in enumerate(strand_permutation(plat)))
     caps = ((x, x + 1) for x in range(0, 2 * n, 2))
-    return max(_classes(2 * n, chain(strands, caps))) + 1
+    return max(_classes(2 * n, chain(strands, caps))) + 1 + untouched
 
 
 def validate_plat(plat: PlatWord) -> None:
@@ -245,22 +255,21 @@ def validate_plat(plat: PlatWord) -> None:
 # ---------------------------------------------------------------------------
 # planar embedding: one walk along the knot
 
-_DIAG = {"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}
-_CCW = ("NE", "NW", "SW", "SE")  # counterclockwise port order at a crossing
-
 
 class Embedding(Record):
     """Edge labels of a plat diagram in traversal order, and its PD code.
 
     Edge 1 runs through top cap 1.  Passage t along the knot enters its
     crossing on edge t and leaves it on edge t+1, where edge 2n+1 is edge 1.
+    columns[c][i] is the edge on column c just above the i-th letter (from 0)
+    that touches c, and its last entry the edge below them all, so
+    columns[c][0] runs through the column's top cap; columns[0] is unused.
     """
 
-    _fields = ("port_label", "cap_label", "chords", "pd")
+    _fields = ("columns", "chords", "pd")
 
-    def __init__(self, port_label: dict, cap_label: dict, chords: tuple, pd: PDCode):
-        self.port_label = port_label  # (crossing, port) -> label of the edge at that port
-        self.cap_label = cap_label  # top cap j -> label of the edge through it
+    def __init__(self, columns: tuple, chords: tuple, pd: PDCode):
+        self.columns = columns
         self.chords = chords  # (over entry time, under entry time) per crossing
         self.pd = pd
 
@@ -273,7 +282,9 @@ def _sweep(plat: PlatWord) -> Embedding:
     through a bottom cap into the partner column, past the first through a
     top cap.  A letter (k, s) touches columns k and k+1 and sends the walk
     on along its other column.  The walk leaves cap 1 down column 2 when a
-    letter g1 touches column 1, and down column 1 otherwise.
+    letter g1 touches column 1, and down column 1 otherwise.  Each stretch
+    of column it passes takes its edge's label.  A letter's PD tuple reads
+    the stretches at its ports, counterclockwise NE, NW, SW, SE = 0..3.
     """
     word = plat.word
     n2 = 2 * len(word)
@@ -281,39 +292,36 @@ def _sweep(plat: PlatWord) -> Embedding:
     for ci, (k, _s) in enumerate(word):
         touching[k].append(ci)
         touching[k + 1].append(ci)
-    port_label: dict[tuple[int, str], int] = {}
-    cap_label = {1: 1}
-    entries: list[list[str]] = [[] for _ in word]  # ports each crossing is entered at
+    columns = [[0] * (len(line) + 1) for line in touching]
+    columns[1][0] = columns[2][0] = 1  # edge 1 runs through top cap 1
+    entry = [0] * n2  # entry[2 * ci + p % 2] = p: the port each strand of ci is entered at
     col, down, at = (2 if touching[1] else 1), True, -1
     for t in range(1, n2 + 1):
         while True:
             line = touching[col]
-            i = bisect_right(line, at) if down else bisect_left(line, at) - 1
-            if 0 <= i < len(line):
+            i = bisect_right(line, at) if down else bisect_left(line, at)
+            columns[col][i] = t  # stretch i lies just above the column's i-th letter
+            if i < len(line) if down else i > 0:
                 break
             col += 1 if col % 2 else -1  # through a cap into the partner column
-            if not down:
-                cap_label[(col + 1) // 2] = t
             down, at = not down, (len(word) if down else -1)
-        ci = line[i]
+        ci = line[i if down else i - 1]
         k = word[ci][0]
-        port = ("N" if down else "S") + ("W" if col == k else "E")
-        port_label[ci, port] = t
-        port_label[ci, _DIAG[port]] = t % n2 + 1
-        entries[ci].append(port)
+        port = (1 if col == k else 0) if down else (2 if col == k else 3)
+        entry[2 * ci + port % 2] = port
         col, at = 2 * k + 1 - col, ci
 
     crossings, chords = [], []
-    for ci, (_k, s) in enumerate(word):
-        p, q = entries[ci]
-        over_in, under_in = (p, q) if (p in ("NW", "SE")) == (s == 1) else (q, p)
-        # CCW cycle starting at the incoming under port
-        i0 = _CCW.index(under_in)
-        a, b, c, d = (port_label[ci, _CCW[(i0 + r) % 4]] for r in range(4))
-        crossings.append((a, b, c, d, 1 if over_in == _CCW[(i0 + 3) % 4] else -1))
-        # an entry port's label is the time of its passage
-        chords.append((port_label[ci, over_in], port_label[ci, under_in]))
-    return Embedding(port_label, cap_label, tuple(chords), PDCode(tuple(crossings)))
+    stretches = [zip(line, line[1:]) for line in columns]  # (above, below) each letter in turn
+    for ci, (k, s) in enumerate(word):
+        (nw, sw), (ne, se) = next(stretches[k]), next(stretches[k + 1])
+        label = (ne, nw, sw, se)
+        # the NW-SE strand, on the odd ports, is over exactly when s = +1
+        over_in, under_in = entry[2 * ci + (s == 1)], entry[2 * ci + (s != 1)]
+        a, b, c, d = label[under_in:] + label[:under_in]  # CCW from the incoming under port
+        crossings.append((a, b, c, d, 1 if over_in == (under_in + 3) % 4 else -1))
+        chords.append((label[over_in], label[under_in]))  # entry labels are passage times
+    return Embedding(tuple(map(tuple, columns)), tuple(chords), PDCode(tuple(crossings)))
 
 
 def build_embedding(plat: PlatWord) -> Embedding:
@@ -357,11 +365,8 @@ def bridge_regions(plat: PlatWord) -> dict[int, int | None]:
     Bridge 1 carries the cut and corresponds to the two polar discs, so it
     has no annulus; it maps to None.
     """
-    emb = build_embedding(plat)
-    out: dict[int, int | None] = {1: None}
-    for j in range(2, plat.bridges + 1):
-        out[j] = emb.cap_label[j] - 1
-    return out
+    columns = build_embedding(plat).columns
+    return {j: columns[2 * j][0] - 1 if j > 1 else None for j in range(1, plat.bridges + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +433,8 @@ def _band_half_twist(c: int, s: int) -> list[tuple[int, int]]:
 
 # Crossings the twists add to a symmetric union: t_1 adds |t_1| letters and
 # each t_j, j >= 2, adds 4|t_j|.  At the bound, `det` on the trefoil with
-# (4096, 3072) takes 0.7 s and 44 MB peak RSS for the whole process, and
-# `cover-h1` 1.4 s and 95 MB (2-core Xeon VM); unbounded, (40000, 40000)
+# (4096, 3072) takes 0.4 s and 32 MB peak RSS for the whole process, and
+# `cover-h1` 1.6 s and 84 MB (2-core Xeon VM); unbounded, (40000, 40000)
 # took 6.2 s and 358 MB.  (1000, 1000, 1000) on T(3,5) adds 9,000.
 MAX_TWIST_CROSSINGS = 2**14
 
@@ -522,14 +527,9 @@ def band_arcs(su: SymmetricUnion):
     word = su.untwisted.word
 
     def strand_arc(site: BandSite, column: int) -> int:
-        # the edge leaving the last letter above the site on this column,
-        # through its SW or SE port; with none, the edge through the
-        # column's top cap
-        above = (ci for ci in range(site.index0 - 1, -1, -1) if word[ci][0] in (column - 1, column))
-        ci = next(above, None)
-        if ci is None:
-            return arc[emb.cap_label[(column + 1) // 2]] + 1
-        return arc[emb.port_label[ci, "SW" if word[ci][0] == column else "SE"]] + 1
+        # the edge on this column above the site, past the letters touching it
+        above = sum(k in (column - 1, column) for k, _s in word[: site.index0])
+        return arc[emb.columns[column][above]] + 1
 
     bands = tuple(
         (site, tuple(strand_arc(site, column) for column in site.columns))
@@ -555,7 +555,7 @@ def parse_plat(text: str) -> PlatWord:
         if parts[0] == "strands":
             if strands is not None:
                 raise PlatError(f"line {ln}: duplicate strands line")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise PlatError(f"line {ln}: expected 'strands N'")
             strands = int(parts[1])
             continue

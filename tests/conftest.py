@@ -93,7 +93,7 @@ def fault_the_pd_sweep(monkeypatch) -> None:
     def faulted(plat):
         emb = sweep(plat)
         (a, b, c, d, s), *rest = emb.pd.crossings
-        return Embedding(emb.port_label, emb.cap_label, emb.chords, PDCode(((b, c, d, a, -s), *rest)))
+        return Embedding(emb.columns, emb.chords, PDCode(((b, c, d, a, -s), *rest)))
 
     monkeypatch.setattr(diagrams, "_sweep", faulted)
 

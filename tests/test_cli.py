@@ -669,6 +669,7 @@ _FUZZ_COMMANDS = ["validate", "det", "goeritz", "pi1", "cover-h1", "symunion", "
     st.one_of(st.none(), st.lists(st.sampled_from([-2, 0, 2]), min_size=1, max_size=4)),
 )
 @example("strands 2\n", "cobordism", [2])
+@example("strands ²\ng1 +\n", "det", None)
 def test_cli_plat_text_fuzz_exits_with_a_result_or_an_input_error(text, command, twists):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.plat"

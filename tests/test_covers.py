@@ -5,6 +5,9 @@ form and Fox calculus); a third route through the cover's fundamental
 group lives in test_groups.py.  Fox calculus runs on the PD's Wirtinger
 presentation (`alexander_det`) and on the plat's bridge presentation
 (`bridge_fox_det`, the route the commands use), which never reads the PD.
+Kinks and stabilizations of the shipped plats change the word but not the
+knot, so they must keep both determinants, the cover's H1 and the hom
+counts into S3 and A4.
 """
 
 import hashlib
@@ -47,6 +50,9 @@ from spunslice.diagrams import (
     parse_plat,
     plat_to_pd,
 )
+from spunslice.groups.finite import alternating_group, symmetric_group
+from spunslice.groups.homcount import hom_count
+from spunslice.groups.presentations import abelianization, branched_cover_presentation, wirtinger
 
 
 def _evaluate(coeffs, t):
@@ -371,3 +377,58 @@ def test_a_pd_sweep_fault_splits_the_determinant_routes(name, faulted, true, mon
     pd = plat_to_pd(plat)
     assert goeritz_determinant(pd) == alexander_det(pd) == faulted
     assert bridge_fox_det(plat) == true
+
+
+# ---------------------------------------------------------------------------
+# plat moves: one knot, many words
+# ---------------------------------------------------------------------------
+
+_KNOTTED_PLATS = {
+    p.stem: p.read_text()
+    for p in sorted((shipped_manifest_path().parent / "plats").glob("*.plat"))
+    if p.stem != "unknot"
+}
+_S3_A4 = (symmetric_group(3), alternating_group(4))
+
+
+def _plat_move(plat: PlatWord, move: str, cap: int, s: int) -> PlatWord:
+    """A Reidemeister I kink in top or bottom cap `cap` (the letter
+    (2 cap - 1, s) prepended or appended), or a stabilization: two new
+    strands and the letter (2b, s) at the bottom (Birman 1976)."""
+    if move == "stabilize":
+        return PlatWord(plat.strands + 2, plat.word + ((plat.strands, s),))
+    kink = ((2 * cap - 1, s),)
+    return PlatWord(plat.strands, kink + plat.word if move == "top" else plat.word + kink)
+
+
+@st.composite
+def knotted_plat_variants(draw):
+    """A shipped knotted plat's name and the word after 1-3 random moves."""
+    name = draw(st.sampled_from(sorted(_KNOTTED_PLATS)))
+    variant = parse_plat(_KNOTTED_PLATS[name])
+    for _ in range(draw(st.integers(1, 3))):
+        move = draw(st.sampled_from(("top", "bottom", "stabilize")))
+        cap, s = draw(st.integers(1, variant.bridges)), draw(st.sampled_from((1, -1)))
+        variant = _plat_move(variant, move, cap, s)
+    return name, variant
+
+
+def _knot_invariants(plat: PlatWord) -> tuple:
+    """Both determinant routes, the cover's H1 and the hom counts into S3
+    and A4."""
+    pd = plat_to_pd(plat)
+    group = wirtinger(pd)
+    homs = [hom_count(group, G) for G in _S3_A4]
+    assert all(h.exact for h in homs)
+    cover = abelianization(branched_cover_presentation(group)).describe()
+    return bridge_fox_det(plat), goeritz_determinant(pd), cover, [h.count for h in homs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(knotted_plat_variants())
+def test_kinks_and_stabilizations_keep_the_knot_invariants(case):
+    # the moves keep the knot, so the new word must give the shipped word's
+    # invariants; that word is parsed afresh, so no embedding kept on a plat
+    # object from an earlier example is reused
+    name, variant = case
+    assert _knot_invariants(variant) == _knot_invariants(parse_plat(_KNOTTED_PLATS[name]))

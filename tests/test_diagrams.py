@@ -1,5 +1,7 @@
 """Plat words, PD codes, chord diagrams, and symmetric unions."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,6 +50,20 @@ def test_empty_word_on_four_strands_is_a_two_component_link():
     assert closure_components(TWO_COMPONENT) == 2
     with pytest.raises(PlatError, match="2 components, expected a knot"):
         validate_plat(TWO_COMPONENT)
+
+
+def test_a_link_on_two_million_strands_is_refused_in_memory_of_its_word():
+    # a cap pair no letter touches closes up on its own: it is counted, not
+    # allocated, so the declared strand count costs no memory
+    plat = PlatWord(2_000_000, ((1, 1),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PlatError, match="plat closure has 1000000 components, expected a knot"):
+            validate_plat(plat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_unknot_and_kink_validate():

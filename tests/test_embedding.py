@@ -1,10 +1,12 @@
 """One embedding per plat: each plat is swept once, the embedding holds no
-reference back to its plat, the diagram facts read off it are pinned, and
-the walk along the knot agrees with the wire sweep it replaced."""
+reference back to its plat and keeps at most 300 bytes per crossing, the
+diagram facts read off it are pinned, and the walk along the knot agrees
+with the wire sweep it replaced."""
 
 import gc
 import hashlib
 import itertools
+import tracemalloc
 import weakref
 
 import pytest
@@ -56,6 +58,22 @@ def test_a_second_spin_plat_reuses_the_embedding(monkeypatch):
     assert len(calls) == 1
 
 
+def test_the_kept_embedding_costs_at_most_300_bytes_per_crossing():
+    # the column table, chords and PD of the T(3,5) union at (300, 300, 300)
+    knot = build_symmetric_union(T35, TwistVector((300, 300, 300))).knot
+    assert len(knot.word) == 2776
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build_embedding(knot)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 300 * len(knot.word), kept
+
+
 def test_the_embedding_is_freed_with_its_plat():
     plat = PlatWord(T35.strands, T35.word)
     ref = weakref.ref(build_embedding(plat))
@@ -102,7 +120,7 @@ def test_diagram_facts_are_byte_identical_to_the_recorded_digest():
 def test_the_0_crossing_unknot_is_one_edge_and_one_arc():
     unknot = PlatWord(2, ())
     emb = build_embedding(unknot)
-    assert emb.cap_label == {1: 1} and emb.port_label == {}
+    assert emb.columns[1:] == ((1,), (1,))
     assert diagrams.wirtinger_relations(emb.pd) == (1, {1: 0}, [])
     _pd, bands = band_arcs(build_symmetric_union(unknot, TwistVector((2,))))
     assert [arcs for _site, arcs in bands] == [(1, 1)]
@@ -124,9 +142,17 @@ PLATS = shipped_manifest_path().parent / "plats"
     ids=["trefoil", "t35", "fig8"],
 )
 def test_the_first_passage_leaves_cap_1_by_the_documented_column(plat, crossing, port):
-    emb = build_embedding(plat)
-    assert emb.port_label[crossing, port] == 1
-    assert emb.port_label[crossing, diagrams._DIAG[port]] == 2
+    columns = build_embedding(plat).columns
+
+    def label_at(port: str) -> int:
+        # the stretch of the port's column just above or below the letter
+        k = plat.word[crossing][0]
+        column = k if port[1] == "W" else k + 1
+        above = sum(column in (j, j + 1) for j, _s in plat.word[:crossing])
+        return columns[column][above + (port[0] == "S")]
+
+    assert label_at(port) == 1
+    assert label_at({"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}[port]) == 2
 
 
 @st.composite

@@ -26,6 +26,7 @@ from conftest import (
     centralizer_orbits,
     commutator_subgroup_all_pairs,
     compile_schedule_rescan,
+    embedding_wires,
     generating_sequence_pairwise,
     hom_count_brute,
     hom_count_reference,
@@ -46,7 +47,6 @@ from spunslice.diagrams import (
     PlatError,
     PlatWord,
     TwistVector,
-    build_embedding,
     build_symmetric_union,
     closure_components,
     parse_plat,
@@ -325,15 +325,20 @@ def test_t37_orbifold_and_cover_both_run_out_of_budget():
 def _twisted_band_presentation(su) -> GroupPresentation:
     """The cobordism group read off the twisted union, without band_arcs:
     its Wirtinger presentation plus x_a x_b^-1 for each twisted band, a and
-    b the arcs at the NW and NE ports of the band's first twist letter."""
-    emb = build_embedding(su.knot)
-    _n, arc, _relations = wirtinger_relations(emb.pd)
-    w = wirtinger(emb.pd)
+    b the arcs at the NW and NE ports of the band's first twist letter,
+    found by the wire sweep."""
+    wires = embedding_wires(su.knot)
+    _n, arc, _relations = wirtinger_relations(wires.pd)
+    w = wirtinger(wires.pd)
 
-    def arc_at(site, port: str) -> int:
-        return arc[emb.port_label[site.letter_index, port]] + 1
+    def arc_at(site, column: int) -> int:
+        return arc[wires.edge_label[wires.wire_at(site.letter_index, column)]] + 1
 
-    bands = tuple((arc_at(site, "NW"), -arc_at(site, "NE")) for site in su.sites if site.half_twists != 0)
+    bands = tuple(
+        (arc_at(site, site.columns[0]), -arc_at(site, site.columns[1]))
+        for site in su.sites
+        if site.half_twists != 0
+    )
     return GroupPresentation(w.n_generators, w.relators + bands)
 
 
