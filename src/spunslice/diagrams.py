@@ -235,10 +235,9 @@ def closure_components(plat: PlatWord) -> int:
     untouched = plat.bridges - len(pairs)
     if not pairs:
         return untouched
-    if untouched:
-        rank = {p: m for m, p in enumerate(pairs)}
-        word = tuple((2 * rank[(k + 1) // 2] + 2 - k % 2, s) for k, s in plat.word)
-        plat = PlatWord(2 * len(pairs), word)
+    rank = {p: m for m, p in enumerate(pairs)}
+    word = tuple((2 * rank[(k + 1) // 2] + 2 - k % 2, s) for k, s in plat.word)
+    plat = PlatWord(2 * len(pairs), word)
     n = plat.strands
     strands = ((c, n + p - 1) for c, p in enumerate(strand_permutation(plat)))
     caps = ((x, x + 1) for x in range(0, 2 * n, 2))
