@@ -257,9 +257,13 @@ class SliceCurve(Record):
 
 
 def validate_curve(ds: DeckerSet, curve: SliceCurve) -> None:
-    """Raise PlatError unless the curve is a valid simple cycle on ds."""
+    """Raise PlatError unless the curve is a valid simple cycle on ds.  The
+    grid is checked against ds on every call; the vertex and parity checks
+    run once per curve, whose success is kept on the curve object."""
     if curve.l != ds.l or curve.m != ds.m:
         raise PlatError("curve grid does not match the decker set")
+    if "_simple" in curve.__dict__:
+        return
     if len(curve.vertices) < 3:
         raise PlatError("a cycle needs at least three vertices")
     if len(set(curve.vertices)) != len(curve.vertices):
@@ -273,6 +277,7 @@ def validate_curve(ds: DeckerSet, curve: SliceCurve) -> None:
             raise PlatError(
                 f"curve crosses circle {circle} an odd number of times"
             )
+    curve._simple = True
 
 
 # ---------------------------------------------------------------------------

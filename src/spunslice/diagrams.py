@@ -216,39 +216,37 @@ class TwistVector(Record):
 # validation
 
 
-def strand_permutation(plat: PlatWord) -> tuple[int, ...]:
-    pos = list(range(plat.strands))  # pos[i] = current column (0-based) of strand i
-    col = list(range(plat.strands))  # inverse
-    for k, _s in plat.word:
-        a, b = col[k - 1], col[k]
-        col[k - 1], col[k] = b, a
-        pos[a], pos[b] = k, k - 1
-    # strand entering at top column c exits at bottom column pos[c]
-    return tuple(p + 1 for p in pos)
-
-
 def closure_components(plat: PlatWord) -> int:
     # A cap pair that no letter touches closes up on its own and is only
     # counted, so memory follows the word; the touched pairs, renumbered in
     # order, have top columns 0..n-1 and bottom columns n..2n-1 to join.
-    pairs = sorted({p for k in {k for k, _s in plat.word} for p in ((k + 1) // 2, k // 2 + 1)})
+    touched = {k for k, _s in plat.word}
+    pairs = sorted({p for k in touched for p in ((k + 1) // 2, k // 2 + 1)})
     untouched = plat.bridges - len(pairs)
     if not pairs:
         return untouched
     rank = {p: m for m, p in enumerate(pairs)}
-    word = tuple((2 * rank[(k + 1) // 2] + 2 - k % 2, s) for k, s in plat.word)
-    plat = PlatWord(2 * len(pairs), word)
-    n = plat.strands
-    strands = ((c, n + p - 1) for c, p in enumerate(strand_permutation(plat)))
+    left = {k: 2 * rank[(k + 1) // 2] + 1 - k % 2 for k in touched}  # 0-based
+    n = 2 * len(pairs)
+    at = list(range(n))  # at[c] = top column of the strand now on column c
+    for k, _s in plat.word:
+        c = left[k]
+        at[c], at[c + 1] = at[c + 1], at[c]
+    strands = ((top, n + c) for c, top in enumerate(at))
     caps = ((x, x + 1) for x in range(0, 2 * n, 2))
     return max(_classes(2 * n, chain(strands, caps))) + 1 + untouched
 
 
 def validate_plat(plat: PlatWord) -> None:
-    """Check the closure is a knot; reject links naming the component count."""
+    """Check the closure is a knot; reject links naming the component count.
+    Success is kept on the plat object, so a knot's closure is counted once
+    and a link's again, and refused with the same error, on every call."""
+    if "_knot" in plat.__dict__:
+        return
     comps = closure_components(plat)
     if comps != 1:
         raise PlatError(f"plat closure has {comps} components, expected a knot (1)")
+    plat._knot = True
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +325,9 @@ def build_embedding(plat: PlatWord) -> Embedding:
     """Edge labels, chords and PD code of a validated plat, from one walk
     along the knot.
 
-    Built on the first call and kept on the plat object, so every consumer
-    of one plat shares one walk.  The result is read-only and holds no
+    Built on the first call and kept on the plat object, next to the
+    success of `validate_plat`, so every consumer of one plat shares one
+    walk and one closure count.  The result is read-only and holds no
     reference to the plat, so it is freed with it.
     """
     emb = plat.__dict__.get("_embedding")

@@ -67,8 +67,13 @@ def eliminate_unit_pivots(rows: list[dict[int, int]], n: int) -> UnitReduction:
     search (SIAM J. Numer. Anal. 17, 1980; Markowitz, Management Sci. 3,
     1957) narrowed to one row.  The pivot's column is cleared from every
     other row by exact integer row operations (so determinants are
-    unchanged), and each row hit is queued again as (length, row); a queued
-    length that is out of date marks a stale entry.
+    unchanged); the pivot row's other entries are listed once, and a column
+    gains a row only where a row operation adds fill.  A row hit is queued
+    again as (length, row) only when it has no entry in the queue or its
+    length differs from its last entry's; a queued length that is out of
+    date marks a stale entry.  An entry popped without a +-1 counts as gone,
+    since a hit can make a +-1 and keep the row's length.  So the pivots are
+    those of queueing every row hit again.
 
     Column operations would clear the rest of the pivot row without touching
     any remaining row, so the matrix is equivalent to diag(pivots) + core,
@@ -83,7 +88,8 @@ def eliminate_unit_pivots(rows: list[dict[int, int]], n: int) -> UnitReduction:
         for j in row:
             cols[j].add(i)
     live = [True] * len(rows)
-    queue = [(len(row), i) for i, row in enumerate(rows)]
+    queued: list[int | None] = [len(row) for row in rows]  # last entry's length, or gone
+    queue = [(length, i) for i, length in enumerate(queued)]
     heapify(queue)
     pivots = []
     while queue:
@@ -93,27 +99,31 @@ def eliminate_unit_pivots(rows: list[dict[int, int]], n: int) -> UnitReduction:
             continue  # retired, or hit since it was queued
         units = [(len(cols[j]), j) for j, v in prow.items() if v == 1 or v == -1]
         if not units:
-            continue  # queued again if a pivot hits it
+            queued[r] = None  # queued again if a pivot hits it
+            continue
         c = min(units)[1]
         p = prow[c]
         live[r] = False
         pivots.append((r, c, p))
         for j in prow:
             cols[j].discard(r)
+        others = [(j, v) for j, v in prow.items() if j != c]
         for i in cols[c]:  # column c is retired, so its set is not read again
             row = rows[i]
             f = row.pop(c) * p
-            for j, v in prow.items():
-                if j == c:
-                    continue
-                w = row.get(j, 0) - f * v
-                if w:
-                    row[j] = w
+            for j, v in others:
+                w = row.get(j)
+                if w is None:  # fill
+                    row[j] = -f * v
                     cols[j].add(i)
-                else:
+                elif w == f * v:
                     del row[j]
                     cols[j].discard(i)
-            heappush(queue, (len(row), i))
+                else:
+                    row[j] = w - f * v
+            if queued[i] != len(row):
+                queued[i] = len(row)
+                heappush(queue, (len(row), i))
     done = {c for _r, c, _p in pivots}
     core_rows = [i for i in range(len(rows)) if live[i]]
     core_cols = [j for j in range(n) if j not in done]

@@ -12,7 +12,7 @@ searches are checked against; they live here, outside the package.
 
 import random
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from fractions import Fraction
 from dataclasses import dataclass, field
 from itertools import permutations, product
@@ -36,7 +36,6 @@ from spunslice.diagrams import (
     PlatError,
     PlatWord,
     closure_components,
-    strand_permutation,
     validate_plat,
 )
 from spunslice.groups.finite import GroupError
@@ -1221,6 +1220,17 @@ def todd_coxeter_lists(
     return CosetResult("complete", len(live), tuple(final), len(table), max_cosets)
 
 
+def strand_permutation(plat: PlatWord) -> tuple[int, ...]:
+    """The 1-based bottom column of the strand entering at each top column."""
+    pos = list(range(plat.strands))  # pos[i] = current column (0-based) of strand i
+    col = list(range(plat.strands))  # inverse
+    for k, _s in plat.word:
+        a, b = col[k - 1], col[k]
+        col[k - 1], col[k] = b, a
+        pos[a], pos[b] = k, k - 1
+    return tuple(p + 1 for p in pos)
+
+
 # The strand-and-cap walk, the reference for the union-find over `_classes`
 # in `diagrams.closure_components`: follow each strand down, across its
 # bottom cap, back up and across its top cap until the component closes.
@@ -1405,6 +1415,57 @@ def embedding_wires(plat: PlatWord) -> WireEmbedding:
     _wire_traverse(emb, plat)
     _wire_build_pd(emb, plat)
     return emb
+
+
+# The unit-pivot eliminator as it queued every row a pivot hit again, the
+# reference for the queue rule of `groups.snf.eliminate_unit_pivots`: both
+# must take the same pivots and leave the same core.
+def eliminate_unit_pivots_requeue_every_hit(rows: list[dict[int, int]], n: int) -> UnitReduction:
+    """Eliminate +-1 pivots shortest row first, in the +-1 entry of that
+    row whose column has the fewest entries; each row hit is queued again
+    as (length, row), and a queued length that is out of date marks a stale
+    entry.  The rows are consumed."""
+    cols: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    live = [True] * len(rows)
+    queue = [(len(row), i) for i, row in enumerate(rows)]
+    heapify(queue)
+    pivots = []
+    while queue:
+        length, r = heappop(queue)
+        prow = rows[r]
+        if not live[r] or len(prow) != length:
+            continue  # retired, or hit since it was queued
+        units = [(len(cols[j]), j) for j, v in prow.items() if v == 1 or v == -1]
+        if not units:
+            continue  # queued again if a pivot hits it
+        c = min(units)[1]
+        p = prow[c]
+        live[r] = False
+        pivots.append((r, c, p))
+        for j in prow:
+            cols[j].discard(r)
+        for i in cols[c]:
+            row = rows[i]
+            f = row.pop(c) * p
+            for j, v in prow.items():
+                if j == c:
+                    continue
+                w = row.get(j, 0) - f * v
+                if w:
+                    row[j] = w
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            heappush(queue, (len(row), i))
+    done = {c for _r, c, _p in pivots}
+    core_rows = [i for i in range(len(rows)) if live[i]]
+    core_cols = [j for j in range(n) if j not in done]
+    core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
+    return UnitReduction(tuple(pivots), core_rows, core_cols, core)
 
 
 # The per-entry Markowitz eliminator, the reference for the shortest-row rule

@@ -5,9 +5,9 @@ form and Fox calculus); a third route through the cover's fundamental
 group lives in test_groups.py.  Fox calculus runs on the PD's Wirtinger
 presentation (`alexander_det`) and on the plat's bridge presentation
 (`bridge_fox_det`, the route the commands use), which never reads the PD.
-Kinks and stabilizations of the shipped plats change the word but not the
-knot, so they must keep both determinants, the cover's H1 and the hom
-counts into S3 and A4.
+Kinks, cap exchanges and stabilizations of the shipped plats change the
+word but not the knot, so they must keep both determinants, the cover's H1
+and the hom counts into S3, A4, S4 and A5.
 """
 
 import hashlib
@@ -388,17 +388,22 @@ _KNOTTED_PLATS = {
     for p in sorted((shipped_manifest_path().parent / "plats").glob("*.plat"))
     if p.stem != "unknot"
 }
-_S3_A4 = (symmetric_group(3), alternating_group(4))
+_BATTERY = (symmetric_group(3), alternating_group(4), symmetric_group(4), alternating_group(5))
 
 
 def _plat_move(plat: PlatWord, move: str, cap: int, s: int) -> PlatWord:
-    """A Reidemeister I kink in top or bottom cap `cap` (the letter
-    (2 cap - 1, s) prepended or appended), or a stabilization: two new
-    strands and the letter (2b, s) at the bottom (Birman 1976)."""
+    """At the top or the bottom of the word ("kink-top", "exchange-bottom",
+    ...): a Reidemeister I kink in cap `cap`, the letter (2 cap - 1, s); or
+    an exchange of caps `cap` and `cap` + 1, whose 2-cables cross in the
+    letters (2 cap, s), (2 cap - 1, s), (2 cap + 1, s), (2 cap, s).  Or a
+    stabilization: two new strands and the letter (2b, s) at the bottom
+    (Birman 1976)."""
     if move == "stabilize":
         return PlatWord(plat.strands + 2, plat.word + ((plat.strands, s),))
-    kink = ((2 * cap - 1, s),)
-    return PlatWord(plat.strands, kink + plat.word if move == "top" else plat.word + kink)
+    kind, end = move.split("-")
+    ks = (2 * cap - 1,) if kind == "kink" else (2 * cap, 2 * cap - 1, 2 * cap + 1, 2 * cap)
+    letters = tuple((k, s) for k in ks)
+    return PlatWord(plat.strands, letters + plat.word if end == "top" else plat.word + letters)
 
 
 @st.composite
@@ -407,18 +412,21 @@ def knotted_plat_variants(draw):
     name = draw(st.sampled_from(sorted(_KNOTTED_PLATS)))
     variant = parse_plat(_KNOTTED_PLATS[name])
     for _ in range(draw(st.integers(1, 3))):
-        move = draw(st.sampled_from(("top", "bottom", "stabilize")))
-        cap, s = draw(st.integers(1, variant.bridges)), draw(st.sampled_from((1, -1)))
+        move = draw(st.sampled_from(
+            ("kink-top", "kink-bottom", "exchange-top", "exchange-bottom", "stabilize")
+        ))
+        last_cap = variant.bridges - move.startswith("exchange")
+        cap, s = draw(st.integers(1, last_cap)), draw(st.sampled_from((1, -1)))
         variant = _plat_move(variant, move, cap, s)
     return name, variant
 
 
 def _knot_invariants(plat: PlatWord) -> tuple:
-    """Both determinant routes, the cover's H1 and the hom counts into S3
-    and A4."""
+    """Both determinant routes, the cover's H1 and the hom counts into S3,
+    A4, S4 and A5; `plat_to_pd` refuses a plat that is not a knot."""
     pd = plat_to_pd(plat)
     group = wirtinger(pd)
-    homs = [hom_count(group, G) for G in _S3_A4]
+    homs = [hom_count(group, G) for G in _BATTERY]
     assert all(h.exact for h in homs)
     cover = abelianization(branched_cover_presentation(group)).describe()
     return bridge_fox_det(plat), goeritz_determinant(pd), cover, [h.count for h in homs]
@@ -428,7 +436,7 @@ def _knot_invariants(plat: PlatWord) -> tuple:
 @given(knotted_plat_variants())
 def test_kinks_and_stabilizations_keep_the_knot_invariants(case):
     # the moves keep the knot, so the new word must give the shipped word's
-    # invariants; that word is parsed afresh, so no embedding kept on a plat
+    # invariants; that word is parsed afresh, so nothing kept on a plat
     # object from an earlier example is reused
     name, variant = case
     assert _knot_invariants(variant) == _knot_invariants(parse_plat(_KNOTTED_PLATS[name]))

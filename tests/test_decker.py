@@ -196,6 +196,23 @@ def test_validate_curve_errors(kink_ds, trefoil_ds, trefoil_trace):
         )
 
 
+def test_a_curve_is_checked_once_and_its_grid_on_every_call(kink_ds, trefoil_ds, monkeypatch):
+    # the curve's own checks read its edge kinds; after they pass on the
+    # built curve, the side masks and the crossings read them once each
+    reads = []
+    kinds = SliceCurve.edge_kinds.func
+    monkeypatch.setattr(SliceCurve, "edge_kinds", property(lambda c: (reads.append(c), kinds(c))[1]))
+    curve = symmetric_union_curve(trefoil_ds, TwistVector((2, 2)))
+    assert criterion_report(trefoil_ds, curve).verdict == "pass-forward"
+    assert len(reads) == 3
+    with pytest.raises(PlatError, match="grid does not match"):
+        validate_curve(kink_ds, curve)
+    revisits = SliceCurve(curve.l, curve.m, curve.rows, curve.vertices + curve.vertices[:1])
+    for _ in range(2):
+        with pytest.raises(PlatError, match="revisits"):
+            validate_curve(trefoil_ds, revisits)
+
+
 # ---------------------------------------------------------------------------
 # twisted curves
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from conftest import (
     UNKNOT,
     closure_components_walk,
     mirror,
+    strand_permutation,
 )
 from spunslice.diagrams import (
     PDCode,
@@ -29,7 +30,6 @@ from spunslice.diagrams import (
     format_plat,
     parse_plat,
     plat_to_pd,
-    strand_permutation,
     validate_plat,
 )
 from spunslice.covers import goeritz_determinant

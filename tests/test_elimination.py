@@ -1,6 +1,8 @@
 """The shared integer eliminator (groups.snf.eliminate_unit_pivots) against
-dense oracles: Bareiss on the full matrix and sympy (tests only), and
-against the per-entry Markowitz eliminator it replaced (tests/conftest.py);
+dense oracles: Bareiss on the full matrix and sympy (tests only); against
+the per-entry Markowitz eliminator it replaced, and for its exact pivots
+against the version that queued every row a pivot hit again
+(tests/conftest.py);
 abelianization's sparse rows against the dense exponent-sum matrix.
 
 Both determinant routes, the Alexander interpolation and the cover's first
@@ -19,6 +21,7 @@ from conftest import (
     TREFOIL,
     abelianized_matrix,
     eliminate_unit_pivots_markowitz,
+    eliminate_unit_pivots_requeue_every_hit,
     goeritz_matrix,
     join_components,
     ladder_plats,
@@ -283,6 +286,33 @@ def test_shortest_row_pivots_keep_the_oracles_determinant_and_divisors(case):
     if len(rows) == n:
         got, want = _under_both(lambda: determinant([dict(row) for row in rows], n))
         assert got == want
+
+
+@st.composite
+def small_sparse_matrices(draw):
+    """At most 12 x 12, at most 4 entries per row, entries in {+-1, +-2, 3}:
+    rows a hit leaves at their length but with a new +-1 entry are common."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    value = st.sampled_from([1, -1, 2, -2, 3])
+    rows = []
+    for _ in range(m):
+        cols = draw(st.lists(st.integers(0, n - 1), max_size=min(4, n), unique=True))
+        rows.append({j: draw(value) for j in cols})
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_unit_rich_matrices(), small_sparse_matrices()))
+@example(([{0: 2, 1: -1, 2: 2}, {0: 3, 1: -2}], 3))
+def test_the_queue_rule_takes_the_pivots_of_requeueing_every_hit(case):
+    # the runtime queues a hit row again only when it has no entry in the
+    # queue or its length changed; the oracle queues every hit row again.
+    # In the example row 1 is popped without a +-1 entry; the pivot in row
+    # 0 clears its -2, turns its 3 into -1 and fills column 2: the same
+    # length and a new unit, so it must be queued again.
+    rows, n = case
+    got = eliminate_unit_pivots([dict(row) for row in rows], n)
+    assert got == eliminate_unit_pivots_requeue_every_hit([dict(row) for row in rows], n)
 
 
 def test_determinant_facts_plats_agree_under_both_eliminators():

@@ -1,7 +1,8 @@
-"""One embedding per plat: each plat is swept once, the embedding holds no
-reference back to its plat and keeps at most 300 bytes per crossing, the
-diagram facts read off it are pinned, and the walk along the knot agrees
-with the wire sweep it replaced."""
+"""One embedding per plat: each plat is swept once and its closure counted
+once (a link is refused on every call), the embedding holds no reference
+back to its plat and keeps at most 300 bytes per crossing, the diagram facts
+read off it are pinned, and the walk along the knot agrees with the wire
+sweep it replaced."""
 
 import gc
 import hashlib
@@ -15,10 +16,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import FIG8, T35, embedding_wires, join_components, ladder_plats
 from spunslice import diagrams
 from spunslice.certificate import certify
+from spunslice.cli import main
 from spunslice.corpus import shipped_manifest_path
 from spunslice.decker import spin_plat
 from spunslice.diagrams import (
     ChordDiagram,
+    PlatError,
     PlatWord,
     TwistVector,
     band_arcs,
@@ -28,6 +31,7 @@ from spunslice.diagrams import (
     chord_diagram_of_tangle,
     parse_plat,
     plat_to_pd,
+    validate_plat,
     wirtinger_relations,
 )
 from spunslice.groups.presentations import cobordism_presentation
@@ -56,6 +60,41 @@ def test_a_second_spin_plat_reuses_the_embedding(monkeypatch):
     assert len(calls) == 1
     assert spin_plat(plat) == first
     assert len(calls) == 1
+
+
+def _counting_closures(monkeypatch) -> list:
+    calls = []
+    count = diagrams.closure_components
+    monkeypatch.setattr(diagrams, "closure_components", lambda plat: (calls.append(plat), count(plat))[1])
+    return calls
+
+
+PLATS = shipped_manifest_path().parent / "plats"
+
+
+@pytest.mark.parametrize("argv, closures", [
+    (["det", "trefoil.plat", "--twists=2,2"], 3),  # base, twisted and untwisted union
+    (["det", "t35.plat"], 1),
+    (["slice-check", "t35.plat", "--twists=2,2,2"], 1),
+])
+def test_each_plat_is_built_once_and_its_closure_counted_once(argv, closures, monkeypatch, capsys):
+    counted, built = _counting_closures(monkeypatch), []
+    init = PlatWord.__init__
+    monkeypatch.setattr(PlatWord, "__init__", lambda self, *args: (built.append(self), init(self, *args))[1])
+    assert main([argv[0], str(PLATS / argv[1])] + argv[2:]) == 0
+    assert len(counted) == len(built) == closures
+    assert len({id(p) for p in counted}) == closures
+
+
+def test_a_link_is_refused_on_every_call(monkeypatch):
+    # only success is kept on the plat, so a link is counted again each time
+    counted = _counting_closures(monkeypatch)
+    link, knot = PlatWord(4, ()), PlatWord(T35.strands, T35.word)
+    for _ in range(2):
+        with pytest.raises(PlatError, match="plat closure has 2 components, expected a knot"):
+            validate_plat(link)
+        validate_plat(knot)
+    assert counted == [link, knot, link]
 
 
 def test_the_kept_embedding_costs_at_most_300_bytes_per_crossing():
