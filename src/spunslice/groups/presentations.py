@@ -47,24 +47,38 @@ class GroupPresentation(Record):
         self.n_generators, self.relators, self.meridians = n_generators, relators, meridians
 
     def simplified(self) -> "GroupPresentation":
-        """Free reduction plus removal of empty/duplicate relators."""
-        seen = set()
+        """Free reduction plus removal of empty relators and of relators
+        equal to an earlier one up to cyclic rotation and inversion.  Both
+        keep a word's multiset of letters |x|, so relators are bucketed by
+        it, and the least rotation of the word and its inverse is compared
+        only within a bucket that holds two."""
+        first: dict[Word, Word] = {}
+        keys: set[Word] = set()
         rels = []
         for r in self.relators:
             r2 = free_reduce(r)
             if not r2:
                 continue
-            # canonical form under cyclic rotation and inversion, for dedup only
-            def rotations(w):
-                return [w[i:] + w[:i] for i in range(len(w))]
-
-            cands = rotations(r2) + rotations(invert(r2))
-            key = min(cands)
-            if key in seen:
-                continue
-            seen.add(key)
+            letters = tuple(sorted(map(abs, r2)))
+            other = first.get(letters)
+            if other is None:
+                first[letters] = r2
+            else:
+                if other:
+                    # key the bucket's first relator once; () marks it done
+                    keys.add(_least_rotation(other))
+                    first[letters] = ()
+                key = _least_rotation(r2)
+                if key in keys:
+                    continue
+                keys.add(key)
             rels.append(r2)
         return GroupPresentation(self.n_generators, tuple(rels), self.meridians)
+
+
+def _least_rotation(word: Word) -> Word:
+    """The least cyclic rotation of the word or of its inverse."""
+    return min(w[i:] + w[:i] for w in (word, invert(word)) for i in range(len(w)))
 
 
 def abelianization(pres: GroupPresentation) -> AbelianInvariants:

@@ -40,11 +40,17 @@ from spunslice.diagrams import (
 )
 from spunslice.groups.finite import GroupError
 from spunslice.groups.homcount import (
+    _LOOKAHEAD_COST,
+    _LOOKAHEAD_WIDTH,
     DEFAULT_NODE_BUDGET,
     HomCount,
+    _Cascade,
     _choose_schedule,
+    _compile_schedule,
+    _modelled_cost,
+    _relator_index,
 )
-from spunslice.groups.presentations import GroupPresentation, Word, invert
+from spunslice.groups.presentations import GroupPresentation, Word, free_reduce, invert
 from spunslice.groups.snf import UnitReduction
 from spunslice.groups.toddcoxeter import DEFAULT_MAX_COSETS, CosetResult
 
@@ -265,6 +271,47 @@ def compile_schedule_rescan(n: int, rels: list, first: int | None = None) -> lis
             g = max(free, key=lambda c: (cascade(assigned | {c}, list(consumed)), -c))
         blocks.append((g, []))
         assigned.add(g)
+
+
+def choose_schedule_from_scratch(n: int, rels: list) -> list:
+    """`_choose_schedule` with every lookahead candidate compiled from
+    scratch: no compile splices the blocks another compile found after the
+    same known set.  The package's lookahead must return identical
+    blocks."""
+    index = _relator_index(n, rels)
+    blocks = _compile_schedule(n, rels, index=index)
+    best = _modelled_cost(blocks)
+    if best <= _LOOKAHEAD_COST * n:
+        return blocks
+    cascade = _Cascade(n, rels, index)
+    # the first of these is the greedy choice, already compiled
+    for c in cascade.ranked(cascade.run(), _LOOKAHEAD_WIDTH)[1:]:
+        other = _compile_schedule(n, rels, c, index, best)
+        if other is not None:
+            blocks, best = other, _modelled_cost(other)
+    return blocks
+
+
+def simplified_all_rotations(pres: GroupPresentation) -> GroupPresentation:
+    """`GroupPresentation.simplified` keying every relator by the least of
+    all rotations of the word and of its inverse.  The package's bucketed
+    dedup must return identical relators."""
+    seen = set()
+    rels = []
+    for r in pres.relators:
+        r2 = free_reduce(r)
+        if not r2:
+            continue
+
+        def rotations(w):
+            return [w[i:] + w[:i] for i in range(len(w))]
+
+        key = min(rotations(r2) + rotations(invert(r2)))
+        if key in seen:
+            continue
+        seen.add(key)
+        rels.append(r2)
+    return GroupPresentation(pres.n_generators, tuple(rels), pres.meridians)
 
 
 class _ReferenceBudget(Exception):

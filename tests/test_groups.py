@@ -24,6 +24,7 @@ from conftest import (
     TREFOIL,
     UNKNOT,
     centralizer_orbits,
+    choose_schedule_from_scratch,
     commutator_subgroup_all_pairs,
     compile_schedule_rescan,
     embedding_wires,
@@ -36,6 +37,7 @@ from conftest import (
     normal_closure_all_conjugates,
     parse_presentation,
     quaternion_product_q5,
+    simplified_all_rotations,
     sl2_f5_matrix_count,
     subgroup_closure_pairwise,
     t3_plat,
@@ -213,6 +215,38 @@ def test_branched_cover_presentations_of_the_shipped_plats_are_pinned():
     covers = [branched_cover_presentation(wirtinger(plat_to_pd(knot))) for knot in knots]
     digest = hashlib.sha256(repr([(p.n_generators, p.relators) for p in covers]).encode()).hexdigest()
     assert digest[:16] == COVER_PRESENTATIONS_DIGEST
+
+
+@st.composite
+def _relator_lists(draw):
+    # fresh words (non-reduced, empty and repeated letters among them) and
+    # copies of earlier ones, rotated, inverted or with a cancelling pair
+    # put in, so that buckets of one letter multiset hold both duplicates
+    # and relators that only share their letters
+    n = draw(st.integers(1, 4))
+    letter = st.integers(-n, n).filter(bool)
+    relators: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(0, 8))):
+        if relators and draw(st.booleans()):
+            w = draw(st.sampled_from(relators))
+            i = draw(st.integers(0, len(w)))
+            w = w[i:] + w[:i]
+            if draw(st.booleans()):
+                w = tuple(-x for x in reversed(w))
+            if draw(st.booleans()):
+                x, j = draw(letter), draw(st.integers(0, len(w)))
+                w = w[:j] + (x, -x) + w[j:]
+        else:
+            w = tuple(draw(st.lists(letter, max_size=6)))
+        relators.append(w)
+    return GroupPresentation(n, tuple(relators))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relator_lists())
+@example(GroupPresentation(2, ((1, 2, -1), (), (2, 1, -1), (1, -2, -1), (2,), (1, 1, 2), (1, 2, 1))))
+def test_simplified_matches_the_all_rotations_oracle(pres):
+    assert pres.simplified().relators == simplified_all_rotations(pres).relators
 
 
 def test_third_determinant_route_matches_the_other_two():
@@ -822,6 +856,28 @@ def test_hom_count_matches_the_reference_step_runner():
     assert kinds == {1, 2, 3, 4, ("check", True), ("check", False)}
 
 
+@pytest.mark.parametrize(
+    "pres,G,n_blocks",
+    [
+        (GroupPresentation(3, ((1, 1, -2), (1, 2, -3), (3, 3, 3, 3, 3))), alternating_group(5), 2),
+        (GroupPresentation(3, ((1, 2, -1, -3),)), symmetric_group(3), 3),
+        (wirtinger(plat_to_pd(FIG8)), alternating_group(5), 3),
+        (GroupPresentation(3, ((1, 1, 1),)), alternating_group(4), 4),
+        (wirtinger(plat_to_pd(T35)), alternating_group(4), 4),
+    ],
+    ids=["chain-A5", "conjugate-S3", "fig8-A5", "cube-A4", "t35-A4"],
+)
+def test_every_budget_through_the_leaf_block_matches_the_reference(pres, G, n_blocks):
+    # the last block's candidates run in place; each one is a node and is
+    # checked against the budget, as on the reference's stack
+    _, blocks, _ = homcount._schedule(pres)
+    assert len(blocks) == n_blocks
+    full = hom_count_reference(pres, G)
+    assert full.exact
+    for budget in range(-1, full.nodes + 2):
+        assert hom_count(pres, G, node_budget=budget) == hom_count_reference(pres, G, budget)
+
+
 def test_t35_sweep_schedules_check_in_one_lookup_and_skip_only_unread_inverses():
     # the T(3,5) knot and its 27 unions with twists in {-2,0,2}^3
     checks, skipped, written = 0, 0, 0
@@ -1008,6 +1064,38 @@ def test_lookahead_candidates_match_the_rescanning_oracle_on_knots(monkeypatch):
     assert looked_ahead == 7
 
 
+@st.composite
+def _lookahead_presentations(draw):
+    # few relators over five to nine generators, so that most draws model
+    # above the lookahead gate and several candidates stall at known sets
+    # that an earlier compile has passed through
+    n = draw(st.integers(5, 9))
+    letter = st.integers(-n, n).filter(bool)
+    conjugate = st.tuples(letter, letter, letter).map(lambda t: (t[0], t[1], -t[0], t[2]))
+    other = st.lists(letter, min_size=1, max_size=5).map(tuple)
+    return n, draw(st.lists(st.one_of(conjugate, conjugate, other), min_size=1, max_size=4))
+
+
+def test_lookahead_matches_the_from_scratch_oracle():
+    above, won = 0, 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(_lookahead_presentations())
+    def check(case):
+        nonlocal above, won
+        n, rels = case
+        chosen = _choose_schedule(n, rels)
+        assert chosen == choose_schedule_from_scratch(n, rels)
+        greedy = _compile_schedule(n, rels)
+        above += _modelled_cost(greedy) > homcount._LOOKAHEAD_COST * n
+        won += chosen != greedy
+
+    check()
+    # about 140 draws model above the gate, and in about 50 of them a
+    # candidate beats the greedy schedule
+    assert above > 100 and won > 20
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([("S3", 5), ("S3", 6), ("A4", 5)]).flatmap(
@@ -1101,6 +1189,29 @@ def test_greedy_choices_on_the_t35_sweep_skip_a_third_of_the_closures(monkeypatc
     for n, rels in _t35_sweep_schedule_inputs():
         _choose_schedule(n, list(rels))
     assert len(calls) <= 15_658 * 2 / 3
+
+
+def test_lookahead_on_the_t35_sweep_splices_shared_tails(monkeypatch):
+    # compiling every candidate from scratch takes 10,295 closures in 246
+    # greedy choices here; a candidate that stalls at a known set an earlier
+    # compile passed through takes that compile's blocks from there on
+    closure, greedy = homcount._Cascade.closure, homcount._Cascade.greedy
+    closures, choices = [], []
+
+    def counted_closure(self, c):
+        closures.append(c)
+        return closure(self, c)
+
+    def counted_greedy(self, free):
+        choices.append(free)
+        return greedy(self, free)
+
+    monkeypatch.setattr(homcount._Cascade, "closure", counted_closure)
+    monkeypatch.setattr(homcount._Cascade, "greedy", counted_greedy)
+    for n, rels in _t35_sweep_schedule_inputs():
+        _choose_schedule(n, list(rels))
+    assert len(closures) <= 8_132
+    assert len(choices) <= 173
 
 
 @settings(max_examples=200, deadline=None)
