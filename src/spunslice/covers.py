@@ -41,26 +41,33 @@ def checkerboard(pd: PDCode):
     crossing, so dart d = 4c + p has color base[c] ^ (p & 1).  The Euler
     count (faces = crossings + 2) is checked, so a nonplanar or corrupted
     code fails loudly here.
+
+    The darts are paired as the edge labels come, and each face is colored
+    from the four corners of a crossing when the coloring reaches it.
     """
-    darts: dict[int, list[int]] = {}
+    n = pd.n_crossings
+    nxt = [-1] * (4 * n)  # next dart on the face: the slot after the mate's
+    first: dict[int, int] = {}  # edge label -> its first dart
     for d, e in enumerate(e for tup in pd.crossings for e in tup[:4]):
-        darts.setdefault(e, []).append(d)
-    mate = [0] * (4 * pd.n_crossings)
-    for e, ds in darts.items():
-        if len(ds) != 2:
-            raise PlatError(f"edge {e} occurs {len(ds)} times")
-        mate[ds[0]], mate[ds[1]] = ds[1], ds[0]
-    nxt = [(m & ~3) | ((m + 1) & 3) for m in mate]  # next dart on the face
-    face_of = [-1] * len(mate)
+        o = first.setdefault(e, d)
+        if o != d and nxt[o] < 0:
+            nxt[o], nxt[d] = (d & ~3) | ((d + 1) & 3), (o & ~3) | ((o + 1) & 3)
+    if -1 in nxt:  # a label that occurs once, or a third time, leaves a dart unpaired
+        counts: dict[int, int] = {}
+        for tup in pd.crossings:
+            for e in tup[:4]:
+                counts[e] = counts.get(e, 0) + 1
+        e, k = next((e, k) for e, k in counts.items() if k != 2)
+        raise PlatError(f"edge {e} occurs {k} times")
+    face_of = [-1] * len(nxt)
     nfaces = 0
-    for first in range(len(mate)):
-        if face_of[first] < 0:
-            d = first
+    for start in range(len(nxt)):
+        if face_of[start] < 0:
+            d = start
             while face_of[d] < 0:
                 face_of[d] = nfaces
                 d = nxt[d]
             nfaces += 1
-    n = pd.n_crossings
     if nfaces != n + 2:
         raise PlatError(
             f"face count {nfaces} != crossings + 2 = {n + 2}; nonplanar PD?"
@@ -68,11 +75,14 @@ def checkerboard(pd: PDCode):
     # darts d and nxt[d] lie on one face, which fixes base across every
     # edge; a conflict means some face would get both colors
     base = [1] + [-1] * (n - 1)
+    color = [0] * nfaces
     queue = [0]
     for c in queue:
         for d in range(4 * c, 4 * c + 4):
+            col = base[c] ^ (d & 1)
+            color[face_of[d]] = col
             e = nxt[d]
-            b = base[c] ^ (d & 1) ^ (e & 1)
+            b = col ^ (e & 1)
             if base[e >> 2] < 0:
                 base[e >> 2] = b
                 queue.append(e >> 2)
@@ -80,9 +90,6 @@ def checkerboard(pd: PDCode):
                 raise PlatError("faces are not 2-colorable; malformed PD code")
     if len(queue) < n:
         raise PlatError("face adjacency graph is disconnected")
-    color = [0] * nfaces
-    for d, f in enumerate(face_of):
-        color[f] = base[d >> 2] ^ (d & 1)
     return face_of, color
 
 
@@ -114,19 +121,24 @@ def goeritz(pd: PDCode) -> GoeritzData:
         return GoeritzData((), 1, 0)
     face_of, color = checkerboard(pd)
     shaded = [f for f, col in enumerate(color) if col]
-    index = {f: i for i, f in enumerate(shaded)}
+    index = [0] * len(color)
+    for i, f in enumerate(shaded):
+        index[f] = i
     G: list[dict[int, int]] = [{} for _ in shaded]
     for d in range(0, len(face_of), 4):
         # dart p touches the corner between edge slots p-1 and p, so darts
         # {0, 2} and {1, 3} are the two diagonal corner pairs; p = 0 when the
         # shaded pair is {0, 2}
         p = 1 - color[face_of[d]]
-        eta, fa, fb = 1 - 2 * p, face_of[d + p], face_of[d + p + 2]
+        fa, fb = face_of[d + p], face_of[d + p + 2]
         if fa == fb:
             continue  # nugatory crossing: one shaded face on both corners
-        ia, ib = index[fa], index[fb]
-        for i, j, v in ((ia, ib, -eta), (ib, ia, -eta), (ia, ia, eta), (ib, ib, eta)):
-            G[i][j] = G[i].get(j, 0) + v
+        eta, ia, ib = 1 - 2 * p, index[fa], index[fb]
+        ra, rb = G[ia], G[ib]
+        ra[ib] = ra.get(ib, 0) - eta
+        rb[ia] = rb.get(ia, 0) - eta
+        ra[ia] = ra.get(ia, 0) + eta
+        rb[ib] = rb.get(ib, 0) + eta
     return GoeritzData(tuple(G), abs(_minor_det(G)), len(shaded))
 
 

@@ -561,10 +561,9 @@ def parse_plat(text: str) -> PlatWord:
             raise PlatError(f"line {ln}: 'strands N' must come first")
         if len(parts) != 2 or not parts[0].startswith("g"):
             raise PlatError(f"line {ln}: expected 'g<k> +|-'")
-        try:
-            k = int(parts[0][1:])
-        except ValueError:
-            raise PlatError(f"line {ln}: bad generator {parts[0]!r}") from None
+        if not parts[0][1:].isdecimal():  # int() would take signs and underscores
+            raise PlatError(f"line {ln}: bad generator {parts[0]!r}")
+        k = int(parts[0][1:])
         if parts[1] not in ("+", "-"):
             raise PlatError(f"line {ln}: sign must be + or -")
         word.append((k, 1 if parts[1] == "+" else -1))

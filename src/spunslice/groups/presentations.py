@@ -139,28 +139,26 @@ def format_presentation(pres: GroupPresentation) -> str:
 # index-2 rewriting
 
 
-def _rewrite_index2(word: Word, start: int, gen_map) -> Word:
+def _rewrite_index2(word: Word, start: int, emit: tuple[list[int], list[int]]) -> Word:
     """Rewrite a word of even length, which returns to its start coset,
-    through the index-2 subgroup with transversal {1, m}.
+    through the index-2 subgroup with transversal {1, m}, freely reduced.
 
-    gen_map(i, coset) gives the subgroup generator index (or 0 for the
-    dropped trivial one) of x_i entering at the given coset.
+    Every letter crosses to the other coset.  emit[u][x] is the signed
+    subgroup generator (0 for the dropped trivial one) that letter x gives
+    leaving coset u; negative letters index from the end of the list.  The
+    output is reduced as it is emitted, by `free_reduce`'s stack rule, so
+    the word is walked once.
     """
     out: list[int] = []
     u = start
     for x in word:
-        i = abs(x)
-        if x > 0:
-            g = gen_map(i, u)
-            if g:
+        g = emit[u][x]
+        u ^= 1
+        if g:
+            if out and out[-1] == -g:
+                out.pop()
+            else:
                 out.append(g)
-            u ^= 1
-        else:
-            v = u ^ 1
-            g = gen_map(i, v)
-            if g:
-                out.append(-g)
-            u = v
     return tuple(out)
 
 
@@ -180,22 +178,22 @@ def reidemeister_schreier_index2(pres: GroupPresentation):
         raise PlatError("index-2 rewriting needs all generators meridian-marked")
     n = pres.n_generators
     for r in pres.relators:
-        if sum(1 if x > 0 else -1 for x in r) % 2:
+        if len(r) % 2:  # each letter has weight +-1, so the parity is the length's
             raise PlatError("relator has odd meridian weight; no onto-Z/2 map")
 
-    # subgroup generator numbering: a_i (i >= 2) -> i - 1, b_i -> n - 1 + i
-    def gen_map(i: int, coset: int) -> int:
-        if coset == 0:
-            return 0 if i == 1 else i - 1
-        return n - 1 + i
-
+    # subgroup generator numbering: a_i (i >= 2) -> i - 1, b_i -> n - 1 + i.
+    # x_i leaves coset 0 as a_i and coset 1 as b_i; x_i^-1 leaving coset u
+    # is the inverse of x_i leaving coset u ^ 1.
+    a = [0, 0, *range(1, n)]
+    b = [0, *range(n, 2 * n)]
+    emit = (a + [-g for g in reversed(b[1:])], b + [-g for g in reversed(a[1:])])
     new_relators = []
     for r in pres.relators:
         for start in (0, 1):
-            w = free_reduce(_rewrite_index2(r, start, gen_map))
+            w = _rewrite_index2(r, start, emit)
             if w:
                 new_relators.append(w)
-    squares = [free_reduce(_rewrite_index2((i, i), 0, gen_map)) for i in range(1, n + 1)]
+    squares = [_rewrite_index2((i, i), 0, emit) for i in range(1, n + 1)]
     sub = GroupPresentation(2 * n - 1, tuple(new_relators))
     return sub, tuple(squares)
 

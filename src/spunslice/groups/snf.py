@@ -6,10 +6,10 @@ Unit pivots are taken shortest row first: the +-1 entry, in the shortest row
 that holds one, whose column has the fewest entries.  That bounds both
 factors of the Markowitz cost (Markowitz, Management Sci. 3, 1957), as in
 Zlatev's search restricted to the shortest rows (SIAM J. Numer. Anal. 17,
-1980), with one queue entry per row instead of one per entry.  What the
-pivots leave is a small dense core: `determinant` finishes it by Bareiss's
-fraction-free elimination (Math. Comp. 22, 1968), the invariants by Smith
-normal form."""
+1980), with one queue entry per row instead of one per entry, each a
+single int.  What the pivots leave is a small dense core: `determinant`
+finishes it by Bareiss's fraction-free elimination (Math. Comp. 22, 1968),
+the invariants by Smith normal form."""
 
 from __future__ import annotations
 
@@ -67,13 +67,16 @@ def eliminate_unit_pivots(rows: list[dict[int, int]], n: int) -> UnitReduction:
     search (SIAM J. Numer. Anal. 17, 1980; Markowitz, Management Sci. 3,
     1957) narrowed to one row.  The pivot's column is cleared from every
     other row by exact integer row operations (so determinants are
-    unchanged); the pivot row's other entries are listed once, and a column
-    gains a row only where a row operation adds fill.  A row hit is queued
-    again as (length, row) only when it has no entry in the queue or its
-    length differs from its last entry's; a queued length that is out of
-    date marks a stale entry.  An entry popped without a +-1 counts as gone,
-    since a hit can make a +-1 and keep the row's length.  So the pivots are
-    those of queueing every row hit again.
+    unchanged); the pivot entry is popped from its row, whose other entries
+    are then read in place, and a column gains a row only where a row
+    operation adds fill.  A queue entry is the int length * len(rows) + row,
+    which orders as (length, row), and the pivot is the least
+    len(cols[j]) * n + j, which orders as (column count, column).  A row hit
+    is queued again only when it has no entry in the queue or its length
+    differs from its last entry's; a queued length that is out of date marks
+    a stale entry.  An entry popped without a +-1 counts as gone, since a
+    hit can make a +-1 and keep the row's length.  So the pivots are those
+    of queueing every row hit again.
 
     Column operations would clear the rest of the pivot row without touching
     any remaining row, so the matrix is equivalent to diag(pivots) + core,
@@ -83,35 +86,43 @@ def eliminate_unit_pivots(rows: list[dict[int, int]], n: int) -> UnitReduction:
     Fox- and Goeritz-derived rows are sparse and rich in +-1 entries, so the
     core is small (Havas-Holt-Rees, Linear Algebra Appl. 192, 1993).
     """
+    m = len(rows)
     cols: list[set[int]] = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    live = [True] * len(rows)
+    live = [True] * m
     queued: list[int | None] = [len(row) for row in rows]  # last entry's length, or gone
-    queue = [(length, i) for i, length in enumerate(queued)]
+    queue = [length * m + i for i, length in enumerate(queued)]
     heapify(queue)
+    unset = (m + 1) * n  # above every pivot key: a column holds at most m rows
     pivots = []
     while queue:
-        length, r = heappop(queue)
+        length, r = divmod(heappop(queue), m)
         prow = rows[r]
         if not live[r] or len(prow) != length:
             continue  # retired, or hit since it was queued
-        units = [(len(cols[j]), j) for j, v in prow.items() if v == 1 or v == -1]
-        if not units:
+        best = unset  # least len(cols[j]) * n + j over the row's +-1 entries
+        for j, v in prow.items():
+            if v == 1 or v == -1:
+                key = len(cols[j]) * n + j
+                if key < best:
+                    best = key
+        if best == unset:
             queued[r] = None  # queued again if a pivot hits it
             continue
-        c = min(units)[1]
-        p = prow[c]
+        c = best % n
+        p = prow.pop(c)
         live[r] = False
         pivots.append((r, c, p))
         for j in prow:
             cols[j].discard(r)
-        others = [(j, v) for j, v in prow.items() if j != c]
-        for i in cols[c]:  # column c is retired, so its set is not read again
+        hits = cols[c]  # column c is retired, so its set is not read again
+        hits.discard(r)
+        for i in hits:
             row = rows[i]
             f = row.pop(c) * p
-            for j, v in others:
+            for j, v in prow.items():
                 w = row.get(j)
                 if w is None:  # fill
                     row[j] = -f * v
@@ -123,9 +134,9 @@ def eliminate_unit_pivots(rows: list[dict[int, int]], n: int) -> UnitReduction:
                     row[j] = w - f * v
             if queued[i] != len(row):
                 queued[i] = len(row)
-                heappush(queue, (len(row), i))
+                heappush(queue, len(row) * m + i)
     done = {c for _r, c, _p in pivots}
-    core_rows = [i for i in range(len(rows)) if live[i]]
+    core_rows = [i for i in range(m) if live[i]]
     core_cols = [j for j in range(n) if j not in done]
     core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
     return UnitReduction(tuple(pivots), core_rows, core_cols, core)

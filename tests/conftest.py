@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 
 from spunslice import diagrams
+from spunslice.covers import GoeritzData, _minor_det
 from spunslice.decker import (
     DEFAULT_RESOLUTION,
     NORTH,
@@ -1593,6 +1594,126 @@ def eliminate_unit_pivots_markowitz(rows: list[dict[int, int]], n: int) -> UnitR
     core_cols = [j for j in range(n) if j not in done]
     core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
     return UnitReduction(tuple(pivots), core_rows, core_cols, core)
+
+
+# ---------------------------------------------------------------------------
+# The checkerboard and Goeritz rows as they were built from one list of darts
+# per edge label, a second loop coloring every dart and a triple per entry:
+# the references for `covers.checkerboard` and `covers.goeritz`, which must
+# return the same faces, colors, rows and refusals.
+
+
+def checkerboard_reference(pd: PDCode):
+    """(face_of, color) of `covers.checkerboard`: faces numbered in order of
+    their first dart, the face of dart 0 shaded."""
+    darts: dict[int, list[int]] = {}
+    for d, e in enumerate(e for tup in pd.crossings for e in tup[:4]):
+        darts.setdefault(e, []).append(d)
+    mate = [0] * (4 * pd.n_crossings)
+    for e, ds in darts.items():
+        if len(ds) != 2:
+            raise PlatError(f"edge {e} occurs {len(ds)} times")
+        mate[ds[0]], mate[ds[1]] = ds[1], ds[0]
+    nxt = [(m & ~3) | ((m + 1) & 3) for m in mate]  # next dart on the face
+    face_of = [-1] * len(mate)
+    nfaces = 0
+    for first in range(len(mate)):
+        if face_of[first] < 0:
+            d = first
+            while face_of[d] < 0:
+                face_of[d] = nfaces
+                d = nxt[d]
+            nfaces += 1
+    n = pd.n_crossings
+    if nfaces != n + 2:
+        raise PlatError(
+            f"face count {nfaces} != crossings + 2 = {n + 2}; nonplanar PD?"
+        )
+    base = [1] + [-1] * (n - 1)
+    queue = [0]
+    for c in queue:
+        for d in range(4 * c, 4 * c + 4):
+            e = nxt[d]
+            b = base[c] ^ (d & 1) ^ (e & 1)
+            if base[e >> 2] < 0:
+                base[e >> 2] = b
+                queue.append(e >> 2)
+            elif base[e >> 2] != b:
+                raise PlatError("faces are not 2-colorable; malformed PD code")
+    if len(queue) < n:
+        raise PlatError("face adjacency graph is disconnected")
+    color = [0] * nfaces
+    for d, f in enumerate(face_of):
+        color[f] = base[d >> 2] ^ (d & 1)
+    return face_of, color
+
+
+def goeritz_reference(pd: PDCode) -> GoeritzData:
+    """`covers.goeritz` on `checkerboard_reference`, one triple per entry."""
+    if not pd.crossings:
+        return GoeritzData((), 1, 0)
+    face_of, color = checkerboard_reference(pd)
+    shaded = [f for f, col in enumerate(color) if col]
+    index = {f: i for i, f in enumerate(shaded)}
+    G: list[dict[int, int]] = [{} for _ in shaded]
+    for d in range(0, len(face_of), 4):
+        p = 1 - color[face_of[d]]
+        eta, fa, fb = 1 - 2 * p, face_of[d + p], face_of[d + p + 2]
+        if fa == fb:
+            continue
+        ia, ib = index[fa], index[fb]
+        for i, j, v in ((ia, ib, -eta), (ib, ia, -eta), (ia, ia, eta), (ib, ib, eta)):
+            G[i][j] = G[i].get(j, 0) + v
+    return GoeritzData(tuple(G), abs(_minor_det(G)), len(shaded))
+
+
+# The index-2 Reidemeister-Schreier rewrite as it called a generator map per
+# letter and reduced each rewritten word afterwards: the reference for
+# `presentations.reidemeister_schreier_index2`, which must return the same
+# relators, in the same order, and the same squares.
+
+
+def _rewrite_index2_reference(word: Word, start: int, gen_map) -> Word:
+    out: list[int] = []
+    u = start
+    for x in word:
+        i = abs(x)
+        if x > 0:
+            g = gen_map(i, u)
+            if g:
+                out.append(g)
+            u ^= 1
+        else:
+            v = u ^ 1
+            g = gen_map(i, v)
+            if g:
+                out.append(-g)
+            u = v
+    return tuple(out)
+
+
+def reidemeister_schreier_index2_reference(pres: GroupPresentation):
+    """(kernel presentation, squares of the meridians rewritten)."""
+    if pres.meridians != frozenset(range(1, pres.n_generators + 1)):
+        raise PlatError("index-2 rewriting needs all generators meridian-marked")
+    n = pres.n_generators
+    for r in pres.relators:
+        if sum(1 if x > 0 else -1 for x in r) % 2:
+            raise PlatError("relator has odd meridian weight; no onto-Z/2 map")
+
+    def gen_map(i: int, coset: int) -> int:
+        if coset == 0:
+            return 0 if i == 1 else i - 1
+        return n - 1 + i
+
+    new_relators = []
+    for r in pres.relators:
+        for start in (0, 1):
+            w = free_reduce(_rewrite_index2_reference(r, start, gen_map))
+            if w:
+                new_relators.append(w)
+    squares = [free_reduce(_rewrite_index2_reference((i, i), 0, gen_map)) for i in range(1, n + 1)]
+    return GroupPresentation(2 * n - 1, tuple(new_relators)), tuple(squares)
 
 
 # ---------------------------------------------------------------------------

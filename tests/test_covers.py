@@ -7,7 +7,8 @@ presentation (`alexander_det`) and on the plat's bridge presentation
 (`bridge_fox_det`, the route the commands use), which never reads the PD.
 Kinks, cap exchanges and stabilizations of the shipped plats change the
 word but not the knot, so they must keep both determinants, the cover's H1
-and the hom counts into S3, A4, S4 and A5.
+and the hom counts into S3, A4, S4 and A5; on T(3,5) they must also keep
+the three premises read off the cover group.
 """
 
 import hashlib
@@ -23,17 +24,21 @@ from conftest import (
     FIG8,
     T35,
     TREFOIL,
+    checkerboard_reference,
     fault_the_pd_sweep,
     goeritz_matrix,
+    goeritz_reference,
     join_components,
     ladder_plats,
     seeded_knot_plat,
 )
+from spunslice import certificate
 from spunslice.corpus import shipped_manifest_path
 from spunslice.covers import (
     alexander_det,
     alexander_polynomial,
     bridge_fox_det,
+    checkerboard,
     cobordism_linking_matrix,
     goeritz,
     goeritz_determinant,
@@ -53,6 +58,7 @@ from spunslice.diagrams import (
 from spunslice.groups.finite import alternating_group, symmetric_group
 from spunslice.groups.homcount import hom_count
 from spunslice.groups.presentations import abelianization, branched_cover_presentation, wirtinger
+from spunslice.groups.toddcoxeter import DEFAULT_MAX_COSETS
 
 
 def _evaluate(coeffs, t):
@@ -132,17 +138,44 @@ TREFOIL_PD = ((3, 6, 4, 1, -1), (5, 2, 6, 3, -1), (1, 4, 2, 5, -1))
     [
         (((3, 6, 4, 99, -1),) + TREFOIL_PD[1:], "edge 99 occurs 1 times"),
         (((3, 6, 4, 3, -1),) + TREFOIL_PD[1:], "edge 3 occurs 3 times"),
+        # label 3 four times and label 5 never: the darts still pair off two
+        # by two, so only the count refuses this code
+        (TREFOIL_PD[:1] + ((3, 2, 6, 3, -1), (1, 4, 2, 3, -1)), "edge 3 occurs 4 times"),
         # one crossing whose two edges are loops: one face, a torus graph
         (((1, 2, 1, 2, 1),), "face count 1 != crossings + 2 = 3; nonplanar PD?"),
         # the trefoil beside that torus graph: 5 + 1 faces for 4 crossings
         (TREFOIL_PD + ((7, 8, 7, 8, 1),), "face adjacency graph is disconnected"),
+        # that torus graph beside a one-crossing kink: 1 + 3 faces for 2
+        # crossings pass the Euler count, and the torus faces cannot be colored
+        (((1, 2, 1, 2, 1), (3, 3, 4, 4, 1)), "faces are not 2-colorable; malformed PD code"),
     ],
-    ids=["edge-once", "edge-thrice", "face-count", "disconnected"],
+    ids=["edge-once", "edge-thrice", "edge-four-times", "face-count", "disconnected", "not-2-colorable"],
 )
 def test_malformed_pd_codes_are_rejected(crossings, message):
-    with pytest.raises(PlatError) as excinfo:
-        goeritz(PDCode(crossings))
-    assert str(excinfo.value) == message
+    for route in (goeritz, goeritz_reference):
+        with pytest.raises(PlatError) as excinfo:
+            route(PDCode(crossings))
+        assert str(excinfo.value) == message
+
+
+@st.composite
+def seeded_knots_and_even_unions(draw):
+    """A seeded knot plat on 4-10 strands with up to 15 letters a strand
+    (the ladder's largest is 10/150), or an even union of it."""
+    strands = draw(st.sampled_from((4, 6, 8, 10)))
+    plat = seeded_knot_plat(draw(st.integers(0, 2**32)), strands, draw(st.integers(strands, 15 * strands)))
+    if draw(st.booleans()):
+        tv = draw(st.lists(st.sampled_from(range(-4, 5, 2)), min_size=strands // 2, max_size=strands // 2))
+        plat = build_symmetric_union(plat, TwistVector(tv)).knot
+    return plat
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_knots_and_even_unions())
+def test_checkerboard_and_goeritz_match_the_reference(plat):
+    pd = plat_to_pd(plat)
+    assert checkerboard(pd) == checkerboard_reference(pd)
+    assert goeritz(pd) == goeritz_reference(pd)
 
 
 def _seeded_knots_and_unions():
@@ -440,3 +473,25 @@ def test_kinks_and_stabilizations_keep_the_knot_invariants(case):
     # object from an earlier example is reused
     name, variant = case
     assert _knot_invariants(variant) == _knot_invariants(parse_plat(_KNOTTED_PLATS[name]))
+
+
+def _cover_premises(plat: PlatWord) -> tuple:
+    """The base-cover premise's status and evidence, `cosets-defined`
+    dropped (it depends on the presentation), and the quotient-structure and
+    su2 premises on the cover group it returns, if it returns one."""
+    (status, evidence), cover = certificate._base_cover(wirtinger(plat_to_pd(plat)), DEFAULT_MAX_COSETS)
+    del evidence["cosets-defined"]
+    if cover is None:
+        return (status, evidence), None, None
+    return (status, evidence), certificate._check_quotient_structure(cover), certificate._check_su2_cases(cover)
+
+
+@pytest.mark.parametrize(
+    "move, cap, s", [("kink-top", 2, 1), ("exchange-bottom", 1, -1), ("stabilize", 0, 1)]
+)
+def test_t35_plat_moves_keep_the_cover_premises(move, cap, s):
+    # each variant's cover presentation differs from T(3,5)'s and goes
+    # through the index-2 rewrite and the coset enumeration afresh
+    want = _cover_premises(T35)
+    assert _cover_premises(_plat_move(T35, move, cap, s)) == want
+    assert want[0][0] == want[1][0] == want[2][0] == "checked"

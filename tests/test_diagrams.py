@@ -243,6 +243,12 @@ def test_parse_errors_carry_line_numbers():
         parse_plat("strands 3\n")
     with pytest.raises(PlatError, match="line 2: expected 'g<k>"):
         parse_plat("strands 4\ng4+\n")
+    # the index is decimal digits only, as in the strands line: int() would
+    # read g+2 as g2 and g1_0 as g10
+    for text in ("g+2 +", "g1_0 -", "g-2 +"):
+        with pytest.raises(PlatError) as excinfo:
+            parse_plat(f"strands 4\ng1 +\n{text}\n")
+        assert str(excinfo.value) == f"line 3: bad generator {text.split()[0]!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -291,12 +291,14 @@ def test_shortest_row_pivots_keep_the_oracles_determinant_and_divisors(case):
 @st.composite
 def small_sparse_matrices(draw):
     """At most 12 x 12, at most 4 entries per row, entries in {+-1, +-2, 3}:
-    rows a hit leaves at their length but with a new +-1 entry are common."""
-    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rows a hit leaves at their length but with a new +-1 entry are common.
+    No rows, no columns and m != n are drawn too: the queue keys are
+    length * m + row and the pivot keys column count * n + column."""
+    m, n = draw(st.integers(0, 12)), draw(st.integers(0, 12))
     value = st.sampled_from([1, -1, 2, -2, 3])
     rows = []
     for _ in range(m):
-        cols = draw(st.lists(st.integers(0, n - 1), max_size=min(4, n), unique=True))
+        cols = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=min(4, n), unique=True))
         rows.append({j: draw(value) for j in cols})
     return rows, n
 

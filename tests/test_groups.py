@@ -20,6 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import (
     DETERMINANTS,
     FIG8,
+    KINK,
     T35,
     TREFOIL,
     UNKNOT,
@@ -37,6 +38,8 @@ from conftest import (
     normal_closure_all_conjugates,
     parse_presentation,
     quaternion_product_q5,
+    reidemeister_schreier_index2_reference,
+    seeded_knot_plat,
     simplified_all_rotations,
     sl2_f5_matrix_count,
     subgroup_closure_pairwise,
@@ -247,6 +250,60 @@ def _relator_lists(draw):
 @example(GroupPresentation(2, ((1, 2, -1), (), (2, 1, -1), (1, -2, -1), (2,), (1, 1, 2), (1, 2, 1))))
 def test_simplified_matches_the_all_rotations_oracle(pres):
     assert pres.simplified().relators == simplified_all_rotations(pres).relators
+
+
+@st.composite
+def _meridian_presentations(draw):
+    """All generators meridians, or rarely not.  Relators: Wirtinger words
+    x_o^s x_a x_o^-s x_b^-1, with kinks (o = a, o = b or both, whose
+    rewrites cancel in part or in full), and random words of even length
+    with a cancelling pair put in, or rarely of odd length; or the
+    Wirtinger presentation of a seeded knot plat or of an even union."""
+    if draw(st.integers(0, 3)) == 0:
+        strands = draw(st.sampled_from((4, 6, 8, 10)))
+        plat = seeded_knot_plat(draw(st.integers(0, 2**32)), strands, draw(st.integers(strands, 15 * strands)))
+        if draw(st.booleans()):
+            plat = build_symmetric_union(plat, TwistVector((2,) * (strands // 2))).knot
+        return wirtinger(plat_to_pd(plat))
+    n = draw(st.integers(1, 6))
+    gen = st.integers(1, n)
+    letter = st.integers(-n, n).filter(bool)
+    relators = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            o, a, b, s = draw(gen), draw(gen), draw(gen), draw(st.sampled_from((1, -1)))
+            kink = draw(st.sampled_from(("", "a", "b", "ab")))
+            a, b = (o if "a" in kink else a), (o if "b" in kink else b)
+            relators.append((s * o, a, -s * o, -b))
+        else:
+            w = draw(st.lists(letter, max_size=8))
+            if len(w) % 2 and draw(st.integers(0, 9)):
+                w.pop()
+            x, j = draw(letter), draw(st.integers(0, len(w)))
+            relators.append(tuple(w[:j] + [x, -x] + w[j:]))
+    meridians = frozenset(range(1, n + 1))
+    if draw(st.integers(0, 9)) == 0:
+        meridians -= {draw(gen)}
+    return GroupPresentation(n, tuple(relators), meridians)
+
+
+def _index2_outcome(rewrite, pres):
+    try:
+        sub, squares = rewrite(pres)
+    except PlatError as exc:
+        return str(exc)
+    return sub.n_generators, sub.relators, squares
+
+
+@settings(max_examples=200, deadline=None)
+@given(_meridian_presentations())
+@example(wirtinger(plat_to_pd(KINK)))
+@example(GroupPresentation(2, ((1, 1, -1, -1), (-2, 2, 2, -2), (1, 2, -1, -1)), frozenset({1, 2})))
+def test_index2_rewrite_matches_the_reference(pres):
+    # the relators in order (so the Todd-Coxeter run), the squares and the
+    # refusals of the gen_map rewrite reduced afterwards
+    want = _index2_outcome(reidemeister_schreier_index2_reference, pres)
+    assert _index2_outcome(reidemeister_schreier_index2, pres) == want
 
 
 def test_third_determinant_route_matches_the_other_two():
