@@ -255,7 +255,7 @@ def _check_slice_criterion(plat: PlatWord, tv: TwistVector, resolution: int):
         "passes-reverse": rep.reverse,
         "double-point-circles": ds.l,
         "resolution": ds.m,
-        "curve-vertices": len(curve.vertices),
+        "curve-vertices": curve.vertex_count,
     }
     return ("checked" if rep.verdict != "fail" else "failed"), evidence
 

@@ -165,7 +165,7 @@ def _cmd_slice_check(args) -> int:
     else:
         curve = symmetric_union_curve(ds, tv)
     rep = criterion_report(ds, curve)
-    print(f"circles {ds.l} resolution {ds.m} curve-vertices {len(curve.vertices)}")
+    print(f"circles {ds.l} resolution {ds.m} curve-vertices {curve.vertex_count}")
     print(f"forward {rep.forward} reverse {rep.reverse}")
     print(f"verdict {rep.verdict}")
     return 0 if rep.verdict != "fail" else 1

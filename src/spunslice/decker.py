@@ -20,11 +20,11 @@ annulus carries exactly the doubled curve's two strands, one descending and
 one ascending.  The row coordinate is purely radial bookkeeping: it lets the
 two strands share an annulus and wind full longitudes without touching.
 Crossing data -- which circle is crossed at which longitude -- is the only
-geometrically meaningful part and is what every check below consumes.  A
-curve classifies its edges once (`SliceCurve.edge_kinds`); validation,
-crossings and the side test all read that classification.  A band's winds
-are part of the route: the two strands of its annulus are routed once, with
-the winds added to their displacement, so no built curve is routed again.
+geometrically meaningful part.  A curve keeps each walk along a row as one
+run, so a band's winds cost one run per row, not one vertex per longitude:
+the checks test each run as an interval of longitudes and each join between
+runs as one V, X or P step, and the side test XORs each run's interval.  The
+two strands of a band's annulus are routed once, winds included.
 
 The side test: a vertex-simple cycle separates the sphere into exactly two
 faces.  A curve bounds a slice disc on one side of the identified surface
@@ -47,6 +47,7 @@ sides by XOR; the wedges take theirs from the pole edges the curve uses.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 from .diagrams import (
@@ -74,14 +75,14 @@ DEFAULT_RESOLUTION = 24
 # longitudes OVER_OFFSET..UNDER_OFFSET east of the seam, its descending strand
 # to the mirror sector west of it, and 16 keeps the two sectors well apart.
 MIN_RESOLUTION = 16
-# The crossing data never needs more than a few dozen longitudes; time and
-# memory grow linearly in M (each band wind walks M longitudes), and 4096
-# keeps one slice check well under a second and 30 MB.
+# The crossing data never needs more than a few dozen longitudes; a curve's
+# masks are M-bit ints, and at 4096 a slice check of T(3,5), winds up to
+# MAX_WINDING included, takes about 0.1 s and 16 MB in a fresh process.
 MAX_RESOLUTION = 4096
 # Each band wind walks M longitudes in both strands of its annulus, so a
-# slice curve has about 2 * M * sum(|t_j| / 2, j >= 2) vertices.  2**18
-# winding longitudes (about 525,000 vertices) keeps one slice curve near a
-# second and 150 MB; (1000, 1000, 1000) still runs at the default M = 24.
+# slice curve has about 2 * M * sum(|t_j| / 2, j >= 2) vertices, one run per
+# M / 2 of them.  2**18 winding longitudes (about 525,000 vertices) keep a
+# slice check of T(3,5) near 0.2 s and 25 MB; (1000, 1000, 1000) runs at M = 24.
 MAX_WINDING = 2**18
 
 NORTH = ("N",)
@@ -176,108 +177,133 @@ def spin_plat(plat: PlatWord, m: int = DEFAULT_RESOLUTION) -> DeckerSet:
 
 
 class SliceCurve(Record):
-    """A vertex-simple cycle on the grid sphere.
+    """A vertex-simple cycle on the grid sphere, kept as runs.
 
-    vertices lists the cycle in order; the edge from the last vertex back
-    to the first is implied.  rows[region] is the number of grid rows the
-    curve's routing uses in that region (row 0 abuts the region's north
-    boundary, row rows-1 its south boundary).
+    runs lists the cycle in order.  A run (region, row, start, n) walks |n|
+    horizontal steps from longitude start along one row, east when n > 0;
+    NORTH and SOUTH mark the poles.  Each item is joined to the next, and
+    the last to the first, by one V, X or P step.  rows[region] is the
+    number of grid rows the curve's routing uses in that region (row 0
+    abuts the region's north boundary, row rows-1 its south boundary).
     """
 
-    _fields = ("l", "m", "rows", "vertices")
+    _fields = ("l", "m", "rows", "runs")
 
-    def __init__(self, l: int, m: int, rows: tuple[int, ...], vertices: tuple[tuple, ...]):
+    def __init__(self, l: int, m: int, rows: tuple[int, ...], runs: tuple[tuple, ...]):
         if len(rows) != l + 1:
             raise PlatError("need one row count per region")
         if any(r < 1 for r in rows):
             raise PlatError("every region needs at least one row")
-        self.l, self.m, self.rows, self.vertices = l, m, rows, vertices
+        self.l, self.m, self.rows, self.runs = l, m, rows, runs
+
+    @property
+    def vertices(self) -> tuple[tuple, ...]:
+        """The cycle's vertices in order, (region, row, longitude) or a pole."""
+        m, out = self.m, []
+        for run in self.runs:
+            if len(run) != 4:
+                out.append(run)
+            else:
+                step = 1 if run[3] > 0 else -1
+                out += [(*run[:2], (run[2] + step * i) % m) for i in range(abs(run[3]) + 1)]
+        return tuple(out)
 
     def edges(self):
         verts = self.vertices
         return zip(verts, verts[1:] + verts[:1])
 
-    @cached_property
-    def edge_kinds(self) -> tuple[tuple, ...]:
-        """Kind of each edge of edges(), in order, classified on first use:
-        ("H", +-1) east or west, ("V", +-1) down or up a row, ("X", circle,
-        longitude) or ("P", "N" | "S").  Raises PlatError at the first edge
-        that is not a grid edge, on every access."""
-        lng, m, rows = self.l, self.m, self.rows
-        kinds = []
-        for u, v in self.edges():
-            if len(u) != 3 or len(v) != 3:
-                kinds.append(self._pole_kind(u, v))
-                continue
-            lu, ru, ku = u
-            lv, rv, kv = v
-            if not (0 <= lu <= lng and 0 <= ru < rows[lu]):
-                raise PlatError(f"vertex {u} outside the grid")
-            if not (0 <= lv <= lng and 0 <= rv < rows[lv]):
-                raise PlatError(f"vertex {v} outside the grid")
-            if not (0 <= ku < m and 0 <= kv < m):
-                raise PlatError("longitude out of range")
-            if lu == lv and ru == rv:
-                if (ku + 1) % m == kv:
-                    kinds.append(("H", 1))
-                elif (kv + 1) % m == ku:
-                    kinds.append(("H", -1))
-                else:
-                    raise PlatError(f"non-adjacent horizontal step {u} -> {v}")
-            elif lu == lv and ku == kv and abs(ru - rv) == 1:
-                kinds.append(("V", rv - ru))
-            elif ku == kv and lv == lu + 1 and ru == rows[lu] - 1 and rv == 0:
-                kinds.append(("X", lv, ku))  # crossing circle lv southward
-            elif ku == kv and lu == lv + 1 and rv == rows[lv] - 1 and ru == 0:
-                kinds.append(("X", lu, ku))  # crossing circle lu northward
-            else:
-                raise PlatError(f"not a grid edge: {u} -> {v}")
-        return tuple(kinds)
+    @property
+    def vertex_count(self) -> int:
+        return sum(abs(run[3]) + 1 if len(run) == 4 else 1 for run in self.runs)
 
-    def _pole_kind(self, u: tuple, v: tuple) -> tuple:
-        if u == NORTH or u == SOUTH:
-            u, v = v, u
-        if v == NORTH:
-            if len(u) == 3 and u[0] == 0 and u[1] == 0:
-                return ("P", "N")
-            raise PlatError(f"pole edge must land on region 0 row 0, not {u}")
-        if v == SOUTH:
-            if len(u) == 3 and u[0] == self.l and u[1] == self.rows[self.l] - 1:
-                return ("P", "S")
-            raise PlatError(f"pole edge must land on the last row of region {self.l}")
-        raise PlatError(f"malformed vertices {u} -> {v}")
+    @cached_property
+    def _crossings(self) -> dict[int, list[int]]:
+        """Crossing longitudes per circle, read from the X steps once the
+        runs are checked to form a simple cycle of grid steps.  Raises
+        PlatError at the first fault, on every access."""
+        l, m, rows = self.l, self.m, self.rows
+        full = (1 << m) - 1
+        # the visited longitudes of each (region, row), an M-bit int at used[base[region] + row]
+        base = [0, *accumulate(rows)]
+        used = [0] * base[-1]
+        poles, crossings, count, first = [], {}, 0, None
+        # the last vertex so far: (er, erow, ek), or the last pole when er is -1
+        er = erow = ek = -1
+        for run in self.runs:
+            if len(run) == 4:
+                region, row, start, n = run
+                if not (0 <= region <= l and 0 <= row < rows[region]):
+                    raise PlatError(f"vertex {run[:3]} outside the grid")
+                if not 0 <= start < m:
+                    raise PlatError("longitude out of range")
+                lo, width = (start, n + 1) if n >= 0 else ((start + n) % m, 1 - n)
+                bits = (1 << width) - 1
+                span = (bits << lo | bits >> (m - lo)) & full
+                i = base[region] + row
+                if width > m or used[i] & span:
+                    raise PlatError("curve revisits a vertex")
+                used[i] |= span
+                count += width
+                if region == er and start == ek and (row - erow == 1 or erow - row == 1):
+                    er, erow, ek = region, row, (start + n) % m
+                    continue  # a V step, the common join
+                head = run[:3]
+            elif run in (NORTH, SOUTH) and run not in poles:
+                poles.append(run)
+                count += 1
+                head = run
+            else:
+                raise PlatError(
+                    "curve revisits a vertex" if run in poles else f"malformed vertices {run}"
+                )
+            if first is None:
+                first = head
+            else:
+                self._step((er, erow, ek) if er >= 0 else poles[-1], head, crossings)
+            er, erow, ek = (region, row, (start + n) % m) if len(head) == 3 else (-1, -1, -1)
+        if count < 3:
+            raise PlatError("a cycle needs at least three vertices")
+        self._step((er, erow, ek) if er >= 0 else poles[-1], first, crossings)
+        for circle, ks in crossings.items():
+            if len(ks) % 2:
+                raise PlatError(f"curve crosses circle {circle} an odd number of times")
+        return crossings
+
+    def _step(self, u: tuple, v: tuple, crossings: dict[int, list[int]]) -> None:
+        """Check that u -> v is a V, X or P step; keep an X step's longitude."""
+        rows = self.rows
+        if len(u) == 1 or len(v) == 1:
+            pole, u = (u, v) if len(u) == 1 else (v, u)
+            lands = (0, 0) if pole == NORTH else (self.l, rows[self.l] - 1)
+            if len(u) != 3 or u[:2] != lands:
+                raise PlatError(f"pole edge must land on region {lands[0]} row {lands[1]}, not {u}")
+            return
+        (lu, ru, ku), (lv, rv, kv) = u, v
+        if ku == kv and lu == lv and abs(ru - rv) == 1:
+            return
+        if ku == kv and lv == lu + 1 and ru == rows[lu] - 1 and rv == 0:
+            crossings.setdefault(lv, []).append(ku)  # crossing circle lv southward
+        elif ku == kv and lu == lv + 1 and rv == rows[lv] - 1 and ru == 0:
+            crossings.setdefault(lu, []).append(ku)  # crossing circle lu northward
+        elif (lu, ru) != (lv, rv) or ku == kv:
+            raise PlatError(f"not a grid edge: {u} -> {v}")
+        elif (ku - kv) % self.m in (1, self.m - 1):
+            raise PlatError(f"horizontal step {u} -> {v} between two runs")
+        else:
+            raise PlatError(f"non-adjacent horizontal step {u} -> {v}")
 
     def crossings(self) -> dict[int, tuple[int, ...]]:
         """Sorted crossing longitudes per circle."""
-        out: dict[int, list[int]] = {}
-        for kind in self.edge_kinds:
-            if kind[0] == "X":
-                out.setdefault(kind[1], []).append(kind[2])
-        return {c: tuple(sorted(ks)) for c, ks in sorted(out.items())}
+        return {c: tuple(sorted(ks)) for c, ks in sorted(self._crossings.items())}
 
 
 def validate_curve(ds: DeckerSet, curve: SliceCurve) -> None:
     """Raise PlatError unless the curve is a valid simple cycle on ds.  The
-    grid is checked against ds on every call; the vertex and parity checks
-    run once per curve, whose success is kept on the curve object."""
+    grid is checked against ds on every call; the run checks run once per
+    curve, which keeps their crossings (`SliceCurve._crossings`)."""
     if curve.l != ds.l or curve.m != ds.m:
         raise PlatError("curve grid does not match the decker set")
-    if "_simple" in curve.__dict__:
-        return
-    if len(curve.vertices) < 3:
-        raise PlatError("a cycle needs at least three vertices")
-    if len(set(curve.vertices)) != len(curve.vertices):
-        raise PlatError("curve revisits a vertex")
-    counts: dict[int, int] = {}
-    for kind in curve.edge_kinds:
-        if kind[0] == "X":
-            counts[kind[1]] = counts.get(kind[1], 0) + 1
-    for circle, count in counts.items():
-        if count % 2:
-            raise PlatError(
-                f"curve crosses circle {circle} an odd number of times"
-            )
-    curve._simple = True
+    curve._crossings
 
 
 # ---------------------------------------------------------------------------
@@ -303,33 +329,28 @@ def _route_region(m: int, arcs: list[tuple[int, int, int]]):
     arcs holds the descending and the ascending strand, both as downward
     descriptors with the same extra winds; their entries, exits and short
     walks lie in the disjoint sectors around the seam.  Returns (rows,
-    paths); paths[i] is a list of (row, longitude) for the i-th descriptor.
-    Without a full turn each strand walks its short path on row 1.  With
-    winds the strands leapfrog: on each row each one walks from where it
-    is to just short of where the other started that row.
+    paths); paths[i] lists the i-th strand's runs (row, start, n), one per
+    row.  Without a full turn each strand walks its short path on row 1.
+    With winds the strands leapfrog: on each row each one walks from where
+    it is to just short of where the other started that row.
     """
     if all(abs(s) <= m // 2 for _t, _b, s in arcs):
-        paths = []
-        for top, bot, s in arcs:
-            step = 1 if s > 0 else -1
-            walk = [(1, (top + step * i) % m) for i in range(abs(s) + 1)]
-            paths.append([(0, top)] + walk + [(2, bot)])
-        return 3, paths
+        return 3, [[(0, top, 0), (1, top, s), (2, bot, 0)] for top, bot, s in arcs]
     sigma = 1 if arcs[0][2] > 0 else -1
     pos = [top for top, _b, _s in arcs]
     left = [abs(s) for _t, _b, s in arcs]
-    paths = [[(0, top)] for top in pos]
+    paths = [[(0, top, 0)] for top in pos]
     row = 0
     while left[0] or left[1]:
         row += 1
         gap = (pos[1] - pos[0]) * sigma % m
         for i, room in enumerate((gap, m - gap)):
             run = min(left[i], room - 1)
-            paths[i].extend((row, (pos[i] + sigma * t) % m) for t in range(run + 1))
+            paths[i].append((row, pos[i], sigma * run))
             pos[i] = (pos[i] + sigma * run) % m
             left[i] -= run
     for path, (_t, bot, _s) in zip(paths, arcs):
-        path.append((row + 1, bot))
+        path.append((row + 1, bot, 0))
     return row + 2, paths
 
 
@@ -340,63 +361,35 @@ def _route_region(m: int, arcs: list[tuple[int, int, int]]):
 def _build_trace(ds: DeckerSet, winds: dict[int, int]) -> SliceCurve:
     """The doubled curve, both strands in annulus region r winding winds[r]
     extra full turns."""
-    m = ds.m
-    if ds.l == 0:
-        verts = [NORTH, (0, 0, m - 1), (0, 1, m - 1), SOUTH, (0, 1, 1), (0, 0, 1)]
-        return SliceCurve(0, m, (2,), tuple(verts))
+    m, l = ds.m, ds.l
+    if l == 0:
+        runs = (NORTH, (0, 0, m - 1, 0), (0, 1, m - 1, 0), SOUTH, (0, 1, 1, 0), (0, 0, 1, 0))
+        return SliceCurve(0, m, (2,), runs)
     # crossing longitude per circle: the ascending strand at +offset, tight
     # on over circles and wide on under ones; the descending strand at M - offset
-    up = {c: OVER_OFFSET if ds.is_over(c) else UNDER_OFFSET for c in range(1, ds.l + 1)}
-    down = {c: m - k for c, k in up.items()}
-    rows = [2] + [3] * (ds.l - 1) + [2]
-    annulus_paths: dict[int, list[list]] = {}
-    for region in range(1, ds.l):
+    up = [0] + [OVER_OFFSET if ds.is_over(c) else UNDER_OFFSET for c in range(1, l + 1)]
+    down = [m - k for k in up]
+    rows = [2] + [3] * (l - 1) + [2]
+    # the descending strand: north pole, row 0 of the north disc to the first
+    # crossing, each annulus, then the south disc to the pole column
+    desc: list[tuple] = [NORTH, (0, 0, m - 1, _short_rep(down[1] + 1, m)), (0, 1, down[1], 0)]
+    # the ascending strand, south pole to north, collected north to south
+    asc: list[tuple] = [(0, 0, 1, 0), (0, 1, up[1], _short_rep(1 - up[1], m))]
+    for region in range(1, l):
         wind = winds.get(region, 0) * m
         arcs = [
             (down[region], down[region + 1], _short_rep(down[region + 1] - down[region], m) + wind),
-            # ascending strand, described as a downward path (reversed later)
+            # ascending strand, described as a downward path (reversed below)
             (up[region], up[region + 1], _short_rep(up[region + 1] - up[region], m) + wind),
         ]
-        rows[region], annulus_paths[region] = _route_region(m, arcs)
-
-    def region_vertices(region: int, path) -> list[tuple]:
-        return [(region, r, k) for r, k in path]
-
-    desc: list[tuple] = [NORTH]
-    # north disc: walk row 0 from the pole column to the first crossing
-    walk = _walk_longitudes(m - 1, down[1], m)
-    desc.extend((0, 0, k) for k in walk)
-    desc.append((0, 1, down[1]))
-    for region in range(1, ds.l):
-        desc.extend(region_vertices(region, annulus_paths[region][0]))
-    # south disc: enter at the last circle's longitude, walk to the pole column
-    walk = _walk_longitudes(down[ds.l], m - 1, m)
-    desc.extend((ds.l, 0, k) for k in walk)
-    desc.append((ds.l, 1, m - 1))
-    desc.append(SOUTH)
-    asc: list[tuple] = []
-    walk = _walk_longitudes(1, up[ds.l], m)
-    asc.append((ds.l, 1, 1))
-    asc.extend((ds.l, 1, k) for k in walk[1:])
-    asc.append((ds.l, 0, up[ds.l]))
-    for region in range(ds.l - 1, 0, -1):
-        asc.extend(
-            (region, r, k) for r, k in reversed(annulus_paths[region][1])
-        )
-    walk = _walk_longitudes(up[1], 1, m)
-    asc.append((0, 1, up[1]))
-    asc.extend((0, 1, k) for k in walk[1:])
-    asc.append((0, 0, 1))
-    curve = SliceCurve(ds.l, m, tuple(rows), tuple(desc + asc))
+        rows[region], (descending, ascending) = _route_region(m, arcs)
+        desc += [(region, r, k, n) for r, k, n in descending]
+        asc += [(region, r, (k + n) % m, -n) for r, k, n in ascending]
+    desc += [(l, 0, down[l], _short_rep(-1 - down[l], m)), (l, 1, m - 1, 0), SOUTH]
+    asc += [(l, 0, up[l], 0), (l, 1, 1, _short_rep(up[l] - 1, m))]
+    curve = SliceCurve(l, m, tuple(rows), tuple(desc + asc[::-1]))
     validate_curve(ds, curve)
     return curve
-
-
-def _walk_longitudes(start: int, end: int, m: int) -> list[int]:
-    """Longitudes visited walking the short way from start to end."""
-    s = _short_rep(end - start, m)
-    step = 1 if s > 0 else -1
-    return [(start + step * i) % m for i in range(abs(s) + 1)]
 
 
 def trace_double_curve(ds: DeckerSet) -> SliceCurve:
@@ -461,24 +454,30 @@ def _side_masks(ds: DeckerSet, curve: SliceCurve) -> list[int]:
     """Sides of the midpoints of circles 1..L, one M-bit int per circle:
     bit k is set when midpoint (c, k) lies on side 2."""
     validate_curve(ds, curve)
-    m, verts = curve.m, curve.vertices
-    # per region, the columns where the curve has an odd number of H edges
+    m, runs = curve.m, curve.runs
+    full = (1 << m) - 1
+    # per region, the columns where the curve has an odd number of H edges;
+    # a run's H edges fill the columns between its two ends
     crossed = [0] * (curve.l + 1)
-    for (u, v), kind in zip(curve.edges(), curve.edge_kinds):
-        if kind[0] == "H":
-            crossed[u[0]] ^= 1 << (u[2] if kind[1] > 0 else v[2])
+    for run in runs:
+        if len(run) == 4 and run[3]:
+            region, _row, start, n = run
+            lo = start if n > 0 else (start + n) % m
+            bits = (1 << abs(n)) - 1
+            crossed[region] ^= bits << lo | bits >> (m - lo)
     # the anchor wedge lies on side 1; through the pole, the curve leaves at
     # longitude a and arrives at b, so the wedges b..a-1 lie on side 2
     side = 0
-    if NORTH in verts:
-        i = verts.index(NORTH)
-        a, b = verts[(i + 1) % len(verts)][2], verts[i - 1][2]
-        run = (1 << (a - b) % m) - 1
-        side = (run << b | run >> (m - b)) & ((1 << m) - 1)
+    if NORTH in runs:
+        i = runs.index(NORTH)
+        a, (_r, _row, start, n) = runs[(i + 1) % len(runs)][2], runs[i - 1]
+        b = (start + n) % m
+        wedge = (1 << (a - b) % m) - 1
+        side = wedge << b | wedge >> (m - b)
     masks = []
     for region in range(curve.l):
         side ^= crossed[region]
-        masks.append(side)
+        masks.append(side & full)
     return masks
 
 

@@ -46,6 +46,14 @@ class GroupPresentation(Record):
                 raise ValueError(f"meridian index {m} out of range")
         self.n_generators, self.relators, self.meridians = n_generators, relators, meridians
 
+    @classmethod
+    def _unchecked(cls, n_generators: int, relators: tuple[Word, ...], meridians=frozenset()):
+        """A presentation whose letters all come from checked presentations,
+        built without checking them again."""
+        pres = cls.__new__(cls)
+        pres.n_generators, pres.relators, pres.meridians = n_generators, relators, meridians
+        return pres
+
     def simplified(self) -> "GroupPresentation":
         """Free reduction plus removal of empty relators and of relators
         equal to an earlier one up to cyclic rotation and inversion.  Both
@@ -73,7 +81,7 @@ class GroupPresentation(Record):
                     continue
                 keys.add(key)
             rels.append(r2)
-        return GroupPresentation(self.n_generators, tuple(rels), self.meridians)
+        return GroupPresentation._unchecked(self.n_generators, tuple(rels), self.meridians)
 
 
 def _least_rotation(word: Word) -> Word:
@@ -205,6 +213,8 @@ def branched_cover_presentation(pres: GroupPresentation) -> GroupPresentation:
     square (the branching fills the lifted meridian annuli with discs).
     """
     sub, squares = reidemeister_schreier_index2(pres)
-    return GroupPresentation(
+    # the squares are rewritten with the kernel's generators, so their letters
+    # are in the kernel's range
+    return GroupPresentation._unchecked(
         sub.n_generators, sub.relators + tuple(w for w in squares if w)
     ).simplified()

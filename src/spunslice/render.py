@@ -137,9 +137,9 @@ def render_decker(ds: DeckerSet, curve: SliceCurve | None = None) -> str:
 
         segs: list[str] = []
         marks: list[str] = []
-        for (u, v), kind in zip(curve.edges(), curve.edge_kinds):
+        for u, v in curve.edges():
             (ux, uy), (vx, vy) = pos(u), pos(v)
-            if kind[0] == "H" and abs(ux - vx) > grid_w / 2:
+            if u[:2] == v[:2] and abs(ux - vx) > grid_w / 2:
                 # wrap-around: leave one side, re-enter the other
                 if ux < vx:
                     segs.append(_line(ux, uy, x0 - cell / 2, uy, CURVE_COLOR, 2.4))
@@ -149,9 +149,8 @@ def render_decker(ds: DeckerSet, curve: SliceCurve | None = None) -> str:
                     segs.append(_line(x0 - cell / 2, vy, vx, vy, CURVE_COLOR, 2.4))
                 continue
             segs.append(_line(ux, uy, vx, vy, CURVE_COLOR, 2.4))
-            if kind[0] == "X":
-                _tag, c, k = kind
-                marks.append(_dot(x0 + (k + 0.5) * cell, circle_y(c), 3.2, "white", CURVE_COLOR))
+            if len(u) == len(v) == 3 and u[0] != v[0]:  # an X step crosses circle max(u[0], v[0])
+                marks.append(_dot(ux, circle_y(max(u[0], v[0])), 3.2, "white", CURVE_COLOR))
         body.extend(segs)
         body.extend(marks)
     return _svg(width, height, body)

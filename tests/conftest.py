@@ -22,11 +22,14 @@ from spunslice.covers import GoeritzData, _minor_det
 from spunslice.decker import (
     DEFAULT_RESOLUTION,
     NORTH,
+    OVER_OFFSET,
     SOUTH,
+    UNDER_OFFSET,
     CriterionReport,
     DeckerSet,
     SliceCurve,
     _pairs,
+    _short_rep,
     _side_masks,
     validate_curve,
 )
@@ -520,6 +523,174 @@ def icosian_as_q5(u) -> tuple:
     return tuple((Fraction(x, 4), Fraction(y, 4)) for x, y in u)
 
 
+# The vertex-level slice curve, the oracle for `decker`'s runs: a curve as
+# one tuple per vertex, with its edges classified one at a time, the checks
+# that read that classification, and the doubled-curve builder that emits
+# vertices.  `vertex_curve` compresses a vertex cycle into runs, so every
+# hand-made curve below reaches the runtime's run checks and side test.
+def vertex_curve(l: int, m: int, rows: tuple[int, ...], vertices) -> SliceCurve:
+    """The SliceCurve of a vertex cycle.
+
+    Each maximal walk in one direction along one row becomes a run
+    (region, row, start, n); every other vertex, a pole or a malformed one,
+    is kept as it is.  The cycle is read from its first vertex that no H
+    step enters, so a walk that wraps past the end of the list stays one
+    run; a cycle made only of H steps is read from its first vertex.
+    """
+    verts = list(vertices)
+
+    def h_step(u, v) -> int:
+        if len(u) == len(v) == 3 and u[:2] == v[:2]:
+            if (u[2] + 1) % m == v[2]:
+                return 1
+            if (v[2] + 1) % m == u[2]:
+                return -1
+        return 0
+
+    steps = [h_step(u, v) for u, v in zip(verts, verts[1:] + verts[:1])]
+    begin = next((i for i in range(len(verts)) if not steps[i - 1]), 0)
+    verts, steps = verts[begin:] + verts[:begin], steps[begin:] + steps[:begin]
+    runs = []
+    i = 0
+    while i < len(verts):
+        if len(verts[i]) != 3:
+            runs.append(verts[i])
+            i += 1
+            continue
+        j, d = i, steps[i]
+        while d and j + 1 < len(verts) and steps[j] == d:
+            j += 1
+        runs.append((*verts[i], d * (j - i)))
+        i = j + 1
+    return SliceCurve(l, m, rows, tuple(runs))
+
+
+def vertex_pole_kind(curve: SliceCurve, u: tuple, v: tuple) -> tuple:
+    if u == NORTH or u == SOUTH:
+        u, v = v, u
+    if v == NORTH:
+        if len(u) == 3 and u[0] == 0 and u[1] == 0:
+            return ("P", "N")
+        raise PlatError(f"pole edge must land on region 0 row 0, not {u}")
+    if v == SOUTH:
+        if len(u) == 3 and u[0] == curve.l and u[1] == curve.rows[curve.l] - 1:
+            return ("P", "S")
+        raise PlatError(f"pole edge must land on the last row of region {curve.l}")
+    raise PlatError(f"malformed vertices {u} -> {v}")
+
+
+def vertex_edge_kinds(curve: SliceCurve) -> tuple[tuple, ...]:
+    """Kind of each edge of curve.edges(), in order: ("H", +-1) east or
+    west, ("V", +-1) down or up a row, ("X", circle, longitude) or ("P",
+    "N" | "S").  Raises PlatError at the first edge that is not a grid
+    edge."""
+    lng, m, rows = curve.l, curve.m, curve.rows
+    kinds = []
+    for u, v in curve.edges():
+        if len(u) != 3 or len(v) != 3:
+            kinds.append(vertex_pole_kind(curve, u, v))
+            continue
+        lu, ru, ku = u
+        lv, rv, kv = v
+        if not (0 <= lu <= lng and 0 <= ru < rows[lu]):
+            raise PlatError(f"vertex {u} outside the grid")
+        if not (0 <= lv <= lng and 0 <= rv < rows[lv]):
+            raise PlatError(f"vertex {v} outside the grid")
+        if not (0 <= ku < m and 0 <= kv < m):
+            raise PlatError("longitude out of range")
+        if lu == lv and ru == rv:
+            if (ku + 1) % m == kv:
+                kinds.append(("H", 1))
+            elif (kv + 1) % m == ku:
+                kinds.append(("H", -1))
+            else:
+                raise PlatError(f"non-adjacent horizontal step {u} -> {v}")
+        elif lu == lv and ku == kv and abs(ru - rv) == 1:
+            kinds.append(("V", rv - ru))
+        elif ku == kv and lv == lu + 1 and ru == rows[lu] - 1 and rv == 0:
+            kinds.append(("X", lv, ku))  # crossing circle lv southward
+        elif ku == kv and lu == lv + 1 and rv == rows[lv] - 1 and ru == 0:
+            kinds.append(("X", lu, ku))  # crossing circle lu northward
+        else:
+            raise PlatError(f"not a grid edge: {u} -> {v}")
+    return tuple(kinds)
+
+
+def vertex_crossings(curve: SliceCurve) -> dict[int, tuple[int, ...]]:
+    """Sorted crossing longitudes per circle, from the X edges."""
+    out: dict[int, list[int]] = {}
+    for kind in vertex_edge_kinds(curve):
+        if kind[0] == "X":
+            out.setdefault(kind[1], []).append(kind[2])
+    return {c: tuple(sorted(ks)) for c, ks in sorted(out.items())}
+
+
+def validate_vertices(ds: DeckerSet, curve: SliceCurve) -> None:
+    """Raise PlatError unless the curve's vertices form a valid simple cycle
+    on ds: no vertex twice, every edge a grid edge, every circle crossed an
+    even number of times."""
+    if curve.l != ds.l or curve.m != ds.m:
+        raise PlatError("curve grid does not match the decker set")
+    verts = curve.vertices
+    if len(verts) < 3:
+        raise PlatError("a cycle needs at least three vertices")
+    if len(set(verts)) != len(verts):
+        raise PlatError("curve revisits a vertex")
+    for circle, ks in vertex_crossings(curve).items():
+        if len(ks) % 2:
+            raise PlatError(f"curve crosses circle {circle} an odd number of times")
+
+
+def _walk_longitudes(start: int, end: int, m: int) -> list[int]:
+    """Longitudes visited walking the short way from start to end."""
+    s = _short_rep(end - start, m)
+    step = 1 if s > 0 else -1
+    return [(start + step * i) % m for i in range(abs(s) + 1)]
+
+
+def doubled_curve_vertices(ds: DeckerSet, winds: dict[int, int]) -> tuple[tuple, tuple]:
+    """(rows, vertices) of the doubled curve with both strands in annulus
+    region r winding winds[r] extra full turns, one vertex at a time, each
+    annulus routed by `route_region_oracle`."""
+    m = ds.m
+    if ds.l == 0:
+        return (2,), (NORTH, (0, 0, m - 1), (0, 1, m - 1), SOUTH, (0, 1, 1), (0, 0, 1))
+    up = {c: OVER_OFFSET if ds.is_over(c) else UNDER_OFFSET for c in range(1, ds.l + 1)}
+    down = {c: m - k for c, k in up.items()}
+    rows = [2] + [3] * (ds.l - 1) + [2]
+    paths: dict[int, list[list]] = {}
+    for region in range(1, ds.l):
+        wind = winds.get(region, 0) * m
+        arcs = [
+            (down[region], down[region + 1], _short_rep(down[region + 1] - down[region], m) + wind),
+            (up[region], up[region + 1], _short_rep(up[region + 1] - up[region], m) + wind),
+        ]
+        rows[region], paths[region] = route_region_oracle(m, arcs)
+    verts: list[tuple] = [NORTH]
+    verts += [(0, 0, k) for k in _walk_longitudes(m - 1, down[1], m)]
+    verts.append((0, 1, down[1]))
+    for region in range(1, ds.l):
+        verts += [(region, r, k) for r, k in paths[region][0]]
+    verts += [(ds.l, 0, k) for k in _walk_longitudes(down[ds.l], m - 1, m)]
+    verts += [(ds.l, 1, m - 1), SOUTH]
+    verts += [(ds.l, 1, k) for k in _walk_longitudes(1, up[ds.l], m)]
+    verts.append((ds.l, 0, up[ds.l]))
+    for region in range(ds.l - 1, 0, -1):
+        verts += [(region, r, k) for r, k in reversed(paths[region][1])]
+    verts += [(0, 1, k) for k in _walk_longitudes(up[1], 1, m)]
+    verts.append((0, 0, 1))
+    return tuple(rows), tuple(verts)
+
+
+def union_winds(ds: DeckerSet, tv) -> dict[int, int]:
+    """Extra full turns per annulus region for the even twist vector tv."""
+    winds: dict[int, int] = {}
+    for t, region in zip(tv, ds.bridge_annuli):
+        if region is not None and t:
+            winds[region] = winds.get(region, 0) + t // 2
+    return winds
+
+
 # `decker`'s side test as a dict of labels, for comparison with the oracle
 # below; "the module docstring" is decker's.  The runtime reads the bit masks
 # (`decker._side_masks`) directly.
@@ -556,7 +727,7 @@ def side_map_faces(ds, curve) -> dict[tuple[int, int], int]:
     the curve rather than to an absolute longitude keeps the labels stable
     under global rotation.
     """
-    validate_curve(ds, curve)
+    validate_vertices(ds, curve)
     m, lng, rows = curve.m, curve.l, curve.rows
     blocked = {frozenset((u, v)) for u, v in curve.edges()}
 
@@ -667,7 +838,7 @@ def criterion_report_midpoints(ds, curve) -> CriterionReport:
     the `side_map_faces` labels: the reference for the bitmask comparison of
     `decker.criterion_report`."""
     sides = side_map_faces(ds, curve)
-    crossings = curve.crossings()
+    crossings = vertex_crossings(curve)
     m = curve.m
     forward = True
     reverse = True
@@ -702,11 +873,11 @@ def spin_chord_diagram(cd: ChordDiagram, m: int = DEFAULT_RESOLUTION) -> DeckerS
 
 def rotate_curve(curve: SliceCurve, d: int) -> SliceCurve:
     """Rotate the whole curve d longitude samples eastward."""
-    verts = tuple(
-        v if v in (NORTH, SOUTH) else (v[0], v[1], (v[2] + d) % curve.m)
-        for v in curve.vertices
+    runs = tuple(
+        run if len(run) != 4 else (run[0], run[1], (run[2] + d) % curve.m, run[3])
+        for run in curve.runs
     )
-    return SliceCurve(curve.l, curve.m, curve.rows, verts)
+    return SliceCurve(curve.l, curve.m, curve.rows, runs)
 
 
 def format_decker(ds: DeckerSet) -> str:
@@ -767,7 +938,7 @@ def parse_decker(text: str) -> DeckerSet:
 
 
 def format_curve(ds: DeckerSet, curve: SliceCurve) -> str:
-    validate_curve(ds, curve)
+    validate_vertices(ds, curve)
     lines = [format_decker(ds).rstrip("\n")]
     lines.append("curve rows " + " ".join(str(r) for r in curve.rows))
     first = curve.vertices[0]
@@ -778,7 +949,7 @@ def format_curve(ds: DeckerSet, curve: SliceCurve) -> str:
     else:
         lines.append(f"start {first[0]} {first[1]} {first[2]}")
     moves: list[list] = []  # [kind, run length] for H and V, else [kind, argument]
-    for (u, v), kind in zip(curve.edges(), curve.edge_kinds):
+    for (u, v), kind in zip(curve.edges(), vertex_edge_kinds(curve)):
         tag = kind[0]
         if tag in ("H", "V"):
             if moves and moves[-1][0] == tag and (moves[-1][1] > 0) == (kind[1] > 0):
@@ -861,7 +1032,7 @@ def parse_curve(text: str) -> tuple[DeckerSet, SliceCurve]:
             raise PlatError(f"unknown move kind {kind!r}")
     if verts[-1] != verts[0]:
         raise PlatError("curve moves do not close the cycle")
-    curve = SliceCurve(ds.l, ds.m, rows, tuple(verts[:-1]))
+    curve = vertex_curve(ds.l, ds.m, rows, verts[:-1])
     validate_curve(ds, curve)
     return ds, curve
 
@@ -984,7 +1155,8 @@ def dehn_twist_annulus(
         if start == total:
             raise PlatError("curve lies entirely inside the twist region")
     verts = verts[start:] + verts[:start]
-    kinds = curve.edge_kinds[start:] + curve.edge_kinds[:start]
+    kinds = vertex_edge_kinds(curve)
+    kinds = kinds[start:] + kinds[:start]
     # carve out maximal runs inside the region
     runs: list[tuple[int, int]] = []  # [begin, end) index ranges
     i = 0
@@ -1036,7 +1208,7 @@ def dehn_twist_annulus(
         out.extend((region, r, k) for r, k in ordered)
         cursor = end
     out.extend(verts[cursor:])
-    twisted = SliceCurve(curve.l, m, tuple(new_rows), tuple(out))
+    twisted = vertex_curve(curve.l, m, tuple(new_rows), out)
     validate_curve(ds, twisted)
     if crossing_set(twisted) != crossing_set(curve):
         raise PlatError("twist changed crossing data (internal error)")

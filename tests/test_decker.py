@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from functools import cached_property
 from unittest import mock
 
 import pytest
@@ -14,8 +15,10 @@ from conftest import (
     T35,
     TREFOIL,
     UNKNOT,
+    criterion_report_midpoints,
     crossing_set,
     dehn_twist_annulus,
+    doubled_curve_vertices,
     format_curve,
     join_components,
     format_decker,
@@ -23,11 +26,17 @@ from conftest import (
     parse_decker,
     rotate_curve,
     route_region_oracle,
+    seeded_knot_plat,
     side_map,
     spin_chord_diagram,
+    union_winds,
+    validate_vertices,
+    vertex_crossings,
+    vertex_curve,
 )
 from spunslice import decker
-from spunslice.diagrams import PlatError, PlatWord, TwistVector, chord_diagram_of_tangle
+from spunslice.corpus import shipped_manifest_path
+from spunslice.diagrams import PlatError, PlatWord, TwistVector, chord_diagram_of_tangle, parse_plat
 from spunslice.decker import (
     MAX_WINDING,
     NORTH,
@@ -129,7 +138,7 @@ def corrupted_one_chord(ds):
     verts += [(1, 0, m - 6), (0, 1, m - 6)]
     verts += [(0, 1, (m - 6 + i) % m) for i in range(1, 7)]
     verts += [(0, 0, 0)]
-    return SliceCurve(2, m, rows, tuple(verts))
+    return vertex_curve(2, m, rows, verts)
 
 
 def test_corrupted_curve_fails_both_directions(kink_ds):
@@ -141,7 +150,7 @@ def test_corrupted_curve_fails_both_directions(kink_ds):
 
 
 def test_small_disc_curve_passes_vacuously(kink_ds):
-    disc = SliceCurve(
+    disc = vertex_curve(
         2, kink_ds.m, (2, 3, 2),
         ((1, 0, 10), (1, 0, 11), (1, 1, 11), (1, 1, 10)),
     )
@@ -179,12 +188,12 @@ def test_validate_curve_errors(kink_ds, trefoil_ds, trefoil_trace):
     with pytest.raises(PlatError, match="at least three vertices"):
         validate_curve(
             kink_ds,
-            SliceCurve(2, 24, (1, 1, 1), ((0, 0, 0), (0, 0, 1))),
+            vertex_curve(2, 24, (1, 1, 1), ((0, 0, 0), (0, 0, 1))),
         )
     with pytest.raises(PlatError, match="revisits"):
         validate_curve(
             kink_ds,
-            SliceCurve(
+            vertex_curve(
                 2, 24, (2, 3, 2),
                 ((1, 0, 10), (1, 0, 11), (1, 1, 11), (1, 1, 10), (1, 0, 10), (1, 0, 9)),
             ),
@@ -192,22 +201,24 @@ def test_validate_curve_errors(kink_ds, trefoil_ds, trefoil_trace):
     with pytest.raises(PlatError, match="not a grid edge"):
         validate_curve(
             kink_ds,
-            SliceCurve(2, 24, (2, 3, 2), ((1, 0, 10), (1, 2, 10), (1, 1, 11))),
+            vertex_curve(2, 24, (2, 3, 2), ((1, 0, 10), (1, 2, 10), (1, 1, 11))),
         )
 
 
 def test_a_curve_is_checked_once_and_its_grid_on_every_call(kink_ds, trefoil_ds, monkeypatch):
-    # the curve's own checks read its edge kinds; after they pass on the
-    # built curve, the side masks and the crossings read them once each
-    reads = []
-    kinds = SliceCurve.edge_kinds.func
-    monkeypatch.setattr(SliceCurve, "edge_kinds", property(lambda c: (reads.append(c), kinds(c))[1]))
+    # the curve's own checks run when it is built; the side masks and the
+    # crossings read the crossings those checks kept
+    checks = []
+    check = SliceCurve._crossings.func
+    counted = cached_property(lambda c: (checks.append(c), check(c))[1])
+    counted.__set_name__(SliceCurve, "_crossings")
+    monkeypatch.setattr(SliceCurve, "_crossings", counted)
     curve = symmetric_union_curve(trefoil_ds, TwistVector((2, 2)))
     assert criterion_report(trefoil_ds, curve).verdict == "pass-forward"
-    assert len(reads) == 3
+    assert checks == [curve]
     with pytest.raises(PlatError, match="grid does not match"):
         validate_curve(kink_ds, curve)
-    revisits = SliceCurve(curve.l, curve.m, curve.rows, curve.vertices + curve.vertices[:1])
+    revisits = vertex_curve(curve.l, curve.m, curve.rows, curve.vertices + curve.vertices[:1])
     for _ in range(2):
         with pytest.raises(PlatError, match="revisits"):
             validate_curve(trefoil_ds, revisits)
@@ -325,7 +336,92 @@ def test_two_strand_router_equals_the_general_router(m, top, bottom, winds):
         (m - top, m - bottom, decker._short_rep(top - bottom, m) + winds * m),
         (top, bottom, decker._short_rep(bottom - top, m) + winds * m),
     ]
-    assert decker._route_region(m, arcs) == route_region_oracle(m, arcs)
+    rows, paths = decker._route_region(m, arcs)
+    expanded = [
+        [(r, (k + i * (1 if n > 0 else -1)) % m) for r, k, n in path for i in range(abs(n) + 1)]
+        for path in paths
+    ]
+    assert (rows, expanded) == route_region_oracle(m, arcs)
+
+
+def checked(check, ds, curve) -> bool:
+    try:
+        check(ds, curve)
+    except PlatError:
+        return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(knot_plats_with_even_twists(), st.data())
+def test_runs_agree_with_the_vertex_level_curve(plat_tv_m, data):
+    # the union curve as runs against the same curve built one vertex at a
+    # time: vertices, count, crossings and side test; then, six times, one
+    # vertex dropped, repeated, walked back to, moved a step east, up or
+    # down, or swapped with the one before it, which both checks must accept
+    # or refuse alike
+    plat, tv, m = plat_tv_m
+    ds = spin_plat(plat, m)
+    curve = symmetric_union_curve(ds, TwistVector(tv))
+    rows, verts = doubled_curve_vertices(ds, union_winds(ds, tv))
+    assert (curve.rows, curve.vertices) == (rows, verts)
+    assert curve.vertex_count == len(verts)
+    assert curve.crossings() == vertex_crossings(curve)
+    assert criterion_report(ds, curve) == criterion_report_midpoints(ds, curve)
+    moved = {"east": (0, 1), "up": (-1, 0), "down": (1, 0)}
+    for _ in range(6):
+        i = data.draw(st.integers(1, len(verts) - 1))
+        how = data.draw(st.sampled_from(["drop", "repeat", "back", "swap", *moved]))
+        damaged = list(verts)
+        if how == "drop":
+            del damaged[i]
+        elif how == "repeat":
+            damaged.insert(i, verts[i])
+        elif how == "back":  # ... u, v, u, v ...
+            damaged[i + 1:i + 1] = verts[i - 1:i + 1]
+        elif how == "swap":
+            damaged[i - 1], damaged[i] = verts[i], verts[i - 1]
+        elif len(verts[i]) == 3:
+            (region, row, k), (dr, dk) = verts[i], moved[how]
+            damaged[i] = (region, row + dr, (k + dk) % m)
+        bad = vertex_curve(ds.l, m, rows, damaged)
+        valid = checked(validate_vertices, ds, bad)
+        assert checked(validate_curve, ds, bad) == valid
+        if valid:
+            assert bad.vertex_count == len(bad.vertices)
+            assert bad.crossings() == vertex_crossings(bad)
+            assert criterion_report(ds, bad) == criterion_report_midpoints(ds, bad)
+
+
+def shipped_knot(name: str) -> PlatWord:
+    return parse_plat((shipped_manifest_path().parent / "plats" / f"{name}.plat").read_text())
+
+
+@st.composite
+def knot_plats_resolutions_and_even_twists(draw):
+    """A knotted shipped plat or a seeded random knot plat on 4-8 strands,
+    M = 16 or 24, and an even twist vector with entries up to 40."""
+    plat = draw(st.one_of(
+        st.sampled_from(["trefoil", "figure8", "t25", "k5_2", "t35"]).map(shipped_knot),
+        st.builds(
+            seeded_knot_plat, st.integers(0, 10**6), st.sampled_from([4, 6, 8]), st.integers(8, 24)
+        ),
+    ))
+    tv = tuple(2 * draw(st.integers(-20, 20)) for _ in range(plat.bridges))
+    return plat, TwistVector(tv), draw(st.sampled_from([16, 24]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(knot_plats_resolutions_and_even_twists())
+def test_the_side_test_does_not_read_the_twists(plat_tv_m):
+    # a full turn of one strand flips every column of its annulus once, and
+    # both strands turn |t|/2 times, so every column flips an even number of
+    # times and the sides are the doubled curve's
+    plat, tv, m = plat_tv_m
+    ds = spin_plat(plat, m)
+    assert criterion_report(ds, symmetric_union_curve(ds, tv)) == criterion_report(
+        ds, trace_double_curve(ds)
+    )
 
 
 def test_t35_sweep_and_long_twist_curves_are_pinned():
@@ -373,7 +469,7 @@ def test_zero_twist_is_the_identity(trefoil_ds, trefoil_trace):
 
 
 def test_twisting_a_nonannulus_region_is_rejected(kink_ds):
-    disc = SliceCurve(
+    disc = vertex_curve(
         2, kink_ds.m, (2, 3, 2),
         ((1, 0, 10), (1, 0, 11), (1, 1, 11), (1, 1, 10)),
     )

@@ -66,8 +66,10 @@ from spunslice.groups.finite import (
     alternating_group,
     closure_elements,
     cyclic_group,
+    group_closure,
     is_even,
     iso_check,
+    perm_mul,
     sl2_f5,
     structure_report,
     su2_obstruction,
@@ -314,6 +316,55 @@ def test_third_determinant_route_matches_the_other_two():
         pd = plat_to_pd(plat)
         ab = abelianization(branched_cover_presentation(wirtinger(pd)))
         assert ab.order == det == goeritz_determinant(pd)
+
+
+# Two classical facts tie the cover route to code paths it does not share.
+# For a knot K and an odd prime p, a map of the knot group into the dihedral
+# group D_p either has abelian image (the 2p maps through Z) or sends every
+# meridian to a reflection (the p * |H1(cover; F_p)| Fox colorings, p of them
+# constant), so #Hom(K, D_p) = p + p * |H1(cover; F_p)|; and a 4-strand plat
+# closes to a two-bridge knot, whose branched double cover is the lens space
+# L(det K, q), with cyclic fundamental group.
+
+
+@cache
+def dihedral_group(p: int) -> FiniteGroup:
+    rotation = tuple((i + 1) % p for i in range(p))
+    reflection = tuple(-i % p for i in range(p))
+    return group_closure((rotation, reflection), perm_mul, name=f"D{p}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from((4, 6, 8)), st.integers(1, 4))
+def test_dihedral_hom_counts_are_cover_homology_mod_p(seed, strands, per_strand):
+    plat = seeded_knot_plat(seed, strands, per_strand * strands)
+    pres = wirtinger(plat_to_pd(plat))
+    h1 = abelianization(branched_cover_presentation(pres))
+    for p in (3, 5, 7):
+        rank = h1.free_rank + sum(1 for d in h1.divisors if d % p == 0)
+        homs = hom_count(pres, dihedral_group(p))
+        assert homs.exact and homs.count == p + p * p**rank
+
+
+def element_order(mult: list[list[int]], g: int) -> int:
+    """Order of element g in a regular representation whose identity is 0."""
+    order, x = 1, g
+    while x:
+        order, x = order + 1, mult[x][g]
+    return order
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(3, 25))
+def test_two_bridge_knots_have_cyclic_covers(seed, letters):
+    from spunslice.covers import goeritz_determinant
+
+    pd = plat_to_pd(seeded_knot_plat(seed, 4, letters))
+    det = goeritz_determinant(pd)
+    result = todd_coxeter(branched_cover_presentation(wirtinger(pd)))
+    assert result.complete and result.index == det
+    mult = regular_representation(result)
+    assert any(element_order(mult, g) == det for g in range(det))
 
 
 # ---------------------------------------------------------------------------

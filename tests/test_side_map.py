@@ -1,7 +1,7 @@
 """The even-odd side test and the bitmask slice criterion against the
-face-tuple flood fill and the per-midpoint criterion, edge kinds classified
-once per curve, and the decker, curve and SVG texts pinned to the bytes of
-the face-tuple implementation."""
+face-tuple flood fill and the per-midpoint criterion, the run checks against
+the vertex-level edges, and the decker, curve and SVG texts pinned to the
+bytes of the face-tuple implementation."""
 
 import hashlib
 from itertools import product
@@ -19,11 +19,13 @@ from conftest import (
     rotate_curve,
     side_map,
     side_map_faces,
+    vertex_crossings,
+    vertex_curve,
+    vertex_edge_kinds,
 )
 from test_decker import corrupted_one_chord
 from spunslice.corpus import shipped_manifest_path
 from spunslice.decker import (
-    SliceCurve,
     criterion_report,
     spin_plat,
     symmetric_union_curve,
@@ -50,8 +52,8 @@ def kink_curves():
     at 10 and 14, so the forward inclusion breaks only at midpoints 8 and 9,
     next to a crossing, where the side test does not look."""
     ds = spin_plat(KINK)
-    disc = SliceCurve(2, ds.m, (2, 3, 2), ((1, 0, 10), (1, 0, 11), (1, 1, 11), (1, 1, 10)))
-    box = SliceCurve(2, ds.m, (2, 3, 2), (
+    disc = vertex_curve(2, ds.m, (2, 3, 2), ((1, 0, 10), (1, 0, 11), (1, 1, 11), (1, 1, 10)))
+    box = vertex_curve(2, ds.m, (2, 3, 2), (
         (0, 1, 8), (1, 0, 8), *((1, 1, k) for k in (8, 9, 10)), (1, 2, 10),
         *((2, 0, k) for k in range(10, 15)), (1, 2, 14), (1, 1, 14), (1, 0, 14),
         *((0, 1, k) for k in range(14, 8, -1)),
@@ -185,27 +187,20 @@ def test_render_decker_bytes_are_frozen(plat, tv):
 
 
 # ---------------------------------------------------------------------------
-# edge kinds: classified once, and never hiding an invalid edge
+# runs: the vertex-level edges, and never hiding an invalid step
 # ---------------------------------------------------------------------------
 
-def test_edge_kinds_follow_the_edges():
+def test_runs_follow_the_vertex_edges():
+    # the steps inside a run are its H edges; each join is one V, X or P edge
     ds = spin_plat(TREFOIL)
     curve = trace_double_curve(ds)
-    kinds = curve.edge_kinds
-    assert curve.edge_kinds is kinds
-    assert len(kinds) == len(curve.vertices)
-    crossings = {}
-    for (u, v), kind in zip(curve.edges(), kinds):
-        if kind[0] == "X":
-            crossings.setdefault(kind[1], []).append(kind[2])
-            assert u[2] == v[2] == kind[2]
-        elif kind[0] == "H":
-            assert u[:2] == v[:2] and (u[2] + kind[1]) % ds.m == v[2]
-        elif kind[0] == "V":
-            assert u[0] == v[0] and u[1] + kind[1] == v[1]
-        else:
-            assert ("N",) in (u, v) or ("S",) in (u, v)
-    assert curve.crossings() == {c: tuple(sorted(ks)) for c, ks in sorted(crossings.items())}
+    kinds = vertex_edge_kinds(curve)
+    assert len(kinds) == len(curve.vertices) == curve.vertex_count
+    walked = [abs(run[3]) for run in curve.runs if len(run) == 4]
+    assert [kind[0] for kind in kinds].count("H") == sum(walked)
+    assert len(kinds) - sum(walked) == len(curve.runs)
+    assert curve.crossings() == vertex_crossings(curve)
+    assert vertex_curve(curve.l, curve.m, curve.rows, curve.vertices) == curve
 
 
 MALFORMED = {
@@ -221,7 +216,7 @@ MALFORMED = {
 @pytest.mark.parametrize("message", list(MALFORMED))
 def test_malformed_curves_raise_on_every_check(message):
     ds = spin_plat(KINK)
-    bad = SliceCurve(2, ds.m, (2, 3, 2), MALFORMED[message])
+    bad = vertex_curve(2, ds.m, (2, 3, 2), MALFORMED[message])
     for _ in range(2):  # a failed classification is not kept
         with pytest.raises(PlatError, match=message):
             validate_curve(ds, bad)
@@ -235,7 +230,7 @@ def test_malformed_curves_raise_on_every_check(message):
 
 def test_a_second_pole_visit_is_a_revisit():
     ds = spin_plat(KINK)
-    twice = SliceCurve(2, ds.m, (2, 3, 2), (
+    twice = vertex_curve(2, ds.m, (2, 3, 2), (
         ("N",), (0, 0, 3), (0, 0, 4), ("N",), (0, 0, 5), (0, 0, 6),
     ))
     with pytest.raises(PlatError, match="revisits"):
