@@ -198,14 +198,17 @@ class SliceCurve(Record):
 
     @property
     def vertices(self) -> tuple[tuple, ...]:
-        """The cycle's vertices in order, (region, row, longitude) or a pole."""
+        """The cycle's vertices in order, (region, row, longitude) or a pole.
+        A run's start is kept as given, so one out of range stays so."""
         m, out = self.m, []
         for run in self.runs:
             if len(run) != 4:
                 out.append(run)
             else:
-                step = 1 if run[3] > 0 else -1
-                out += [(*run[:2], (run[2] + step * i) % m) for i in range(abs(run[3]) + 1)]
+                region, row, start, n = run
+                step = 1 if n > 0 else -1
+                out.append((region, row, start))
+                out += [(region, row, (start + step * i) % m) for i in range(1, abs(n) + 1)]
         return tuple(out)
 
     def edges(self):

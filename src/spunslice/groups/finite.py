@@ -1,9 +1,10 @@
 """Small finite groups with exhaustive structure analysis.
 
-Elements are canonical indices into a multiplication table.  Concrete
-groups come either from BFS closure of generators -- tuples under a product
+Elements are canonical indices into a multiplication table, which one
+builder, `cayley_table`, reads from a Cayley graph: a complete coset table,
+or the BFS closure of concrete generators -- tuples under a product
 function: permutations, 2x2 matrices over the 5-element field, exact
-quaternions -- or from a coset enumeration's regular representation.
+quaternions -- which keeps each element's products with the generators.
 
 The subgroup generated by S is the orbit of the identity under right
 multiplication by S, reading each reached row once at S's columns.  In a
@@ -285,43 +286,55 @@ def f5_mul(m: tuple, n: tuple) -> tuple:
     return ((a * e + b * g) % 5, (a * f + b * h) % 5, (c * e + d * g) % 5, (c * f + d * h) % 5)
 
 
-def closure_elements(generators, mul, bound: int = CLOSURE_BOUND) -> list:
-    """Every product of the generators under mul, sorted.
-
-    BFS under right multiplication by the generators; for a finite set of
-    invertible elements that already yields the generated group.  Raises if
-    the closure exceeds the bound.
+def cayley_graph(generators, mul, bound: int = CLOSURE_BOUND) -> tuple[list, list[list[int]], int]:
+    """`(elements, rows, identity)` for the group the generators close to
+    under mul: the elements sorted, `rows[c][j]` = element c times generator
+    j, and the identity, the element whose product with the first generator
+    is that generator.  A BFS under right multiplication by finitely many
+    invertible elements reaches the group they generate.  Raises if the
+    closure exceeds the bound.
     """
     gens = list(generators)
     if not gens:
         raise GroupError("need at least one generator")
-    have = set(gens)
-    frontier = list(gens)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = mul(a, g)
-                if c not in have:
-                    if len(have) >= bound:
-                        raise GroupError(f"closure exceeded bound {bound}")
-                    have.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return sorted(have)
+    succ = dict.fromkeys(gens)  # element -> its products with the generators
+    queue = list(succ)
+    for a in queue:  # the queue grows as the walk reaches new elements
+        succ[a] = products = [mul(a, g) for g in gens]
+        for c in products:
+            if c not in succ:
+                if len(succ) >= bound:
+                    raise GroupError(f"closure exceeded bound {bound}")
+                succ[c] = None
+                queue.append(c)
+    elems = sorted(succ)
+    index = {x: i for i, x in enumerate(elems)}
+    rows = [[index[c] for c in succ[x]] for x in elems]
+    return elems, rows, next(i for i, row in enumerate(rows) if row[0] == index[gens[0]])
+
+
+def cayley_table(rows, identity: int) -> list[tuple[int, ...]]:
+    """The multiplication table of a group from its Cayley graph on some
+    generating elements: `rows[c][j]` is element c times generator j.
+    Along a BFS tree from the identity, the right action x -> x*d of d = c*g
+    is that of c followed by g's column, one read per entry, and `mult[a][d]`
+    is its value at a.  FiniteGroup verifies the result."""
+    right: list = [None] * len(rows)
+    right[identity] = list(range(len(rows)))
+    queue = [identity]
+    for c in queue:  # the queue grows as the walk reaches new elements
+        pc = right[c]
+        for j, d in enumerate(rows[c]):
+            if right[d] is None:
+                right[d] = [rows[x][j] for x in pc]
+                queue.append(d)
+    return list(zip(*right))
 
 
 def group_closure(generators, mul, bound: int = CLOSURE_BOUND, name: str = "") -> FiniteGroup:
-    """BFS closure of the generators under mul into a FiniteGroup."""
-    return table_group(closure_elements(generators, mul, bound), mul, name=name)
-
-
-def table_group(elems, mul, name: str = "") -> FiniteGroup:
-    """The group of a list of elements closed under mul, in list order;
-    every table entry is one directly computed product."""
-    index = {x: i for i, x in enumerate(elems)}
-    table = [[index[mul(a, b)] for b in elems] for a in elems]
-    return FiniteGroup(table, name=name)
+    """The group the generators close to under mul, its elements sorted."""
+    _elems, rows, identity = cayley_graph(generators, mul, bound)
+    return FiniteGroup(cayley_table(rows, identity), name=name)
 
 
 @cache

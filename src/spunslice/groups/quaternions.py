@@ -6,7 +6,8 @@ integers, no floating point and no fractions.  The 120 units are the 24
 Hurwitz-style elements plus the 96 even coordinate permutations of
 (0, +-1, +-1/phi, +-phi)/2, phi the golden ratio.  Elements are tuples under
 a product function: a quaternion is the tuple of its four coordinate pairs,
-multiplied by icosian_mul.
+multiplied by icosian_mul.  The group's table is read from the Cayley graph
+of two generators by `finite.cayley_table`, 240 products in all.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import permutations, product
 
-from .finite import FiniteGroup, GroupError, closure_elements, is_even, table_group
+from .finite import FiniteGroup, GroupError, cayley_graph, cayley_table, is_even
 
 # coordinate k of x*y is the sum of sign * x[i] * y[j] over (sign, i, j) in row k
 _HAMILTON = (
@@ -91,16 +92,12 @@ def _unit_icosians() -> list[tuple]:
 
 @cache
 def icosian_group() -> FiniteGroup:
-    """The 120 unit icosians as a group, built once per process.
-
-    The closure of two generators must be exactly the enumerated units;
-    every table entry is then a directly computed quaternion product.
-    """
-    units = _unit_icosians()
-    elems = closure_elements(GENERATORS, icosian_mul, bound=121)
-    if set(elems) != set(units):
+    """The 120 unit icosians as a group, built once per process; the
+    closure of the two generators must be exactly the enumerated units."""
+    elems, rows, identity = cayley_graph(GENERATORS, icosian_mul, bound=121)
+    if set(elems) != set(_unit_icosians()):
         raise GroupError("the generators do not close to the 120 unit icosians")
-    return table_group(elems, icosian_mul, name="2I")
+    return FiniteGroup(cayley_table(rows, identity), name="2I")
 
 
 @cache

@@ -15,7 +15,9 @@ narrow tables cost more: S8's Coxeter presentation (7 generators) peaks at
 43 MB traced against 17.  The one runtime caller, the base-cover premise,
 runs only at determinant 1, where the cover group is perfect and the
 enumeration completes at index 120 or exhausts its budget on sparse rows.
-`todd_coxeter` returns the table with live cosets renumbered from 0.
+`todd_coxeter` returns the table with live cosets renumbered from 0.  For
+the trivial subgroup that is a Cayley graph of the group, from which
+`regular_representation` reads its table by `finite.cayley_table`.
 
 Termination is never guaranteed for infinite-index subgroups, so the
 enumerator carries an explicit coset budget and returns a typed
@@ -27,6 +29,7 @@ from __future__ import annotations
 from array import array
 from typing import NamedTuple
 
+from .finite import cayley_table
 from .presentations import GroupPresentation, Word
 
 DEFAULT_MAX_COSETS = 2_000_000
@@ -216,32 +219,12 @@ def todd_coxeter(
     return CosetResult("complete", len(live), tuple(final), defined, max_cosets)
 
 
-def regular_representation(result: CosetResult) -> list[list[int]]:
+def regular_representation(result: CosetResult) -> list[tuple[int, ...]]:
     """Multiplication table of the group from a trivial-subgroup coset table.
 
-    Coset 0 is the identity; the element of coset c is the tree word
-    reaching c.  mult[a][b] = coset of (element a) * (element b), computed by
-    pushing a through b's tree word.
+    Coset 0 is the identity and each coset an element, so the table's rows
+    are the group's Cayley graph on the generators and their inverses.
     """
     if not result.complete:
         raise ValueError("need a complete enumeration")
-    table = result.table
-    n = result.index
-    # BFS spanning tree from coset 0
-    perm: list[list[int] | None] = [None] * n
-    perm[0] = list(range(n))
-    order = [0]
-    head = 0
-    ncols = len(table[0]) if n else 0
-    while head < len(order):
-        c = order[head]
-        head += 1
-        for col in range(ncols):
-            d = table[c][col]
-            if perm[d] is None:
-                # pi_d = column_col  composed after  pi_c
-                pc = perm[c]
-                perm[d] = [table[pc[i]][col] for i in range(n)]
-                order.append(d)
-    mult = [[perm[b][a] for b in range(n)] for a in range(n)]
-    return mult
+    return cayley_table(result.table, 0)

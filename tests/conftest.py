@@ -42,7 +42,7 @@ from spunslice.diagrams import (
     closure_components,
     validate_plat,
 )
-from spunslice.groups.finite import GroupError
+from spunslice.groups.finite import CLOSURE_BOUND, FiniteGroup, GroupError
 from spunslice.groups.homcount import (
     _LOOKAHEAD_COST,
     _LOOKAHEAD_WIDTH,
@@ -533,14 +533,16 @@ def vertex_curve(l: int, m: int, rows: tuple[int, ...], vertices) -> SliceCurve:
 
     Each maximal walk in one direction along one row becomes a run
     (region, row, start, n); every other vertex, a pole or a malformed one,
-    is kept as it is.  The cycle is read from its first vertex that no H
-    step enters, so a walk that wraps past the end of the list stays one
-    run; a cycle made only of H steps is read from its first vertex.
+    is kept as it is.  A longitude outside 0..M-1 takes no H step, so it
+    starts a run of its own, as it is.  The cycle is read from its first
+    vertex that no H step enters, so a walk that wraps past the end of the
+    list stays one run; a cycle made only of H steps is read from its first
+    vertex.
     """
     verts = list(vertices)
 
     def h_step(u, v) -> int:
-        if len(u) == len(v) == 3 and u[:2] == v[:2]:
+        if len(u) == len(v) == 3 and u[:2] == v[:2] and 0 <= u[2] < m and 0 <= v[2] < m:
             if (u[2] + 1) % m == v[2]:
                 return 1
             if (v[2] + 1) % m == u[2]:
@@ -1451,6 +1453,35 @@ def strand_permutation(plat: PlatWord) -> tuple[int, ...]:
     return tuple(p + 1 for p in pos)
 
 
+def artin_presentation(plat: PlatWord) -> GroupPresentation:
+    """The knot group read from the plat word by Artin's action, with no PD.
+
+    Top cap j gives generator x_j: column 2j-1 carries x_j downward and
+    column 2j carries x_j^-1.  Each letter gives one column a fresh
+    generator: (k, +1) sends the labels (x_k, x_{k+1}) of columns k, k+1 to
+    (new, x_k) with new = x_k x_{k+1} x_k^-1, and (k, -1) to (x_{k+1}, new)
+    with new = x_{k+1}^-1 x_k x_{k+1}.  Bottom cap i gives the relator
+    col_{2i-1} col_{2i} for i < b; the last cap's follows from the rest.
+    Only the top-cap generators are meridian-marked: a fresh generator
+    conjugates a column label that may be an inverse.
+    """
+    b = plat.strands // 2
+    cols = [s * j for j in range(1, b + 1) for s in (1, -1)]
+    relators = []
+    n = b
+    for k, sign in plat.word:
+        x, y = cols[k - 1], cols[k]
+        n += 1
+        if sign > 0:
+            relators.append((x, y, -x, -n))
+            cols[k - 1], cols[k] = n, x
+        else:
+            relators.append((-y, x, y, -n))
+            cols[k - 1], cols[k] = y, n
+    relators += [(cols[2 * i], cols[2 * i + 1]) for i in range(b - 1)]
+    return GroupPresentation(n, tuple(relators), frozenset(range(1, b + 1)))
+
+
 # The strand-and-cap walk, the reference for the union-find over `_classes`
 # in `diagrams.closure_components`: follow each strand down, across its
 # bottom cap, back up and across its top cap until the component closes.
@@ -1886,6 +1917,46 @@ def reidemeister_schreier_index2_reference(pres: GroupPresentation):
                 new_relators.append(w)
     squares = [free_reduce(_rewrite_index2_reference((i, i), 0, gen_map)) for i in range(1, n + 1)]
     return GroupPresentation(2 * n - 1, tuple(new_relators)), tuple(squares)
+
+
+# ---------------------------------------------------------------------------
+# The all-products group table, the reference for `finite.cayley_table`: the
+# closure's elements, sorted, and every table entry one directly computed
+# product, |G|^2 of them.
+
+
+def closure_elements(generators, mul, bound: int = CLOSURE_BOUND) -> list:
+    """Every product of the generators under mul, sorted.
+
+    BFS under right multiplication by the generators; for a finite set of
+    invertible elements that already yields the generated group.  Raises if
+    the closure exceeds the bound.
+    """
+    gens = list(generators)
+    if not gens:
+        raise GroupError("need at least one generator")
+    have = set(gens)
+    frontier = list(gens)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                c = mul(a, g)
+                if c not in have:
+                    if len(have) >= bound:
+                        raise GroupError(f"closure exceeded bound {bound}")
+                    have.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return sorted(have)
+
+
+def table_group(elems, mul, name: str = "") -> FiniteGroup:
+    """The group of a list of elements closed under mul, in list order;
+    every table entry is one directly computed product."""
+    index = {x: i for i, x in enumerate(elems)}
+    table = [[index[mul(a, b)] for b in elems] for a in elems]
+    return FiniteGroup(table, name=name)
 
 
 # ---------------------------------------------------------------------------

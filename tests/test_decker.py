@@ -359,7 +359,8 @@ def test_runs_agree_with_the_vertex_level_curve(plat_tv_m, data):
     # time: vertices, count, crossings and side test; then, six times, one
     # vertex dropped, repeated, walked back to, moved a step east, up or
     # down, or swapped with the one before it, which both checks must accept
-    # or refuse alike
+    # or refuse alike, or moved a full turn, to longitude k + M, which both
+    # must refuse
     plat, tv, m = plat_tv_m
     ds = spin_plat(plat, m)
     curve = symmetric_union_curve(ds, TwistVector(tv))
@@ -371,7 +372,7 @@ def test_runs_agree_with_the_vertex_level_curve(plat_tv_m, data):
     moved = {"east": (0, 1), "up": (-1, 0), "down": (1, 0)}
     for _ in range(6):
         i = data.draw(st.integers(1, len(verts) - 1))
-        how = data.draw(st.sampled_from(["drop", "repeat", "back", "swap", *moved]))
+        how = data.draw(st.sampled_from(["drop", "repeat", "back", "swap", "turn", *moved]))
         damaged = list(verts)
         if how == "drop":
             del damaged[i]
@@ -381,12 +382,16 @@ def test_runs_agree_with_the_vertex_level_curve(plat_tv_m, data):
             damaged[i + 1:i + 1] = verts[i - 1:i + 1]
         elif how == "swap":
             damaged[i - 1], damaged[i] = verts[i], verts[i - 1]
-        elif len(verts[i]) == 3:
+        elif how == "turn" and len(verts[i]) == 3:
+            region, row, k = verts[i]
+            damaged[i] = (region, row, k + m)
+        elif how in moved and len(verts[i]) == 3:
             (region, row, k), (dr, dk) = verts[i], moved[how]
             damaged[i] = (region, row + dr, (k + dk) % m)
         bad = vertex_curve(ds.l, m, rows, damaged)
         valid = checked(validate_vertices, ds, bad)
         assert checked(validate_curve, ds, bad) == valid
+        assert not (valid and how == "turn" and len(verts[i]) == 3)
         if valid:
             assert bad.vertex_count == len(bad.vertices)
             assert bad.crossings() == vertex_crossings(bad)

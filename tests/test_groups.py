@@ -24,8 +24,10 @@ from conftest import (
     T35,
     TREFOIL,
     UNKNOT,
+    artin_presentation,
     centralizer_orbits,
     choose_schedule_from_scratch,
+    closure_elements,
     commutator_subgroup_all_pairs,
     compile_schedule_rescan,
     embedding_wires,
@@ -44,6 +46,7 @@ from conftest import (
     sl2_f5_matrix_count,
     subgroup_closure_pairwise,
     t3_plat,
+    table_group,
     unit_icosians_q5,
 )
 from spunslice.certificate import CertifyConfig, battery_group
@@ -64,7 +67,6 @@ from spunslice.groups.finite import (
     GroupError,
     _hom_from_generators,
     alternating_group,
-    closure_elements,
     cyclic_group,
     group_closure,
     is_even,
@@ -74,7 +76,6 @@ from spunslice.groups.finite import (
     structure_report,
     su2_obstruction,
     symmetric_group,
-    table_group,
 )
 from spunslice.groups.homcount import (
     DEFAULT_NODE_BUDGET,
@@ -327,11 +328,14 @@ def test_third_determinant_route_matches_the_other_two():
 # L(det K, q), with cyclic fundamental group.
 
 
+def dihedral_generators(p: int) -> list[tuple]:
+    """A rotation and a reflection of the p-gon."""
+    return [tuple((i + 1) % p for i in range(p)), tuple(-i % p for i in range(p))]
+
+
 @cache
 def dihedral_group(p: int) -> FiniteGroup:
-    rotation = tuple((i + 1) % p for i in range(p))
-    reflection = tuple(-i % p for i in range(p))
-    return group_closure((rotation, reflection), perm_mul, name=f"D{p}")
+    return group_closure(dihedral_generators(p), perm_mul, name=f"D{p}")
 
 
 @settings(max_examples=60, deadline=None)
@@ -365,6 +369,33 @@ def test_two_bridge_knots_have_cyclic_covers(seed, letters):
     assert result.complete and result.index == det
     mult = regular_representation(result)
     assert any(element_order(mult, g) == det for g in range(det))
+
+
+# The knot group has a presentation read from the plat word by Artin's
+# action on the free group (Birman, Braids, Links, and Mapping Class Groups,
+# 1974), which never touches the PD sweep, so hom counts into the battery
+# through it must equal the Wirtinger counts.
+_ARTIN_RANDOM = random.Random(14)
+ARTIN_PLATS = [
+    *(
+        parse_plat((shipped_manifest_path().parent / "plats" / f"{name}.plat").read_text())
+        for name in ("unknot", "trefoil", "figure8", "t25", "k5_2", "t35")
+    ),
+    *(
+        seeded_knot_plat(seed, strands, _ARTIN_RANDOM.randint(strands // 2, 3 * strands))
+        for seed in range(40)
+        for strands in [_ARTIN_RANDOM.choice((4, 6, 8))]
+    ),
+]
+
+
+@pytest.mark.parametrize("plat", ARTIN_PLATS, ids=[f"{p.strands}x{len(p.word)}" for p in ARTIN_PLATS])
+def test_the_knot_group_from_the_plat_word_has_the_wirtinger_hom_counts(plat, battery):
+    artin, pres = artin_presentation(plat), wirtinger(plat_to_pd(plat))
+    for G in battery:
+        by_artin, by_wirtinger = hom_count(artin, G), hom_count(pres, G)
+        assert by_artin.exact and by_wirtinger.exact
+        assert by_artin.count == by_wirtinger.count
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +632,36 @@ def test_group_tables_are_pinned(name):
     G = make()
     assert G.name == name
     assert hashlib.sha256(repr(G.mult).encode()).hexdigest()[:16] == digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 7).flatmap(
+        lambda n: st.lists(st.permutations(range(n)).map(tuple), min_size=2, max_size=3)
+    )
+)
+@example(dihedral_generators(3))
+@example(dihedral_generators(5))
+@example(dihedral_generators(7))
+def test_the_cayley_table_is_the_table_of_all_products(gens):
+    # the all-products oracle costs |G|^2 products, so groups past order
+    # 168 (PSL(2,7) on seven points) are left to the pinned tables
+    try:
+        elems = closure_elements(gens, perm_mul, bound=168)
+    except GroupError:
+        assume(False)
+    assert group_closure(gens, perm_mul).mult == table_group(elems, perm_mul).mult
+
+
+def test_a_closure_past_its_bound_or_without_generators_is_refused():
+    gens = [(1, 0, 2, 3), (1, 2, 3, 0)]  # S4
+    assert group_closure(gens, perm_mul, bound=24).order == 24
+    with pytest.raises(GroupError, match="closure exceeded bound 23"):
+        group_closure(gens, perm_mul, bound=23)
+    with pytest.raises(GroupError, match="closure exceeded bound 119"):
+        group_closure(GENERATORS, icosian_mul, bound=119)
+    with pytest.raises(GroupError, match="need at least one generator"):
+        group_closure([], perm_mul)
 
 
 def _inversion_parity_is_even(perm) -> bool:
